@@ -114,6 +114,17 @@ impl Cache {
         }
     }
 
+    /// Return to the all-invalid state of [`Cache::new`] with zeroed
+    /// counters, keeping the tag and stamp allocations. A launch builds its
+    /// caches once and resets them for every SM it simulates.
+    pub fn reset(&mut self) {
+        self.tags.fill(None);
+        self.stamps.fill(0);
+        self.tick = 0;
+        self.hits = 0;
+        self.misses = 0;
+    }
+
     /// The cache configuration.
     pub fn config(&self) -> CacheConfig {
         self.config
@@ -224,6 +235,7 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn small() -> Cache {
         // 4 sets × 2 ways × 128B lines = 1KB
@@ -296,6 +308,39 @@ mod tests {
         let mut c = Cache::new(cfg);
         assert!(matches!(c.access_allocate(0), Access::Miss { .. }));
         assert_eq!(c.access_allocate(0), Access::Hit);
+    }
+
+    proptest! {
+        /// A reset cache is indistinguishable from a new one: after any
+        /// access history, reset, then the same random access sequence on
+        /// both gives the same outcomes, counters and internal state.
+        #[test]
+        fn reset_behaves_like_new(
+            history in proptest::collection::vec((0u64..64, 0u8..3), 0..200),
+            ops in proptest::collection::vec((0u64..64, 0u8..3), 0..200),
+        ) {
+            let apply = |c: &mut Cache, ops: &[(u64, u8)]| -> Vec<(Option<Access>, bool)> {
+                ops.iter()
+                    .map(|&(line, op)| {
+                        let addr = line * 128 + 4;
+                        match op {
+                            0 => (Some(c.access_allocate(addr)), false),
+                            1 => (None, c.probe(addr)),
+                            _ => (None, c.invalidate(addr)),
+                        }
+                    })
+                    .collect()
+            };
+            let mut reused = small();
+            apply(&mut reused, &history);
+            reused.reset();
+            let mut fresh = small();
+            prop_assert_eq!(&reused, &fresh);
+            prop_assert_eq!(apply(&mut reused, &ops), apply(&mut fresh, &ops));
+            prop_assert_eq!(reused.hits(), fresh.hits());
+            prop_assert_eq!(reused.misses(), fresh.misses());
+            prop_assert_eq!(&reused, &fresh);
+        }
     }
 
     #[test]

@@ -4,8 +4,15 @@
 //! caches only track presence (for hit/miss behavior) and statistics. Each
 //! named buffer occupies a disjoint region of a flat byte-address space so
 //! cache indexing and L2 bank hashing see realistic addresses.
+//!
+//! Buffer contents are reference-counted and copy-on-write: cloning a
+//! [`GlobalMemory`] shares every buffer, and the first store into a shared
+//! buffer copies that one buffer. Each SM of a launch simulates against its
+//! own clone of the prepared image, so an SM that never stores costs a
+//! refcount bump per buffer instead of a copy of the whole image.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use bvf_isa::ir::BufferId;
 use serde::{Deserialize, Serialize};
@@ -24,7 +31,14 @@ pub struct GlobalMemory {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 struct Buffer {
     base: u64,
-    words: Vec<u32>,
+    words: Arc<Vec<u32>>,
+}
+
+impl Buffer {
+    /// The words, unshared first if another image still references them.
+    fn words_mut(&mut self) -> &mut [u32] {
+        Arc::make_mut(&mut self.words).as_mut_slice()
+    }
 }
 
 impl GlobalMemory {
@@ -50,7 +64,13 @@ impl GlobalMemory {
         let base = self.next_base;
         let bytes = words.len() as u64 * 4;
         self.next_base += bytes.div_ceil(BUFFER_ALIGN).max(1) * BUFFER_ALIGN;
-        self.buffers.insert(id, Buffer { base, words });
+        self.buffers.insert(
+            id,
+            Buffer {
+                base,
+                words: Arc::new(words),
+            },
+        );
         base
     }
 
@@ -106,6 +126,7 @@ impl GlobalMemory {
     }
 
     /// Mutable form of [`GlobalMemory::buffer_view`] for warp-wide stores.
+    /// Copies the buffer first if another clone of this memory shares it.
     ///
     /// # Panics
     ///
@@ -115,17 +136,19 @@ impl GlobalMemory {
             .buffers
             .get_mut(&id)
             .unwrap_or_else(|| panic!("buffer {id:?} not registered"));
-        (b.base, &mut b.words)
+        (b.base, b.words_mut())
     }
 
-    /// Store `value` at `idx` (wrapping) in buffer `id`.
+    /// Store `value` at `idx` (wrapping) in buffer `id`, copying the buffer
+    /// first if another clone of this memory shares it.
     pub fn store(&mut self, id: BufferId, idx: u32, value: u32) {
         let b = self
             .buffers
             .get_mut(&id)
             .unwrap_or_else(|| panic!("buffer {id:?} not registered"));
-        let n = b.words.len();
-        b.words[idx as usize % n] = value;
+        let words = b.words_mut();
+        let n = words.len();
+        words[idx as usize % n] = value;
     }
 
     /// Read a whole cache line (`line_bytes` long) containing byte address
@@ -251,6 +274,27 @@ mod tests {
                 assert_eq!(out, reference, "line at {addr:#x}");
             }
         }
+    }
+
+    #[test]
+    fn clones_share_buffers_until_stored_to() {
+        let mut original = GlobalMemory::new();
+        original.add_buffer(BufferId(0), vec![1; 16]);
+        original.add_buffer(BufferId(1), vec![2; 16]);
+        let mut copy = original.clone();
+        let shares = |a: &GlobalMemory, b: &GlobalMemory, id| {
+            Arc::ptr_eq(&a.buffers[&id].words, &b.buffers[&id].words)
+        };
+        assert!(shares(&original, &copy, BufferId(0)));
+        copy.store(BufferId(0), 3, 99);
+        copy.buffer_view_mut(BufferId(0)).1[4] = 98;
+        // Only the stored-to buffer was copied, and the original kept its
+        // contents.
+        assert!(!shares(&original, &copy, BufferId(0)));
+        assert!(shares(&original, &copy, BufferId(1)));
+        assert_eq!(original.buffer(BufferId(0)).unwrap(), &[1; 16]);
+        assert_eq!(copy.load(BufferId(0), 3), 99);
+        assert_eq!(copy.load(BufferId(0), 4), 98);
     }
 
     #[test]

@@ -3,13 +3,14 @@
 //! When a [`bvf_obs::MetricsSink`] is installed on the [`crate::Gpu`]
 //! (see [`crate::Gpu::set_metrics`]), the simulator opens cheap spans
 //! around its phases — warp stepping, the instruction-fetch path, the
-//! data-memory path, statistics collection, the end-of-launch DRAM drain —
-//! and folds them into a [`PhaseProfile`] on the returned
-//! [`crate::TraceSummary`]. The raw spans nest (statistics collection runs
-//! *inside* the fetch and memory paths, which run inside a warp step), so
-//! the profile reports **self time**: the slices are disjoint and sum to
-//! the launch wall time. Profiling never changes simulation results — it
-//! only measures where the simulator's own time goes.
+//! data-memory path, statistics collection, the end-of-launch DRAM drain,
+//! launch setup and teardown — and folds them into a [`PhaseProfile`] on
+//! the returned [`crate::TraceSummary`]. The raw spans nest (statistics
+//! collection runs *inside* the fetch and memory paths, which run inside a
+//! warp step), so the profile reports **self time**: the slices are
+//! disjoint and sum to the launch wall time. Profiling never changes
+//! simulation results — it only measures where the simulator's own time
+//! goes.
 
 use bvf_obs::{CounterId, MetricsSink, Recorder, TimerId};
 use serde::{Deserialize, Serialize};
@@ -32,7 +33,13 @@ pub enum Phase {
     StatsData,
     /// End-of-launch FR-FCFS DRAM channel drain.
     DramDrain,
-    /// Launch setup/teardown not attributed to any phase above.
+    /// Launch setup and teardown: acquiring the collector, then per SM
+    /// resetting the caches and sharing the prepared memory image, then
+    /// replaying the store log, sorting touched lines and finishing the
+    /// collector. Events count the SMs set up, a total every shard split
+    /// of a launch agrees on.
+    Setup,
+    /// The residual of launch wall time no phase above attributes.
     Other,
 }
 
@@ -46,6 +53,7 @@ impl Phase {
             Phase::StatsInstr => "stats_instr",
             Phase::StatsData => "stats_data",
             Phase::DramDrain => "dram_drain",
+            Phase::Setup => "setup",
             Phase::Other => "other",
         }
     }
@@ -66,7 +74,8 @@ pub struct PhaseSlice {
     pub nanos: u64,
     /// Number of events attributed to the phase (instructions for `exec`,
     /// fetches for `ifetch`, accesses for `data_memory`, collector calls
-    /// for the stats phases, DRAM requests for `dram_drain`).
+    /// for the stats phases, DRAM requests for `dram_drain`, SMs set up for
+    /// `setup`).
     pub events: u64,
 }
 
@@ -140,6 +149,7 @@ impl PhaseProfile {
         let stats_instr = rec.timer_nanos(m.stats_instr);
         let stats_data = rec.timer_nanos(m.stats_data);
         let dram = rec.timer_nanos(m.dram);
+        let setup = rec.timer_nanos(m.setup);
         let slices = vec![
             PhaseSlice {
                 phase: Phase::Exec,
@@ -172,8 +182,13 @@ impl PhaseProfile {
                 events: rec.counter_value(m.dram_requests),
             },
             PhaseSlice {
+                phase: Phase::Setup,
+                nanos: setup,
+                events: rec.timer_count(m.setup),
+            },
+            PhaseSlice {
                 phase: Phase::Other,
-                nanos: launch.saturating_sub(step + dram),
+                nanos: launch.saturating_sub(step + dram + setup),
                 events: 0,
             },
         ];
@@ -198,6 +213,7 @@ pub(crate) struct SimMetrics {
     pub stats_instr: TimerId,
     pub stats_data: TimerId,
     pub dram: TimerId,
+    pub setup: TimerId,
     pub reg_events: CounterId,
     pub smem_events: CounterId,
     pub instr_events: CounterId,
@@ -219,6 +235,7 @@ impl SimMetrics {
             stats_instr: sink.timer("stats.instr_path"),
             stats_data: sink.timer("stats.data_path"),
             dram: sink.timer("dram.drain"),
+            setup: sink.timer("sim.setup"),
             reg_events: sink.counter("stats.reg_events"),
             smem_events: sink.counter("stats.smem_events"),
             instr_events: sink.counter("stats.instr_events"),
@@ -318,6 +335,7 @@ mod tests {
             Phase::StatsInstr,
             Phase::StatsData,
             Phase::DramDrain,
+            Phase::Setup,
             Phase::Other,
         ];
         let names: Vec<_> = all.iter().map(|p| p.name()).collect();
@@ -330,6 +348,7 @@ mod tests {
                 "stats_instr",
                 "stats_data",
                 "dram_drain",
+                "setup",
                 "other"
             ]
         );

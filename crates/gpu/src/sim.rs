@@ -535,6 +535,37 @@ struct SmState {
     smem_conflict_cycles: u64,
 }
 
+impl SmState {
+    /// The caches and scheduler one launch reuses across its SMs.
+    fn new(cfg: &GpuConfig) -> Self {
+        Self {
+            id: 0,
+            l1d: Cache::new(cfg.l1d),
+            l1i: Cache::new(cfg.l1i),
+            l1c: Cache::new(cfg.l1c),
+            l1t: Cache::new(cfg.l1t),
+            scheduler: Scheduler::new(cfg.scheduler),
+            issues: 0,
+            reg_bank_conflicts: 0,
+            reg_banks: cfg.reg_banks,
+            smem_conflict_cycles: 0,
+        }
+    }
+
+    /// Become SM `id` with empty caches, a fresh scheduler and zeroed
+    /// counters: the same state [`SmState::new`] builds.
+    fn reset(&mut self, id: u32, cfg: &GpuConfig) {
+        self.id = id;
+        for cache in [&mut self.l1d, &mut self.l1i, &mut self.l1c, &mut self.l1t] {
+            cache.reset();
+        }
+        self.scheduler = Scheduler::new(cfg.scheduler);
+        self.issues = 0;
+        self.reg_bank_conflicts = 0;
+        self.smem_conflict_cycles = 0;
+    }
+}
+
 /// Environment adapter handed to [`Warp::step`]: routes callbacks into the
 /// shared collector, caches and memory.
 struct SmEnv<'a> {
@@ -1156,13 +1187,17 @@ impl Gpu {
             "register demand grossly exceeds the register file"
         );
 
+        let m = SimMetrics::register(&self.metrics);
+        let rec = self.metrics.recorder();
+        let launch_span = rec.begin(m.launch);
+        // Setup: the collector (warm memo tables from this thread's last
+        // launch over the same coders), one set of L2 banks and L1s reset
+        // per SM below, and the prepared image, shared copy-on-write.
+        let setup_span = rec.begin(m.setup);
         let mut collector = StatsCollector::new(self.views.clone(), cfg.noc_flit_bytes);
         if self.trace_logging {
             collector = collector.with_trace_log();
         }
-        let m = SimMetrics::register(&self.metrics);
-        let rec = self.metrics.recorder();
-        let launch_span = rec.begin(m.launch);
         // Trace recorder for this launch, created up front so its Drop
         // flushes whatever was recorded even if the simulation panics.
         let mut trace_rec = self
@@ -1171,15 +1206,15 @@ impl Gpu {
             .then(|| self.tracer.recorder(self.trace_tid));
         let trace_t0 = trace_rec.as_ref().map_or(0, |t| t.now_ns());
         // The prepared memory image. Every SM simulates against its own
-        // clone: line images and load values must not observe another
-        // SM's stores, or a shard boundary between two SMs would change
-        // recorded bits (SMs run concurrently on real hardware — there
-        // is no defined cross-SM store order to observe).
+        // copy-on-write clone: line images and load values must not
+        // observe another SM's stores, or a shard boundary between two SMs
+        // would change recorded bits (SMs run concurrently on real
+        // hardware — there is no defined cross-SM store order to observe).
         let pristine = std::mem::take(&mut self.memory);
         let mut shared = SharedState {
             collector,
             memory: GlobalMemory::new(),
-            l2: Vec::new(),
+            l2: (0..cfg.l2_banks).map(|_| Cache::new(cfg.l2_bank)).collect(),
             dram_log: Vec::new(),
             l2_line_bytes: cfg.l2_bank.line_bytes(),
             flit_bytes: cfg.noc_flit_bytes,
@@ -1198,6 +1233,8 @@ impl Gpu {
             payload_buf: Vec::new(),
             bank_buf: Vec::new(),
         };
+        let mut sm = SmState::new(cfg);
+        shared.rec.end_n(setup_span, 0);
         let concurrent_ctas = (cfg.warps_per_sm / warps_per_cta).max(1);
         let mut max_core_cycles = 0u64;
         let mut total_issues = 0u64;
@@ -1206,34 +1243,29 @@ impl Gpu {
         let mut smem_conflict_cycles = 0u64;
 
         for sm_id in sm_start..sm_end {
-            let my_ctas: Vec<u32> = (0..lc.grid_ctas).filter(|c| c % cfg.sms == sm_id).collect();
+            // CTAs are dealt round-robin: SM `sm_id` runs sm_id, sm_id + sms, …
+            let my_ctas: Vec<u32> = (sm_id..lc.grid_ctas).step_by(cfg.sms as usize).collect();
             if my_ctas.is_empty() {
                 continue;
             }
-            // Every SM gets a fresh L2 slice, memory image and Fig. 11
-            // sampling phase: an SM's results must not depend on which
-            // other SMs ran before it in this process, so that a shard
-            // boundary anywhere in the SM range changes nothing. (This
-            // also removes a serialization artifact of the sequential SM
-            // loop: later SMs no longer warm up on earlier SMs' L2
-            // fills.) DRAM needs no per-SM state here — misses append to
-            // the shard's request log, and the channels themselves exist
-            // only during the launch-global replay in `merge_shards`.
-            shared.l2 = (0..cfg.l2_banks).map(|_| Cache::new(cfg.l2_bank)).collect();
+            // Every SM starts from empty L2 and L1s, the prepared memory
+            // image and a fresh Fig. 11 sampling phase: an SM's results
+            // must not depend on which other SMs ran before it in this
+            // process, so that a shard boundary anywhere in the SM range
+            // changes nothing. (This also removes a serialization artifact
+            // of the sequential SM loop: later SMs no longer warm up on
+            // earlier SMs' L2 fills.) Resetting in place is exactly a fresh
+            // cache (`Cache::reset`), and the image clone shares every
+            // buffer until this SM stores to it. DRAM needs no per-SM state
+            // here — misses append to the shard's request log, and the
+            // channels themselves exist only during the launch-global
+            // replay in `merge_shards`.
+            let sm_setup = shared.rec.begin(shared.m.setup);
+            shared.l2.iter_mut().for_each(Cache::reset);
             shared.memory = pristine.clone();
             shared.reg_write_counter = 0;
-            let mut sm = SmState {
-                id: sm_id,
-                l1d: Cache::new(cfg.l1d),
-                l1i: Cache::new(cfg.l1i),
-                l1c: Cache::new(cfg.l1c),
-                l1t: Cache::new(cfg.l1t),
-                scheduler: Scheduler::new(cfg.scheduler),
-                issues: 0,
-                reg_bank_conflicts: 0,
-                reg_banks: cfg.reg_banks,
-                smem_conflict_cycles: 0,
-            };
+            sm.reset(sm_id, cfg);
+            shared.rec.end_n(sm_setup, 1);
 
             for wave in my_ctas.chunks(concurrent_ctas as usize) {
                 self.run_wave(&prog, lc, wave, &mut sm, &mut shared, cfg.smem_banks);
@@ -1255,11 +1287,16 @@ impl Gpu {
             smem_conflict_cycles += sm.smem_conflict_cycles;
         }
 
-        // Replay every SM's stores onto the prepared image so callers can
-        // inspect kernel results and relaunch. The workload templates
-        // never store the same word from two CTAs, so the replay order
-        // cannot matter — the same disjointness that makes per-SM memory
-        // isolation exact.
+        // Teardown. Replay every SM's stores onto the prepared image so
+        // callers can inspect kernel results and relaunch. The workload
+        // templates never store the same word from two CTAs, so the replay
+        // order cannot matter — the same disjointness that makes per-SM
+        // memory isolation exact. Dropping the last SM's image first lets
+        // the replay write in place into buffers nobody else shares; a
+        // buffer the caller still shares (a memoized prepared image) is
+        // copied on its first store and the shared original stays intact.
+        let teardown = shared.rec.begin(shared.m.setup);
+        shared.memory = GlobalMemory::new();
         let mut memory = pristine;
         for &(buf, idx, value) in &shared.store_log {
             memory.store(buf, idx, value);
@@ -1278,6 +1315,9 @@ impl Gpu {
             v.sort_unstable();
             v
         });
+        self.last_log = shared.collector.take_log();
+        let views = shared.collector.finish();
+        shared.rec.end_n(teardown, 0);
 
         shared.rec.end(launch_span);
         let profile = PhaseProfile::from_recorder(&shared.rec, &shared.m);
@@ -1321,9 +1361,8 @@ impl Gpu {
         }
         drop(trace_rec); // flush the launch's trace batch
 
-        self.last_log = shared.collector.take_log();
         LaunchShard {
-            views: shared.collector.finish(),
+            views,
             max_core_cycles,
             dynamic_instructions: total_issues,
             l1d_hits,
@@ -1913,13 +1952,15 @@ mod tests {
         assert_eq!(plain, profiled);
         assert!(profiled.profile.is_enabled());
         assert!(!plain.profile.is_enabled());
-        assert_eq!(profiled.profile.slices.len(), 7);
+        assert_eq!(profiled.profile.slices.len(), 8);
         let total: u64 = profiled.profile.slices.iter().map(|s| s.nanos).sum();
         assert!(total <= profiled.profile.launch_nanos);
         assert_eq!(
             profiled.profile.slice(Phase::Exec).unwrap().events,
             profiled.dynamic_instructions
         );
+        // Both SMs of the small GPU run CTAs, so both are set up.
+        assert_eq!(profiled.profile.slice(Phase::Setup).unwrap().events, 2);
     }
 
     #[test]
@@ -1951,6 +1992,55 @@ mod tests {
             sink.timer_value(step).1,
             summary.dynamic_instructions + again.dynamic_instructions
         );
+    }
+
+    /// A vecadd that also loads from a buffer nobody registered, so every
+    /// launch of it panics after its first stores.
+    fn panicking_kernel() -> Kernel {
+        let mut k = vecadd_kernel();
+        k.body.push(Stmt::op3(
+            Op::LdGlobal(BufferId(9)),
+            4,
+            Operand::Reg(0),
+            Operand::Imm(0),
+        ));
+        k
+    }
+
+    fn vecadd_gpu(views: Vec<CodingView>) -> Gpu {
+        let mut cfg = GpuConfig::baseline();
+        cfg.sms = 2;
+        let mut gpu = Gpu::new(cfg, views);
+        gpu.memory_mut()
+            .add_buffer(BufferId(0), (0..256u32).map(|i| i * 7).collect());
+        gpu.memory_mut().add_buffer(BufferId(1), vec![5; 256]);
+        gpu.memory_mut().add_buffer(BufferId(2), vec![0; 256]);
+        gpu
+    }
+
+    /// Memo tables go back to the thread's pool only from a finished
+    /// launch: a launch that panics takes the warm tables with it, and the
+    /// next launch starts cold and still computes the same summary.
+    #[test]
+    fn a_panicking_launch_never_returns_its_memos_to_the_pool() {
+        let views = CodingView::standard_set(0x00f0_0f00_ff00_00ff);
+        let lc = LaunchConfig::new(8, 32);
+        assert!(crate::stats::memo_pool_is_empty());
+        let first = vecadd_gpu(views.clone()).launch(&vecadd_kernel(), lc);
+        assert!(
+            !crate::stats::memo_pool_is_empty(),
+            "a finished launch pools its memos"
+        );
+        let crashed = std::panic::catch_unwind(|| {
+            vecadd_gpu(views.clone()).launch(&panicking_kernel(), lc);
+        });
+        assert!(crashed.is_err(), "the launch must panic");
+        assert!(
+            crate::stats::memo_pool_is_empty(),
+            "a panicking launch must not return its memos"
+        );
+        let again = vecadd_gpu(views.clone()).launch(&vecadd_kernel(), lc);
+        assert_eq!(first, again);
     }
 
     /// A kernel whose odd CTAs hammer one shared-memory bank (32-way

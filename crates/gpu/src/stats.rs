@@ -29,6 +29,7 @@
 //! oracle ([`crate::trace::replay`]) and the reference-implementation
 //! proptests below.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use bvf_bits::{BitCounts, BitPlanes, ChannelToggles, ToggleStats};
@@ -474,25 +475,80 @@ pub struct StatsCollector {
     bits_cache: Vec<BitCounts>,
     /// Reusable payload-encoding buffer (capacity persists across events).
     scratch: Vec<u8>,
+    /// Content-keyed bit-count memos, borrowed from this thread's pool
+    /// (see [`Memos`]).
+    memos: Memos,
+    /// Reusable byte image of an instruction line for the memo key.
+    instr_line_key: Vec<u8>,
+}
+
+/// The memo tables of one collector, tagged with the coder set that filled
+/// them.
+///
+/// Every entry maps an event's full content to its per-view bit counts,
+/// which are a pure function of that content and the coders; a lookup hits
+/// only on a full-key compare. A table filled by one launch is therefore
+/// exact for any later launch with the same coder set, so each thread keeps
+/// the tables of its last finished collector in [`MEMO_POOL`] and the next
+/// collector over the same views starts warm instead of re-deriving the
+/// program's instruction words and the app's hot lines. Tables return to
+/// the pool only from [`StatsCollector::finish`]: a launch that panics
+/// drops its tables with it.
+#[derive(Debug, Clone)]
+struct Memos {
+    coders: Vec<ViewCoders>,
     /// Register-event memo: recently seen `(lanes, active)` inputs mapped
     /// to their per-view bit counts. Registers holding loop-invariant
     /// values (base addresses, limits, constants) are re-read far more
-    /// often than they change, and the counts are a pure function of the
-    /// input, so a small direct-mapped cache with a full-key compare skips
-    /// the transpose and every per-view count on a hit.
-    warp_memo: WarpMemo,
+    /// often than they change, so a small direct-mapped cache skips the
+    /// transpose and every per-view count on a hit.
+    warp: WarpMemo,
     /// Instruction-word memo: raw 64-bit words mapped to their per-view
     /// encoded bit counts (the instruction stream is a tiny, endlessly
     /// re-issued vocabulary).
-    instr_memo: InstrMemo,
+    instr: InstrMemo,
     /// Data-line content memo for [`StatsCollector::record_line_kinds`].
-    line_memo: LineMemo,
+    line: LineMemo,
     /// Instruction-line content memo for
     /// [`StatsCollector::record_instruction_line`] (keyed on the words'
     /// little-endian byte image).
-    instr_line_memo: LineMemo,
-    /// Reusable byte image of an instruction line for the memo key.
-    instr_line_key: Vec<u8>,
+    instr_line: LineMemo,
+}
+
+thread_local! {
+    /// The memo tables of the last collector this thread finished.
+    static MEMO_POOL: RefCell<Option<Memos>> = const { RefCell::new(None) };
+}
+
+impl Memos {
+    /// This thread's pooled tables if they were filled under `coders`,
+    /// else empty ones. Either way the pool is left empty.
+    fn acquire(coders: &[ViewCoders]) -> Self {
+        MEMO_POOL
+            .with(|pool| pool.borrow_mut().take())
+            .filter(|m| m.coders == coders)
+            .unwrap_or_else(|| {
+                let n = coders.len();
+                Self {
+                    coders: coders.to_vec(),
+                    warp: WarpMemo::new(n),
+                    instr: InstrMemo::new(n),
+                    line: LineMemo::new(n),
+                    instr_line: LineMemo::new(n),
+                }
+            })
+    }
+
+    /// Park these tables for the next collector on this thread.
+    fn release(self) {
+        MEMO_POOL.with(|pool| *pool.borrow_mut() = Some(self));
+    }
+}
+
+/// Is this thread's memo pool empty? (Test hook for the panic invariant.)
+#[cfg(test)]
+pub(crate) fn memo_pool_is_empty() -> bool {
+    MEMO_POOL.with(|pool| pool.borrow().is_none())
 }
 
 /// Direct-mapped instruction-word → per-view [`BitCounts`] cache for
@@ -679,6 +735,7 @@ impl StatsCollector {
         let shared_keys: Vec<_> = coders.iter().map(|c| c.nv).collect();
         let line_keys: Vec<_> = coders.iter().map(|c| (c.nv, c.line_vs)).collect();
         let instr_keys: Vec<_> = coders.iter().map(|c| c.isa).collect();
+        let memos = Memos::acquire(&coders);
         Self {
             views: views.into_iter().map(ViewStats::new).collect(),
             log: None,
@@ -693,10 +750,7 @@ impl StatsCollector {
             instr_rep: representatives(&instr_keys),
             bits_cache: vec![BitCounts::default(); n],
             scratch: Vec::new(),
-            warp_memo: WarpMemo::new(n),
-            instr_memo: InstrMemo::new(n),
-            line_memo: LineMemo::new(n),
-            instr_line_memo: LineMemo::new(n),
+            memos,
             instr_line_key: Vec::new(),
         }
     }
@@ -729,7 +783,7 @@ impl StatsCollector {
             });
         }
         let way = WarpMemo::way(lanes, active);
-        if let Some(bits) = self.warp_memo.get(way, lanes, active) {
+        if let Some(bits) = self.memos.warp.get(way, lanes, active) {
             for (acc, &b) in self.unit_acc.iter_mut().zip(bits) {
                 bump(&mut acc[Unit::Reg as usize], kind, b, 1);
             }
@@ -746,7 +800,7 @@ impl StatsCollector {
             self.bits_cache[i] = bits;
             bump(&mut self.unit_acc[i][Unit::Reg as usize], kind, bits, 1);
         }
-        self.warp_memo.insert(way, lanes, active, &self.bits_cache);
+        self.memos.warp.insert(way, lanes, active, &self.bits_cache);
     }
 
     /// Record a shared-memory access (active lanes' words; VS does not
@@ -795,7 +849,7 @@ impl StatsCollector {
             }
         }
         let way = LineMemo::way(line);
-        if let Some(bits) = self.line_memo.get(way, line) {
+        if let Some(bits) = self.memos.line.get(way, line) {
             for (acc, &b) in self.unit_acc.iter_mut().zip(bits) {
                 for &kind in kinds {
                     bump(&mut acc[unit as usize], kind, b, 1);
@@ -815,7 +869,7 @@ impl StatsCollector {
                 bump(&mut self.unit_acc[i][unit as usize], kind, bits, 1);
             }
         }
-        self.line_memo.insert(way, line, &self.bits_cache);
+        self.memos.line.insert(way, line, &self.bits_cache);
     }
 
     /// Record an instruction access (IFB, L1I, or the instruction-stream
@@ -840,7 +894,7 @@ impl StatsCollector {
             }
         }
         let way = InstrMemo::way(instr);
-        if let Some(bits) = self.instr_memo.get(way, instr) {
+        if let Some(bits) = self.memos.instr.get(way, instr) {
             for (acc, &b) in self.unit_acc.iter_mut().zip(bits) {
                 for &unit in units {
                     bump(&mut acc[unit as usize], kind, b, 1);
@@ -860,7 +914,7 @@ impl StatsCollector {
                 bump(&mut self.unit_acc[i][unit as usize], kind, bits, 1);
             }
         }
-        self.instr_memo.insert(way, instr, &self.bits_cache);
+        self.memos.instr.insert(way, instr, &self.bits_cache);
     }
 
     /// Record one line-granular access of instruction words (an L1I fill or
@@ -880,7 +934,7 @@ impl StatsCollector {
             key.extend_from_slice(&w.to_le_bytes());
         }
         let way = LineMemo::way(&key);
-        if let Some(bits) = self.instr_line_memo.get(way, &key) {
+        if let Some(bits) = self.memos.instr_line.get(way, &key) {
             for (acc, &b) in self.unit_acc.iter_mut().zip(bits) {
                 bump(&mut acc[unit as usize], kind, b, 1);
             }
@@ -901,7 +955,7 @@ impl StatsCollector {
             self.bits_cache[i] = bits;
             bump(&mut self.unit_acc[i][unit as usize], kind, bits, 1);
         }
-        self.instr_line_memo.insert(way, &key, &self.bits_cache);
+        self.memos.instr_line.insert(way, &key, &self.bits_cache);
         self.instr_line_key = key;
     }
 
@@ -994,7 +1048,8 @@ impl StatsCollector {
     /// counters and per-channel toggle scratch are folded into its `units`
     /// map and aggregate `noc` counters. Only units that saw at least one
     /// access appear in the map (any record bumps an access count, so
-    /// "touched" and "non-default" coincide).
+    /// "touched" and "non-default" coincide). The memo tables go back to
+    /// this thread's pool for the next collector.
     pub fn finish(mut self) -> Vec<ViewStats> {
         let default = UnitStats::default();
         let sideband: ToggleStats = self.sideband.values().map(|c| c.stats()).sum();
@@ -1008,6 +1063,7 @@ impl StatsCollector {
             // own coded data-wire traffic.
             v.noc = sideband + self.channels.values().map(|chs| chs[vi].stats()).sum();
         }
+        self.memos.release();
         self.views
     }
 }

@@ -242,24 +242,6 @@ mod tests {
     }
 
     #[test]
-    fn log_survives_serde_roundtrip() {
-        let (log, _, flit) = run_logged();
-        let json = serde_json_like(&log);
-        // We avoid a serde_json dependency: a bincode-style check through
-        // the serde data model is done with a clone-compare instead; the
-        // Serialize/Deserialize impls are exercised by the derive and the
-        // statistics replays below.
-        let replayed = replay(&log, vec![CodingView::baseline()], flit);
-        assert!(!replayed.is_empty());
-        let _ = json;
-    }
-
-    /// Cheap structural digest standing in for a serializer (no extra deps).
-    fn serde_json_like(log: &TraceLog) -> usize {
-        log.events.len()
-    }
-
-    #[test]
     fn kind_conversion_roundtrips() {
         for k in [AccessKind::Read, AccessKind::Write, AccessKind::Fill] {
             let t: TraceKind = k.into();

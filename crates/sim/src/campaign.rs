@@ -1518,9 +1518,9 @@ mod tests {
         assert!(plain.phase_table().is_none());
         let merged = profiled.merged_profile();
         assert!(merged.is_enabled());
-        assert_eq!(merged.slices.len(), 7);
+        assert_eq!(merged.slices.len(), 8);
         let table = profiled.phase_table().expect("profiled");
-        assert_eq!(table.rows.len(), 7);
+        assert_eq!(table.rows.len(), 8);
         assert!(table.get("exec", "events").expect("exec row") > 0.0);
         // Worker recorders flushed into the shared sink across threads.
         let step = sink.timer("sim.step");

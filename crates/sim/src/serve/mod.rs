@@ -324,9 +324,6 @@ impl Shared {
                 job.enqueued.elapsed().as_nanos() as u64,
             );
             self.run_job(&mut rec, job);
-            // Flush after every job so `/metrics` is live, not
-            // end-of-worker-lifetime.
-            rec.flush();
         }
     }
 
@@ -340,7 +337,7 @@ impl Shared {
             if let Some(store) = self.store.as_deref() {
                 if let Some(summary) = store.load(job.key, job.app.code) {
                     rec.add(self.ids.store_hits, 1);
-                    self.finish_job(&job, Ok(Arc::new(summary)));
+                    self.finish_job(rec, &job, Ok(Arc::new(summary)));
                     return;
                 }
                 rec.add(self.ids.store_misses, 1);
@@ -376,14 +373,18 @@ impl Shared {
                 Err(panic_message(payload))
             }
         };
-        self.finish_job(&job, outcome);
+        self.finish_job(rec, &job, outcome);
     }
 
-    /// Publish the outcome, then retire the flight. Publishing first means
-    /// a handler that attaches between the two steps gets its result
-    /// immediately; one that looks up after removal starts a fresh flight
-    /// — never a deadlock, at worst a duplicate simulation.
-    fn finish_job(&self, job: &Job, outcome: Outcome) {
+    /// Flush the worker's metrics, publish the outcome, then retire the
+    /// flight. Flushing first means a client that reads the counters after
+    /// its response (`/metrics`, or the sink in tests) sees this job
+    /// counted. Publishing before retiring means a handler that attaches
+    /// between the two steps gets its result immediately; one that looks
+    /// up after removal starts a fresh flight — never a deadlock, at worst
+    /// a duplicate simulation.
+    fn finish_job(&self, rec: &mut bvf_obs::Recorder, job: &Job, outcome: Outcome) {
+        rec.flush();
         job.slot.publish(outcome);
         if job.registered {
             let mut state = self.state.lock().expect("scheduler lock");

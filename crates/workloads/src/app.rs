@@ -1,6 +1,8 @@
 //! Application descriptors: kernel template + data profiles + launch shape.
 
-use bvf_gpu::{Gpu, LaunchShard, TraceSummary};
+use std::cell::RefCell;
+
+use bvf_gpu::{GlobalMemory, Gpu, LaunchShard, TraceSummary};
 use bvf_isa::ir::{BufferId, Kernel, LaunchConfig};
 use serde::{Deserialize, Serialize};
 
@@ -179,14 +181,42 @@ impl Application {
 
     /// Register this application's buffers in `gpu`'s global memory.
     ///
+    /// The image is a pure function of the application, so each thread
+    /// keeps the last one it built: preparing the same application again
+    /// on a fresh memory (its next shard, or its next campaign) installs a
+    /// copy-on-write clone of that image instead of regenerating the data.
+    /// Launches never write through to the kept image, since each store
+    /// copies the buffer it hits. A GPU whose memory already holds buffers
+    /// bypasses the memo.
+    ///
     /// # Panics
     ///
     /// Panics if the GPU already has buffers registered under the ids this
     /// application uses (run each app on a fresh [`Gpu`] or a fresh memory).
     pub fn prepare(&self, gpu: &mut Gpu) {
+        let mem = gpu.memory_mut();
+        if *mem != GlobalMemory::new() {
+            self.add_buffers(mem);
+            return;
+        }
+        *mem = LAST_IMAGE.with(|last| {
+            let mut last = last.borrow_mut();
+            match &*last {
+                Some((app, image)) if app == self => image.clone(),
+                _ => {
+                    let mut image = GlobalMemory::new();
+                    self.add_buffers(&mut image);
+                    *last = Some((self.clone(), image.clone()));
+                    image
+                }
+            }
+        });
+    }
+
+    /// Generate this application's input buffers into `mem`.
+    fn add_buffers(&self, mem: &mut GlobalMemory) {
         let n = self.problem_words();
         let seed = self.seed();
-        let mem = gpu.memory_mut();
         match self.template {
             Template::Streaming { .. } | Template::Matmul { .. } => {
                 mem.add_buffer(BufferId(0), self.input.generate(seed, n));
@@ -254,6 +284,14 @@ impl Application {
         let lc = self.launch_config();
         u64::from(lc.grid_ctas) * u64::from(lc.cta_threads) * self.problem_words() as u64
     }
+}
+
+thread_local! {
+    /// The last prepared image on this thread, keyed by its application
+    /// (see [`Application::prepare`]). One entry bounds the memory it keeps
+    /// to one image per thread, and suffices because a sharded campaign
+    /// queues an application's shards back to back.
+    static LAST_IMAGE: RefCell<Option<(Application, GlobalMemory)>> = const { RefCell::new(None) };
 }
 
 impl core::fmt::Display for Application {
@@ -329,6 +367,110 @@ mod tests {
                 }
                 let merged = bvf_gpu::merge_shards(&cfg, &shards);
                 assert_eq!(merged, sequential, "{code} diverged at {count} shards");
+            }
+        }
+    }
+
+    /// The image `prepare` would generate with no memo.
+    fn generated(app: &Application) -> GlobalMemory {
+        let mut image = GlobalMemory::new();
+        app.add_buffers(&mut image);
+        image
+    }
+
+    #[test]
+    fn memoized_image_survives_storing_and_panicking_launches() {
+        let mut cfg = GpuConfig::baseline();
+        cfg.sms = 2;
+        let app = Application::by_code("VAD").expect("VAD");
+        let fresh = || Gpu::new(cfg.clone(), vec![CodingView::baseline()]);
+        let mut gpu = fresh();
+        app.run(&mut gpu);
+        // The launch stored its output into its own memory...
+        assert_ne!(gpu.memory(), &generated(&app));
+        // ...and the next preparation still installs the untouched image.
+        let mut gpu = fresh();
+        app.prepare(&mut gpu);
+        assert_eq!(gpu.memory(), &generated(&app));
+        // A launch that panics after storing leaves it untouched as well.
+        let mut kernel = app.kernel();
+        kernel.body.push(bvf_isa::ir::Stmt::op3(
+            bvf_isa::ir::Op::LdGlobal(BufferId(9)),
+            1,
+            bvf_isa::ir::Operand::Imm(0),
+            bvf_isa::ir::Operand::Imm(0),
+        ));
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            gpu.launch(&kernel, app.launch_config());
+        }));
+        assert!(crashed.is_err(), "the launch must panic");
+        let mut gpu = fresh();
+        app.prepare(&mut gpu);
+        assert_eq!(gpu.memory(), &generated(&app));
+    }
+
+    #[test]
+    fn memo_is_bypassed_for_a_used_memory() {
+        let app = Application::by_code("VAD").expect("VAD");
+        let mut gpu = Gpu::new(GpuConfig::baseline(), vec![CodingView::baseline()]);
+        gpu.memory_mut().add_buffer(BufferId(7), vec![1; 4]);
+        app.prepare(&mut gpu);
+        let mut expected = GlobalMemory::new();
+        expected.add_buffer(BufferId(7), vec![1; 4]);
+        app.add_buffers(&mut expected);
+        assert_eq!(gpu.memory(), &expected);
+    }
+
+    /// Per-thread reuse (the prepared-image memo and the collector's memo
+    /// tables) changes no result: on one thread, apps run in two orders
+    /// while alternating two ISA masks and 1 or 4 shards give the same
+    /// summaries as runs that each start on a fresh thread.
+    #[test]
+    fn warm_thread_runs_match_fresh_thread_runs() {
+        let mut cfg = GpuConfig::baseline();
+        cfg.sms = 4;
+        let apps: Vec<Application> = ["VAD", "RED", "HST"]
+            .iter()
+            .map(|c| Application::by_code(c).expect("app"))
+            .collect();
+        let masks = [0u64, 0x0123_4567_89ab_cdef];
+        let run = |app: &Application, mask: u64, count: u32| {
+            let shards: Vec<LaunchShard> = (0..count)
+                .map(|index| {
+                    let mut gpu = Gpu::new(cfg.clone(), CodingView::standard_set(mask));
+                    app.run_shard(&mut gpu, index, count)
+                })
+                .collect();
+            bvf_gpu::merge_shards(&cfg, &shards)
+        };
+        let mut cases = Vec::new();
+        for i in 0..apps.len() {
+            for (j, &mask) in masks.iter().enumerate() {
+                cases.push((i, mask, if (i + j) % 2 == 0 { 1 } else { 4 }));
+            }
+        }
+        let reference: Vec<TraceSummary> = cases
+            .iter()
+            .map(|&(i, mask, count)| {
+                std::thread::scope(|s| s.spawn(|| run(&apps[i], mask, count)).join())
+                    .expect("fresh-thread run")
+            })
+            .collect();
+        // First every app under alternating masks (each collector finds
+        // the other mask's memos pooled), then the apps backwards grouped
+        // by mask (each collector inherits another app's warm memos).
+        let alternating: Vec<usize> = (0..cases.len()).collect();
+        let mut grouped = alternating.clone();
+        grouped.sort_by_key(|&k| (cases[k].1, std::cmp::Reverse(cases[k].0)));
+        for order in [alternating, grouped] {
+            for k in order {
+                let (i, mask, count) = cases[k];
+                assert_eq!(
+                    run(&apps[i], mask, count),
+                    reference[k],
+                    "{} mask {mask:#x} at {count} shards",
+                    apps[i].code
+                );
             }
         }
     }
