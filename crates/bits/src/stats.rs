@@ -38,10 +38,9 @@ impl BitCounts {
 
     /// Counts for a single word.
     pub fn of_word<W: BitWord>(w: W) -> Self {
-        Self {
-            ones: u64::from(w.count_ones()),
-            zeros: u64::from(BitWord::count_zeros(w)),
-        }
+        let mut c = Self::default();
+        c.record(w);
+        c
     }
 
     /// Counts over a slice of words.
@@ -62,11 +61,13 @@ impl BitCounts {
         }
     }
 
-    /// Record one word.
+    /// Record one word: one popcount, the zeros being the rest of the
+    /// word.
     #[inline]
     pub fn record<W: BitWord>(&mut self, w: W) {
-        self.ones += u64::from(w.count_ones());
-        self.zeros += u64::from(BitWord::count_zeros(w));
+        let ones = w.count_ones();
+        self.ones += u64::from(ones);
+        self.zeros += u64::from(W::BITS - ones);
     }
 
     /// Record one `u32` (convenience for the dominant GPU data width).

@@ -23,9 +23,11 @@ impl CacheConfig {
     /// # Panics
     ///
     /// Panics unless `bytes` is a positive multiple of `line_bytes × assoc`
-    /// and the resulting set count is a power of two.
+    /// and a line holds at least two bytes. The set count need not be a
+    /// power of two.
     pub fn new(bytes: u64, line_bytes: u32, assoc: u32) -> Self {
         assert!(line_bytes > 0 && assoc > 0 && bytes > 0, "zero-sized cache");
+        assert!(line_bytes >= 2, "a line must hold at least two bytes");
         let lines = bytes / u64::from(line_bytes);
         assert_eq!(
             lines * u64::from(line_bytes),
@@ -61,17 +63,7 @@ impl CacheConfig {
 
     /// Number of sets.
     pub fn sets(self) -> u64 {
-        // Floor division composes (⌊⌊x/a⌋/b⌋ = ⌊x/(ab)⌋), so the combined
-        // divisor can be tested for the shift form once. Every shipped
-        // config is power-of-two sized; the hot set lookup runs per issue
-        // (L1I) and per line (L1D/L2), where a hardware divide is
-        // measurable.
-        let per_set = u64::from(self.line_bytes) * u64::from(self.assoc);
-        if per_set.is_power_of_two() {
-            self.bytes >> per_set.trailing_zeros()
-        } else {
-            self.bytes / per_set
-        }
+        self.bytes / (u64::from(self.line_bytes) * u64::from(self.assoc))
     }
 }
 
@@ -87,14 +79,28 @@ pub enum Access {
     },
 }
 
+/// Tag of an invalid way. Tags are line indices (`addr / line_bytes`); with
+/// lines of at least two bytes no index reaches `u64::MAX`.
+const INVALID: u64 = u64::MAX;
+
 /// One cache instance (tags + LRU state only).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Each set carries the generation it was last cleared in. [`Cache::reset`]
+/// only advances the cache's generation, and a set from an older one is
+/// cleared on its first touch, so a reset costs O(1) however large the
+/// cache. Equality compares what an access can observe: the configuration,
+/// the counters, and each set's valid lines in LRU order.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Cache {
     config: CacheConfig,
-    /// `sets × assoc` entries of (tag, valid); LRU order per set tracked by
-    /// a logical timestamp.
-    tags: Vec<Option<u64>>,
+    sets: u64,
+    /// `sets × assoc` line indices, [`INVALID`] for an empty way; LRU order
+    /// per set tracked by a logical timestamp.
+    tags: Vec<u64>,
     stamps: Vec<u64>,
+    /// Per set, the generation whose contents `tags`/`stamps` hold.
+    set_generations: Vec<u32>,
+    generation: u32,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -103,11 +109,15 @@ pub struct Cache {
 impl Cache {
     /// Build an empty (all-invalid) cache.
     pub fn new(config: CacheConfig) -> Self {
-        let entries = (config.sets() * u64::from(config.assoc)) as usize;
+        let sets = config.sets();
+        let entries = (sets * u64::from(config.assoc)) as usize;
         Self {
             config,
-            tags: vec![None; entries],
+            sets,
+            tags: vec![INVALID; entries],
             stamps: vec![0; entries],
+            set_generations: vec![0; sets as usize],
+            generation: 0,
             tick: 0,
             hits: 0,
             misses: 0,
@@ -115,11 +125,18 @@ impl Cache {
     }
 
     /// Return to the all-invalid state of [`Cache::new`] with zeroed
-    /// counters, keeping the tag and stamp allocations. A launch builds its
-    /// caches once and resets them for every SM it simulates.
+    /// counters, keeping the allocations. A launch builds its caches once
+    /// and resets them for every SM it simulates. O(1): every set is left
+    /// a generation behind and clears itself on first touch. When the
+    /// generation counter wraps, a set untouched for 2^32 resets could
+    /// look current again, so that one reset clears every set eagerly.
     pub fn reset(&mut self) {
-        self.tags.fill(None);
-        self.stamps.fill(0);
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.tags.fill(INVALID);
+            self.stamps.fill(0);
+            self.set_generations.fill(0);
+        }
         self.tick = 0;
         self.hits = 0;
         self.misses = 0;
@@ -163,74 +180,142 @@ impl Cache {
     /// Look up `addr`; on a miss the line is filled (allocated, possibly
     /// evicting the set's LRU line).
     pub fn access_allocate(&mut self, addr: u64) -> Access {
-        let line = self.line_base(addr);
-        let (set_start, set_end) = self.set_range(line);
+        let line = self.line_index(addr);
+        let ways = self.set_ways(line);
         self.tick += 1;
-
-        // Hit?
-        for i in set_start..set_end {
-            if self.tags[i] == Some(line) {
-                self.stamps[i] = self.tick;
+        let tick = self.tick;
+        let tags = &mut self.tags[ways.clone()];
+        let stamps = &mut self.stamps[ways];
+        // One pass finds the hit or the victim: the minimum of
+        // (valid, stamp), the first one on ties as `min_by_key` picks. The
+        // pair packs into one key with the valid flag above the stamp,
+        // which a per-reset tick never reaches.
+        let mut victim = 0;
+        let mut victim_key = u64::MAX;
+        for w in 0..tags.len() {
+            if tags[w] == line {
+                stamps[w] = tick;
                 self.hits += 1;
                 return Access::Hit;
             }
+            let key = stamps[w] | u64::from(tags[w] != INVALID) << 63;
+            if key < victim_key {
+                victim_key = key;
+                victim = w;
+            }
         }
         self.misses += 1;
-        // Fill into invalid way or LRU victim.
-        let victim = (set_start..set_end)
-            .min_by_key(|&i| (self.tags[i].is_some(), self.stamps[i]))
-            .expect("set is non-empty");
-        let evicted = self.tags[victim];
-        self.tags[victim] = Some(line);
-        self.stamps[victim] = self.tick;
-        Access::Miss { evicted }
+        let evicted = tags[victim];
+        tags[victim] = line;
+        stamps[victim] = tick;
+        Access::Miss {
+            evicted: (evicted != INVALID).then(|| self.line_address(evicted)),
+        }
     }
 
     /// Look up `addr` without allocating on miss (write-no-allocate probes).
     pub fn probe(&mut self, addr: u64) -> bool {
-        let line = self.line_base(addr);
-        let (s, e) = self.set_range(line);
+        let line = self.line_index(addr);
+        let ways = self.set_ways(line);
         self.tick += 1;
-        for i in s..e {
-            if self.tags[i] == Some(line) {
-                self.stamps[i] = self.tick;
-                return true;
+        match self.tags[ways.clone()].iter().position(|&t| t == line) {
+            Some(w) => {
+                self.stamps[ways.start + w] = self.tick;
+                true
             }
+            None => false,
         }
-        false
     }
 
     /// Invalidate the line containing `addr` if present (write-evict).
     /// Returns `true` if a line was invalidated.
     pub fn invalidate(&mut self, addr: u64) -> bool {
-        let line = self.line_base(addr);
-        let (s, e) = self.set_range(line);
-        for i in s..e {
-            if self.tags[i] == Some(line) {
-                self.tags[i] = None;
-                return true;
+        let line = self.line_index(addr);
+        let ways = self.set_ways(line);
+        match self.tags[ways].iter_mut().find(|t| **t == line) {
+            Some(t) => {
+                *t = INVALID;
+                true
             }
+            None => false,
         }
-        false
     }
 
-    fn set_range(&self, line: u64) -> (usize, usize) {
+    fn line_index(&self, addr: u64) -> u64 {
         let lb = u64::from(self.config.line_bytes);
-        let line_idx = if lb.is_power_of_two() {
-            line >> lb.trailing_zeros()
+        if lb.is_power_of_two() {
+            addr >> lb.trailing_zeros()
         } else {
-            line / lb
-        };
-        let sets = self.config.sets();
-        let set = if sets.is_power_of_two() {
-            (line_idx & (sets - 1)) as usize
+            addr / lb
+        }
+    }
+
+    fn line_address(&self, line: u64) -> u64 {
+        line * u64::from(self.config.line_bytes)
+    }
+
+    fn set_of(&self, line: u64) -> usize {
+        if self.sets.is_power_of_two() {
+            (line & (self.sets - 1)) as usize
         } else {
-            (line_idx % sets) as usize
-        };
+            (line % self.sets) as usize
+        }
+    }
+
+    /// The way range of the set holding `line`, cleared first if the cache
+    /// was reset since the set was last touched.
+    fn set_ways(&mut self, line: u64) -> core::ops::Range<usize> {
+        let set = self.set_of(line);
         let assoc = self.config.assoc as usize;
-        (set * assoc, set * assoc + assoc)
+        let ways = set * assoc..set * assoc + assoc;
+        if self.set_generations[set] != self.generation {
+            self.set_generations[set] = self.generation;
+            self.tags[ways.clone()].fill(INVALID);
+            self.stamps[ways.clone()].fill(0);
+        }
+        ways
+    }
+
+    /// One set's valid line addresses, least recently used first; empty for
+    /// a set a reset has left behind.
+    fn resident_lines(&self, set: usize) -> Vec<u64> {
+        if self.set_generations[set] != self.generation {
+            return Vec::new();
+        }
+        let assoc = self.config.assoc as usize;
+        let mut ways: Vec<usize> = (set * assoc..set * assoc + assoc)
+            .filter(|&w| self.tags[w] != INVALID)
+            .collect();
+        ways.sort_by_key(|&w| self.stamps[w]);
+        ways.into_iter()
+            .map(|w| self.line_address(self.tags[w]))
+            .collect()
+    }
+
+    /// Relabel the current generation as `to`, keeping every set's
+    /// contents, so tests reach the wraparound without 2^32 resets.
+    #[cfg(test)]
+    fn jump_generation(&mut self, to: u32) {
+        assert!(to >= self.generation, "generations only move forward");
+        for g in &mut self.set_generations {
+            if *g == self.generation {
+                *g = to;
+            }
+        }
+        self.generation = to;
     }
 }
+
+impl PartialEq for Cache {
+    fn eq(&self, other: &Self) -> bool {
+        self.config == other.config
+            && self.hits == other.hits
+            && self.misses == other.misses
+            && (0..self.sets as usize).all(|s| self.resident_lines(s) == other.resident_lines(s))
+    }
+}
+
+impl Eq for Cache {}
 
 #[cfg(test)]
 mod tests {
@@ -340,6 +425,162 @@ mod tests {
             prop_assert_eq!(reused.hits(), fresh.hits());
             prop_assert_eq!(reused.misses(), fresh.misses());
             prop_assert_eq!(&reused, &fresh);
+        }
+    }
+
+    /// The cache as it was before per-set generations and the one-pass
+    /// scan: `Option` tags, an eager clear on reset and a `min_by_key`
+    /// victim search. `matches_reference_model` holds [`Cache`] to it.
+    struct Reference {
+        config: CacheConfig,
+        tags: Vec<Option<u64>>,
+        stamps: Vec<u64>,
+        tick: u64,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl Reference {
+        fn new(config: CacheConfig) -> Self {
+            let entries = (config.sets() * u64::from(config.assoc)) as usize;
+            Self {
+                config,
+                tags: vec![None; entries],
+                stamps: vec![0; entries],
+                tick: 0,
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn reset(&mut self) {
+            self.tags.fill(None);
+            self.stamps.fill(0);
+            self.tick = 0;
+            self.hits = 0;
+            self.misses = 0;
+        }
+
+        fn line_base(&self, addr: u64) -> u64 {
+            addr - addr % u64::from(self.config.line_bytes)
+        }
+
+        fn set_range(&self, line: u64) -> (usize, usize) {
+            let set = (line / u64::from(self.config.line_bytes) % self.config.sets()) as usize;
+            let assoc = self.config.assoc as usize;
+            (set * assoc, set * assoc + assoc)
+        }
+
+        fn access_allocate(&mut self, addr: u64) -> Access {
+            let line = self.line_base(addr);
+            let (s, e) = self.set_range(line);
+            self.tick += 1;
+            for i in s..e {
+                if self.tags[i] == Some(line) {
+                    self.stamps[i] = self.tick;
+                    self.hits += 1;
+                    return Access::Hit;
+                }
+            }
+            self.misses += 1;
+            let victim = (s..e)
+                .min_by_key(|&i| (self.tags[i].is_some(), self.stamps[i]))
+                .expect("set is non-empty");
+            let evicted = self.tags[victim];
+            self.tags[victim] = Some(line);
+            self.stamps[victim] = self.tick;
+            Access::Miss { evicted }
+        }
+
+        fn probe(&mut self, addr: u64) -> bool {
+            let line = self.line_base(addr);
+            let (s, e) = self.set_range(line);
+            self.tick += 1;
+            for i in s..e {
+                if self.tags[i] == Some(line) {
+                    self.stamps[i] = self.tick;
+                    return true;
+                }
+            }
+            false
+        }
+
+        fn invalidate(&mut self, addr: u64) -> bool {
+            let line = self.line_base(addr);
+            let (s, e) = self.set_range(line);
+            for i in s..e {
+                if self.tags[i] == Some(line) {
+                    self.tags[i] = None;
+                    return true;
+                }
+            }
+            false
+        }
+
+        fn resident_lines(&self, set: usize) -> Vec<u64> {
+            let assoc = self.config.assoc as usize;
+            let mut ways: Vec<usize> = (set * assoc..set * assoc + assoc)
+                .filter(|&w| self.tags[w].is_some())
+                .collect();
+            ways.sort_by_key(|&w| self.stamps[w]);
+            ways.into_iter().filter_map(|w| self.tags[w]).collect()
+        }
+    }
+
+    /// `(bytes, line_bytes, assoc)`: direct-mapped, 4-way, the 6-way L1D,
+    /// the 16-way L2 bank, 3 sets, and 96-byte lines in 5 sets.
+    const GEOMETRIES: [(u64, u32, u32); 6] = [
+        (8 * 128, 128, 1),
+        (4 * 4 * 128, 128, 4),
+        (4 * 6 * 128, 128, 6),
+        (2 * 16 * 128, 128, 16),
+        (3 * 4 * 128, 128, 4),
+        (5 * 2 * 96, 96, 2),
+    ];
+
+    proptest! {
+        /// Over random sequences of accesses, probes, invalidations and
+        /// resets, with the generation counter pushed to its wraparound at
+        /// random points, every result, counter and set's LRU contents
+        /// equal the reference model's.
+        #[test]
+        fn matches_reference_model(
+            geometry in 0usize..GEOMETRIES.len(),
+            ops in proptest::collection::vec((0u8..9, 0u64..64, any::<u32>()), 0..400),
+        ) {
+            let (bytes, line_bytes, assoc) = GEOMETRIES[geometry];
+            let config = CacheConfig::new(bytes, line_bytes, assoc);
+            let mut cache = Cache::new(config);
+            let mut reference = Reference::new(config);
+            let lines = config.sets() * u64::from(assoc) * 2;
+            for (kind, line, offset) in ops {
+                let addr = if line == 63 {
+                    u64::MAX - u64::from(offset)
+                } else {
+                    line % lines * u64::from(line_bytes) + u64::from(offset % line_bytes)
+                };
+                match kind {
+                    0..=3 => prop_assert_eq!(cache.access_allocate(addr), reference.access_allocate(addr)),
+                    4 => prop_assert_eq!(cache.probe(addr), reference.probe(addr)),
+                    5 => prop_assert_eq!(cache.invalidate(addr), reference.invalidate(addr)),
+                    6 => {
+                        cache.reset();
+                        reference.reset();
+                    }
+                    7 => cache.jump_generation(cache.generation.max(u32::MAX - offset % 3)),
+                    _ => {
+                        cache.jump_generation(u32::MAX);
+                        cache.reset();
+                        reference.reset();
+                        prop_assert_eq!(cache.generation, 0);
+                    }
+                }
+                prop_assert_eq!(cache.hits(), reference.hits);
+                prop_assert_eq!(cache.misses(), reference.misses);
+                for set in 0..config.sets() as usize {
+                    prop_assert_eq!(cache.resident_lines(set), reference.resident_lines(set));
+                }
+            }
         }
     }
 

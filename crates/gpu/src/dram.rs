@@ -93,12 +93,14 @@ impl DramStats {
 }
 
 /// One DRAM channel: per-bank open-row state plus a request queue drained
-/// with FR-FCFS.
+/// with FR-FCFS. The queue holds each request's `(bank, row)`, resolved
+/// once on enqueue: FR-FCFS rescans its window at every pick, and neither
+/// the address nor the direction affects the timing past that.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DramChannel {
     config: DramConfig,
     open_rows: Vec<Option<u64>>,
-    queue: VecDeque<DramRequest>,
+    queue: VecDeque<(usize, u64)>,
     stats: DramStats,
 }
 
@@ -127,7 +129,7 @@ impl DramChannel {
 
     /// Enqueue a request.
     pub fn enqueue(&mut self, req: DramRequest) {
-        self.queue.push_back(req);
+        self.queue.push_back(self.locate(req.addr));
     }
 
     /// Service one request per FR-FCFS, returning its latency in cycles
@@ -141,15 +143,14 @@ impl DramChannel {
         let window = self.config.frfcfs_window.min(self.queue.len());
         let pick = (0..window)
             .find(|&i| {
-                let (bank, row) = self.locate(self.queue[i].addr);
+                let (bank, row) = self.queue[i];
                 self.open_rows[bank] == Some(row)
             })
             .unwrap_or(0);
         if pick != 0 {
             self.stats.reorders += 1;
         }
-        let req = self.queue.remove(pick).expect("index within queue");
-        let (bank, row) = self.locate(req.addr);
+        let (bank, row) = self.queue.remove(pick).expect("index within queue");
         let c = &self.config;
         let latency = if self.open_rows[bank] == Some(row) {
             self.stats.row_hits += 1;

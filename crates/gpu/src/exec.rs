@@ -835,7 +835,31 @@ fn alu_out_class(op: Op, ca: LaneClass, cb: LaneClass, cc: LaneClass) -> LaneCla
     }
 }
 
+/// Sign bit of an `f32`.
+const SIGN: u32 = 0x8000_0000;
+/// Quiet bit of an `f32` NaN.
+const QUIET: u32 = 0x0040_0000;
+/// The NaN x86 returns when no operand was NaN (its "real indefinite").
+const DEFAULT_NAN: u32 = 0xffc0_0000;
+
+fn is_nan(x: u32) -> bool {
+    x & !SIGN > 0x7f80_0000
+}
+
+/// One lane of an ALU op. Float results are pinned by [`pin_float`]
+/// where Rust leaves their bits open.
+#[inline(always)]
 fn alu(op: Op, a: u32, b: u32, c: u32) -> u32 {
+    let r = alu_raw(op, a, b, c);
+    if needs_pin(op, a, b, r) {
+        pin_float(op, a, b, c, r)
+    } else {
+        r
+    }
+}
+
+#[inline(always)]
+fn alu_raw(op: Op, a: u32, b: u32, c: u32) -> u32 {
     let (fa, fb, fc) = (f32::from_bits(a), f32::from_bits(b), f32::from_bits(c));
     match op {
         Op::Mov => a,
@@ -862,24 +886,72 @@ fn alu(op: Op, a: u32, b: u32, c: u32) -> u32 {
     }
 }
 
-/// Warp-wide ALU: dispatch on the op once, then run a flat 32-lane loop —
-/// the integer arms auto-vectorize, and no lane pays the 20-arm match.
-/// Bit-identical to mapping [`alu`] over the lanes.
-fn alu_warp(op: Op, a: &[u32; 32], b: &[u32; 32], c: &[u32; 32]) -> [u32; 32] {
-    use core::array::from_fn;
+/// Whether the raw result `r` of `op` has bits Rust leaves open: a NaN,
+/// or for min/max also the sign of a zero picked from two zeros.
+#[inline(always)]
+fn needs_pin(op: Op, a: u32, b: u32, r: u32) -> bool {
     match op {
-        Op::Mov => *a,
-        Op::IAdd => from_fn(|l| a[l].wrapping_add(b[l])),
-        Op::ISub => from_fn(|l| a[l].wrapping_sub(b[l])),
-        Op::IMul => from_fn(|l| a[l].wrapping_mul(b[l])),
-        Op::IMad => from_fn(|l| a[l].wrapping_mul(b[l]).wrapping_add(c[l])),
-        Op::And => from_fn(|l| a[l] & b[l]),
-        Op::Or => from_fn(|l| a[l] | b[l]),
-        Op::Xor => from_fn(|l| a[l] ^ b[l]),
-        Op::Shl => from_fn(|l| a[l] << (b[l] & 31)),
-        Op::Shr => from_fn(|l| a[l] >> (b[l] & 31)),
-        _ => from_fn(|l| alu(op, a[l], b[l], c[l])),
+        Op::FAdd | Op::FMul | Op::FFma => is_nan(r),
+        Op::FMin | Op::FMax => is_nan(r) || (a | b) & !SIGN == 0,
+        _ => false,
     }
+}
+
+/// The bits of a float result [`needs_pin`] flags, fixed to the scalar
+/// x86 rule: an add, multiply or fused multiply-add returns its first NaN
+/// operand, quieted, or [`DEFAULT_NAN`] when no operand was NaN. Min and
+/// max return the first of two NaNs, quieted, and of two zeros −0 for
+/// min and +0 for max (with one NaN operand Rust already returns the
+/// other). Left to the compiler, a vectorized loop may commute operands
+/// that the scalar code keeps in order and return the other NaN.
+#[inline(always)]
+fn pin_float(op: Op, a: u32, b: u32, c: u32, r: u32) -> u32 {
+    match op {
+        Op::FMin | Op::FMax if is_nan(r) => a | QUIET,
+        Op::FMin => a | b,
+        Op::FMax => a & b,
+        _ => {
+            let c = if op == Op::FFma { c } else { b };
+            let first = if is_nan(a) {
+                a
+            } else if is_nan(b) {
+                b
+            } else if is_nan(c) {
+                c
+            } else {
+                DEFAULT_NAN
+            };
+            first | QUIET
+        }
+    }
+}
+
+/// Warp-wide ALU: dispatch on the op once, then run a flat 32-lane loop —
+/// the integer arms and the float add, multiply, min, max and
+/// int-to-float arms auto-vectorize, and no lane pays the per-lane match
+/// of [`alu`]. Each arm maps [`alu_raw`] over the lanes
+/// with a constant op, which the inlined match folds away; a warp where
+/// some lane [`needs_pin`] is recomputed with [`alu`]. So every result is
+/// bit-identical to the per-lane [`alu`] by construction.
+fn alu_warp(op: Op, a: &[u32; 32], b: &[u32; 32], c: &[u32; 32]) -> [u32; 32] {
+    macro_rules! per_op {
+        ($($op:ident)*) => {
+            match op {
+                $(Op::$op => {
+                    let raw: [u32; 32] =
+                        core::array::from_fn(|l| alu_raw(Op::$op, a[l], b[l], c[l]));
+                    let pin = (0..32).fold(false, |any, l| any | needs_pin(Op::$op, a[l], b[l], raw[l]));
+                    if pin {
+                        core::array::from_fn(|l| alu(Op::$op, a[l], b[l], c[l]))
+                    } else {
+                        raw
+                    }
+                })*
+                _ => unreachable!("memory/barrier ops handled by the caller"),
+            }
+        };
+    }
+    per_op!(Mov IAdd ISub IMul IMad IMin IMax And Or Xor Shl Shr Clz FAdd FMul FFma FMin FMax I2F F2I)
 }
 
 #[cfg(test)]
@@ -1414,5 +1486,156 @@ mod tests {
         // 2 remaining adds + Exit.
         assert_eq!((r, n), (StepResult::Exited, 3));
         assert!(w.is_done());
+    }
+
+    /// Every ALU op `alu_warp` must cover.
+    const ALU_OPS: [Op; 20] = [
+        Op::Mov,
+        Op::IAdd,
+        Op::ISub,
+        Op::IMul,
+        Op::IMad,
+        Op::IMin,
+        Op::IMax,
+        Op::And,
+        Op::Or,
+        Op::Xor,
+        Op::Shl,
+        Op::Shr,
+        Op::Clz,
+        Op::FAdd,
+        Op::FMul,
+        Op::FFma,
+        Op::FMin,
+        Op::FMax,
+        Op::I2F,
+        Op::F2I,
+    ];
+
+    /// Bit patterns where integer and float semantics have edges: ±0
+    /// (`0x8000_0000` is also `i32::MIN`), ±inf, quiet, signalling and
+    /// negative NaNs with payloads, the extreme subnormals and normals,
+    /// ±2^31 (where `F2I` saturates), `i32::MAX`, all-ones, and shift
+    /// amounts around 31.
+    const EDGES: [u32; 20] = [
+        0,
+        0x8000_0000,
+        0x7f80_0000,
+        0xff80_0000,
+        0x7fc0_0000,
+        0x7f80_0001,
+        0xffc0_1234,
+        0x0000_0001,
+        0x807f_ffff,
+        0x0080_0000,
+        0x7f7f_ffff,
+        0xff7f_ffff,
+        0x4f00_0000,
+        0xcf00_0000,
+        0x7fff_ffff,
+        u32::MAX,
+        1,
+        31,
+        32,
+        0x3f80_0000,
+    ];
+
+    fn assert_alu_warp_matches(a: &[u32; 32], b: &[u32; 32], c: &[u32; 32]) {
+        for op in ALU_OPS {
+            let lanewise: [u32; 32] = core::array::from_fn(|l| alu(op, a[l], b[l], c[l]));
+            assert_eq!(alu_warp(op, a, b, c), lanewise, "{op:?}");
+        }
+    }
+
+    /// The list covers every non-memory, non-barrier `Op`: this match has
+    /// no wildcard, so a new variant fails to compile until it is sorted.
+    #[test]
+    fn alu_ops_list_is_complete() {
+        let is_alu = |op: Op| match op {
+            Op::Mov
+            | Op::IAdd
+            | Op::ISub
+            | Op::IMul
+            | Op::IMad
+            | Op::IMin
+            | Op::IMax
+            | Op::And
+            | Op::Or
+            | Op::Xor
+            | Op::Shl
+            | Op::Shr
+            | Op::Clz
+            | Op::FAdd
+            | Op::FMul
+            | Op::FFma
+            | Op::FMin
+            | Op::FMax
+            | Op::I2F
+            | Op::F2I => true,
+            Op::LdGlobal(_)
+            | Op::StGlobal(_)
+            | Op::LdConst(_)
+            | Op::LdTexture(_)
+            | Op::LdShared
+            | Op::StShared
+            | Op::Bar => false,
+        };
+        assert!(ALU_OPS.iter().all(|&op| is_alu(op)));
+    }
+
+    /// The bits Rust leaves open follow the scalar x86 rule.
+    #[test]
+    fn float_nan_and_zero_bits_are_pinned() {
+        let (inf, ninf, one) = (0x7f80_0000, 0xff80_0000, 0x3f80_0000);
+        let (qnan, snan, neg_nan) = (0x7fc0_0000, 0x7f80_0001, 0xffc0_1234);
+        assert_eq!(alu(Op::FAdd, qnan, snan, 0), qnan);
+        assert_eq!(alu(Op::FAdd, snan, qnan, 0), snan | QUIET);
+        assert_eq!(alu(Op::FMul, one, neg_nan, 0), neg_nan);
+        assert_eq!(alu(Op::FFma, one, one, snan), snan | QUIET);
+        assert_eq!(alu(Op::FFma, one, snan, neg_nan), snan | QUIET);
+        assert_eq!(alu(Op::FAdd, inf, ninf, 0), DEFAULT_NAN);
+        assert_eq!(alu(Op::FMul, 0, inf, 0), DEFAULT_NAN);
+        assert_eq!(alu(Op::FMin, 0, SIGN, 0), SIGN);
+        assert_eq!(alu(Op::FMin, SIGN, 0, 0), SIGN);
+        assert_eq!(alu(Op::FMax, SIGN, 0, 0), 0);
+        assert_eq!(alu(Op::FMax, 0, SIGN, 0), 0);
+        assert_eq!(alu(Op::FMin, snan, neg_nan, 0), snan | QUIET);
+        assert_eq!(alu(Op::FMax, qnan, one, 0), one);
+    }
+
+    /// Every triple of edge patterns, 32 triples per warp.
+    #[test]
+    fn alu_warp_matches_alu_on_every_edge_triple() {
+        let triples: Vec<[u32; 3]> = EDGES
+            .iter()
+            .flat_map(|&x| {
+                EDGES
+                    .iter()
+                    .flat_map(move |&y| EDGES.iter().map(move |&z| [x, y, z]))
+            })
+            .collect();
+        for chunk in triples.chunks(32) {
+            let lane =
+                |k: usize| -> [u32; 32] { core::array::from_fn(|l| chunk[l % chunk.len()][k]) };
+            assert_alu_warp_matches(&lane(0), &lane(1), &lane(2));
+        }
+    }
+
+    proptest::proptest! {
+        /// Random lanes, about half of them replaced by edge patterns.
+        #[test]
+        fn alu_warp_matches_alu_lanewise(raw: [[u32; 3]; 32], pick: [[u8; 3]; 32]) {
+            let lane = |k: usize| -> [u32; 32] {
+                core::array::from_fn(|l| {
+                    let p = pick[l][k];
+                    if p & 1 == 0 {
+                        EDGES[usize::from(p >> 1) % EDGES.len()]
+                    } else {
+                        raw[l][k]
+                    }
+                })
+            };
+            assert_alu_warp_matches(&lane(0), &lane(1), &lane(2));
+        }
     }
 }

@@ -715,6 +715,40 @@ impl SmEnv<'_> {
     }
 }
 
+/// Fig. 11: add each lane's summed Hamming distance to the other 31 lanes
+/// to `sums`.
+///
+/// Bit-sliced. For lane i the pairwise loop sums popcount(l_i ^ l_j) over
+/// j != i; per bit b that is (32 - ones_b) when lane i has the bit set and
+/// ones_b when clear (ones_b = set lanes at bit b), which folds to
+///   total + 32*popcount(l_i) - 2 * sum_{b in l_i} ones_b
+/// with total = sum_b ones_b. Every ones_b ≤ 32 fits in six bits, so with
+/// M_k the mask of the bit positions whose ones_b has bit k set,
+///   sum_{b in l_i} ones_b = sum_k popcount(l_i & M_k) << k:
+/// six popcounts per lane where a walk over l_i's set bits costs up to 32
+/// dependent loads. Identical integers to the O(32^2) XOR/popcount scan.
+fn add_lane_distances(sums: &mut [u64; 32], lanes: &[u32; 32]) {
+    let mut planes = *lanes;
+    bvf_bits::transpose32(&mut planes);
+    let mut masks = [0u32; 6];
+    let mut total = 0u64;
+    for (b, p) in planes.iter().enumerate() {
+        let ones = p.count_ones();
+        total += u64::from(ones);
+        for (k, m) in masks.iter_mut().enumerate() {
+            *m |= (ones >> k & 1) << b;
+        }
+    }
+    for (sum, &v) in sums.iter_mut().zip(lanes) {
+        let s: u32 = masks
+            .iter()
+            .enumerate()
+            .map(|(k, &m)| (v & m).count_ones() << k)
+            .sum();
+        *sum += total + 32 * u64::from(v.count_ones()) - 2 * u64::from(s);
+    }
+}
+
 impl WarpEnv for SmEnv<'_> {
     fn on_operand_group(&mut self, regs: &[u8]) {
         // Operand collector: two operands mapping to the same register bank
@@ -760,30 +794,7 @@ impl WarpEnv for SmEnv<'_> {
                 .reg_write_counter
                 .is_multiple_of(LANE_SAMPLE_INTERVAL)
             {
-                // Bit-sliced pairwise lane distance. For lane i the pairwise
-                // loop sums popcount(l_i ^ l_j) over j != i; per bit b that
-                // is (32 - ones_b) when lane i has the bit set and ones_b
-                // when clear (ones_b = set lanes at bit b), which folds to
-                //   total + 32*popcount(l_i) - 2 * sum_{b in l_i} ones_b
-                // with total = sum_b ones_b — identical integers to the
-                // O(32^2) XOR/popcount scan at a fraction of the work.
-                let mut planes = *reg_lanes;
-                bvf_bits::transpose32(&mut planes);
-                let mut ones = [0u64; 32];
-                let mut total = 0u64;
-                for (o, p) in ones.iter_mut().zip(planes) {
-                    *o = u64::from(p.count_ones());
-                    total += *o;
-                }
-                for (sum, &v) in self.shared.lane_sums.iter_mut().zip(reg_lanes) {
-                    let mut s = 0u64;
-                    let mut m = v;
-                    while m != 0 {
-                        s += ones[m.trailing_zeros() as usize];
-                        m &= m - 1;
-                    }
-                    *sum += total + 32 * u64::from(v.count_ones()) - 2 * s;
-                }
+                add_lane_distances(&mut self.shared.lane_sums, reg_lanes);
                 self.shared.lane_samples += 1;
             }
         }
@@ -2182,5 +2193,63 @@ mod tests {
             stall(cold_misses) - stall(warm_misses),
             "core-cycle delta must equal the stall formula over the miss delta"
         );
+    }
+
+    /// The O(32²) definition Fig. 11 sampling computes: lane i's summed
+    /// Hamming distance to every other lane.
+    fn pairwise_lane_distances(lanes: &[u32; 32]) -> [u64; 32] {
+        core::array::from_fn(|i| {
+            lanes
+                .iter()
+                .enumerate()
+                .filter(|&(j, _)| j != i)
+                .map(|(_, &v)| u64::from((lanes[i] ^ v).count_ones()))
+                .sum()
+        })
+    }
+
+    #[test]
+    fn lane_distances_of_uniform_warps_are_zero_or_full() {
+        for (lanes, want) in [([0u32; 32], 0), ([u32::MAX; 32], 0)] {
+            let mut sums = [0u64; 32];
+            add_lane_distances(&mut sums, &lanes);
+            assert_eq!(sums, [want; 32]);
+            assert_eq!(sums, pairwise_lane_distances(&lanes));
+        }
+        // Half the lanes all-ones: each lane differs from 16 lanes in 32 bits.
+        let half: [u32; 32] = core::array::from_fn(|l| if l % 2 == 0 { 0 } else { u32::MAX });
+        let mut sums = [0u64; 32];
+        add_lane_distances(&mut sums, &half);
+        assert_eq!(sums, [16 * 32; 32]);
+    }
+
+    proptest::proptest! {
+        /// The six-mask kernel equals the pairwise XOR/popcount scan, and
+        /// adds to what `sums` already holds. Lanes are drawn whole, from a
+        /// few shared words, or as all-zero / all-ones words; in half the
+        /// cases every lane also gets the bits of `floor`, whose columns
+        /// are then all-ones (ones_b = 32, the one count needing bit 5).
+        #[test]
+        fn lane_distances_match_pairwise_scan(
+            raw: [u32; 32],
+            pick: [u8; 32],
+            floor: u32,
+            dense: bool,
+            start in 0u64..1 << 40,
+        ) {
+            let lanes: [u32; 32] = core::array::from_fn(|l| {
+                let v = match pick[l] % 4 {
+                    0 => raw[l],
+                    1 => raw[(pick[l] >> 2) as usize % 4],
+                    2 => 0,
+                    _ => u32::MAX,
+                };
+                if dense { v | floor } else { v }
+            });
+            let mut sums = [start; 32];
+            add_lane_distances(&mut sums, &lanes);
+            let want = pairwise_lane_distances(&lanes).map(|d| start + d);
+            proptest::prop_assert_eq!(sums, want);
+        }
     }
 }
