@@ -6,8 +6,6 @@
 //! [`OccupancyIntegrator`] integrates `(ones, zeros) × cycles` as array
 //! contents change.
 
-use serde::{Deserialize, Serialize};
-
 /// Integrates bit-value occupancy over time.
 ///
 /// Call [`OccupancyIntegrator::advance`] whenever the array contents change
@@ -27,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(occ.one_bit_cycles(), 64 * 10 + 16 * 5);
 /// assert_eq!(occ.zero_bit_cycles(), 48 * 5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OccupancyIntegrator {
     capacity_bits: u64,
     current_ones: u64,

@@ -6,8 +6,6 @@
 //! bit is 1 wherever 1s dominate and 0 elsewhere. XNORing instructions with
 //! this mask maximizes the expected Hamming weight.
 
-use serde::{Deserialize, Serialize};
-
 /// Histogram of 1-bit occurrences per bit position over a stream of words.
 ///
 /// Positions are numbered from bit 0 (LSB) to `width - 1` (MSB).
@@ -26,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// // bit 0 and bit 1 both appear in 2/3 of words → majority 1
 /// assert_eq!(h.majority_mask(), 0b0000_0011);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PositionHistogram {
     ones: Vec<u64>,
     samples: u64,

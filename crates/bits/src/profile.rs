@@ -7,8 +7,6 @@
 //! (bit-inverting negative values first) and finds ≈9 leading bits on
 //! average across 58 GPU applications.
 
-use serde::{Deserialize, Serialize};
-
 /// Count the leading *sign-equal* bits of a 32-bit word exactly as the
 /// paper's profiling does: leading zeros for non-negative values, leading
 /// zeros of the bitwise inverse for negative values (i.e. leading ones).
@@ -37,7 +35,7 @@ pub fn signed_leading_bits_u32(w: u32) -> u32 {
 /// Records the leading-bit count of every 32-bit value loaded/stored and the
 /// frequency of the all-zero word (value locality of 0 — the paper cites 18%
 /// of CPU loads and up to 62% for GPU deep-learning data).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct NarrowValueProfile {
     /// Number of words profiled.
     pub words: u64,

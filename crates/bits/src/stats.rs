@@ -1,7 +1,5 @@
 //! Accumulators for 0/1 bit-volume statistics (the paper's Fig. 9 metric).
 
-use serde::{Deserialize, Serialize};
-
 use crate::word::BitWord;
 
 /// Counts of 0-bits and 1-bits observed in a stream of words.
@@ -22,7 +20,7 @@ use crate::word::BitWord;
 /// assert_eq!(c.zeros, 60);
 /// assert!((c.one_fraction() - 4.0 / 64.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BitCounts {
     /// Number of 1-bits observed.
     pub ones: u64,

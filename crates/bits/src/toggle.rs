@@ -6,12 +6,10 @@
 //! it remembers the last flit transmitted and counts bit transitions against
 //! each new flit.
 
-use serde::{Deserialize, Serialize};
-
 use crate::hamming;
 
 /// Aggregated toggle statistics for one or more channels.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ToggleStats {
     /// Number of flits transferred (excluding the priming flit per channel).
     pub transfers: u64,
@@ -73,7 +71,7 @@ impl core::iter::Sum for ToggleStats {
 /// assert_eq!(s.bit_toggles, 8);
 /// assert_eq!(s.bit_slots, 32);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChannelToggles {
     flit_bytes: usize,
     /// Wire state after the most recent flit (always `flit_bytes` long;

@@ -5,14 +5,12 @@
 //! word access asserts one wordline (decoder + driver overhead) and touches
 //! `word_bits` bitline columns, each charged per [`AccessEnergy`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::cell::{AccessEnergy, CellKind};
 use crate::leakage::LeakagePower;
 use crate::process::{ProcessNode, Supply};
 
 /// Physical geometry of one SRAM array (mat/subarray).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ArrayGeometry {
     /// Rows sharing a bitline (cells per bitline). The paper's Fig. 5/6 use
     /// "Set=32"; real arrays go up to 128 or 256 (§2.3).
@@ -64,7 +62,7 @@ impl Default for ArrayGeometry {
 /// // An all-ones word reads far cheaper than an all-zeros word on BVF SRAM.
 /// assert!(arr.read_energy_fj(&u32::MAX.to_le_bytes()) < arr.read_energy_fj(&0u32.to_le_bytes()));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SramArray {
     kind: CellKind,
     geometry: ArrayGeometry,

@@ -12,8 +12,6 @@
 //! | BVF 8T     | RBL swings    | RBL held      | 2 WBL swing   | none swings   |
 //! | eDRAM 3T   | RBL swings    | RBL held      | WBL swings    | WBL held      |
 
-use serde::{Deserialize, Serialize};
-
 use crate::process::{ProcessNode, Supply};
 
 /// Fraction of a full bitline swing consumed when the bitline is *held*
@@ -26,7 +24,7 @@ const HELD_BITLINE_FRACTION: f64 = 0.05;
 const BVF_WRITE_MISS_CROWBAR: f64 = 0.08;
 
 /// The memory cell designs evaluated in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CellKind {
     /// Conventional differential 6T SRAM.
     Sram6T,
@@ -90,7 +88,7 @@ impl core::fmt::Display for CellKind {
 
 /// Per-bit access energies (femtojoules) for one cell kind at one operating
 /// point, for a given column height (cells sharing a bitline).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccessEnergy {
     /// Energy to read a stored 0.
     pub read0: f64,

@@ -5,12 +5,10 @@
 //! clock frequency and exposes the energy scale factors the power model
 //! needs.
 
-use serde::{Deserialize, Serialize};
-
 use crate::process::Supply;
 
 /// A DVFS operating point: supply voltage plus core clock frequency.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PState {
     supply: Supply,
     freq_mhz: f64,

@@ -9,8 +9,6 @@
 //! 3. therefore arrays should be *initialized to all-1s* so first-time
 //!    writes and unallocated capacity sit in the cheap state.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cell::CellKind;
 use crate::process::{ProcessNode, Supply};
 
@@ -22,7 +20,7 @@ pub const BVF_VS_CONV_STORE0_SAVING: f64 = 0.0043;
 pub const BVF_VS_CONV_STORE1_SAVING: f64 = 0.0301;
 
 /// Per-bit standby power (nanowatts) for each stored value.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LeakagePower {
     /// Standby power of a cell storing 0.
     pub store0: f64,

@@ -6,10 +6,8 @@
 //! representative planar-CMOS values; only the relative relationships matter
 //! for reproducing the paper's normalized results.
 
-use serde::{Deserialize, Serialize};
-
 /// A CMOS process technology node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProcessNode {
     /// 28nm planar CMOS.
     N28,
@@ -101,7 +99,7 @@ impl core::fmt::Display for ProcessNode {
 /// Voltage is the dominant knob for CMOS energy: dynamic energy scales with
 /// `V_dd²` and leakage roughly with `V_dd · exp(V_dd)` in the short-channel
 /// regime (we use a calibrated polynomial surrogate).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Supply {
     volts: f64,
 }

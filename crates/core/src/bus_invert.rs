@@ -17,8 +17,6 @@
 //! exhibits compare raw, bus-inverted and BVF-coded traffic on both metrics
 //! (toggles and weight).
 
-use serde::{Deserialize, Serialize};
-
 use bvf_bits::hamming::distance_bytes;
 use bvf_bits::weight_bytes;
 
@@ -38,7 +36,7 @@ use bvf_bits::weight_bytes;
 /// assert_eq!(wires, vec![0x00, 0x00, 0x00, 0x00]);
 /// assert_eq!(ch.wire_toggles(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BusInvertChannel {
     width_bytes: usize,
     last_wires: Vec<u8>,

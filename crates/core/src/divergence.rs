@@ -19,12 +19,10 @@
 //! [`DivergencePolicy`] implements the bookkeeping and counts the overhead
 //! events so the evaluation can charge them.
 
-use serde::{Deserialize, Serialize};
-
 use crate::vs::{VsCoder, WARP_LANES};
 
 /// The three divergence categories of §4.2.2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DivergenceKind {
     /// Warp access spans multiple cache lines.
     Memory,
@@ -36,7 +34,7 @@ pub enum DivergenceKind {
 
 /// Stateful divergence handler + overhead counters for one register file's
 /// VS space.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DivergencePolicy {
     line_coder: VsCoder,
     reg_coder: VsCoder,

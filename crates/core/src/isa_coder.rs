@@ -17,8 +17,6 @@
 //!   launch ([`IsaCoder::new`] with a per-application mask; the extra mask
 //!   register is charged by the overhead model).
 
-use serde::{Deserialize, Serialize};
-
 /// The ISA-preference coder: XNOR with a fixed 64-bit mask.
 ///
 /// # Example
@@ -30,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// let instr = 0x0212_3400_0000_8040u64;
 /// assert_eq!(coder.decode_instr(coder.encode_instr(instr)), instr);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct IsaCoder {
     mask: u64,
 }

@@ -14,8 +14,6 @@
 //! bits 1..n are XNORed. The transformation is an involution, so the decoder
 //! is identical hardware.
 
-use serde::{Deserialize, Serialize};
-
 use crate::coder::Coder;
 
 /// The narrow-value coder. A zero-sized, pure-combinational transformation
@@ -31,7 +29,7 @@ use crate::coder::Coder;
 /// // Negative value: unchanged.
 /// assert_eq!(NvCoder.encode_u32(0xffff_fff0), 0xffff_fff0);
 /// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NvCoder;
 
 impl NvCoder {

@@ -8,8 +8,6 @@
 //! energy/area parameters (supplied by `bvf-circuit` or the caller) into
 //! the same aggregate figures.
 
-use serde::{Deserialize, Serialize};
-
 /// The paper's total XNOR gate count for the baseline 15-SM GPU.
 pub const PAPER_TOTAL_XNOR_GATES: u64 = 133_920;
 
@@ -18,7 +16,7 @@ pub const PAPER_TOTAL_XNOR_GATES: u64 = 133_920;
 /// Every coded interface contributes `width_bits` gates (invertible coders
 /// let a shared R/W port reuse a single coder instance, which this model
 /// assumes, matching §6.3).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoderOverhead {
     ports: Vec<(String, u64)>,
 }

@@ -10,10 +10,8 @@
 //!    holds here because all three coders are bitwise XNORs with references
 //!    that survive composition (see the `composition_*` tests).
 
-use serde::{Deserialize, Serialize};
-
 /// On-chip hardware units that can belong to a BVF space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Unit {
     /// Register files.
     Reg,
@@ -73,7 +71,7 @@ impl core::fmt::Display for Unit {
 }
 
 /// The three coder families of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoderKind {
     /// Narrow-value coder (§4.1).
     Nv,
@@ -104,7 +102,7 @@ impl core::fmt::Display for CoderKind {
 }
 
 /// A BVF space: a coder kind plus the units it covers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BvfSpace {
     /// The coder applied at this space's ports.
     pub coder: CoderKind,

@@ -13,8 +13,6 @@
 //!   cache/NoC level, so those BVF spaces pivot on **element 0** of the
 //!   cache line instead.
 
-use serde::{Deserialize, Serialize};
-
 use crate::coder::transform_bytes;
 
 /// Lanes per warp (fixed at 32 for every evaluated GPU generation).
@@ -42,7 +40,7 @@ pub const PAPER_PIVOT_LANE: usize = 21;
 /// vs.decode_block(&mut line);
 /// assert_eq!(line, vec![7, 7, 7, 6]);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VsCoder {
     pivot: usize,
 }

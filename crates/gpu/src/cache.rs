@@ -7,10 +7,8 @@
 //! (§4.2.2-A): **write-no-allocate, write-evict** — a store invalidates any
 //! L1 copy and is forwarded to L2.
 
-use serde::{Deserialize, Serialize};
-
 /// Static cache parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
     bytes: u64,
     line_bytes: u32,
@@ -90,7 +88,7 @@ const INVALID: u64 = u64::MAX;
 /// cleared on its first touch, so a reset costs O(1) however large the
 /// cache. Equality compares what an access can observe: the configuration,
 /// the counters, and each set's valid lines in LRU order.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
     sets: u64,

@@ -1,11 +1,9 @@
 //! GPU architecture configuration (the paper's Table 3 and Table 4).
 
-use serde::{Deserialize, Serialize};
-
 use crate::cache::CacheConfig;
 
 /// Warp-scheduler policy (§6.2-B evaluates all three).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulerKind {
     /// Greedy-then-oldest: keep issuing the same warp until it stalls on a
     /// memory access, then fall back to the oldest ready warp (baseline).
@@ -50,7 +48,7 @@ impl core::fmt::Display for SchedulerKind {
 }
 
 /// Full GPU configuration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GpuConfig {
     /// Human-readable configuration name.
     pub name: String,

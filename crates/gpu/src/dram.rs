@@ -12,11 +12,10 @@
 //! FR-FCFS ("first-ready, first-come-first-served") services the oldest
 //! request that hits an open row before older row-missing requests.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// DRAM timing and geometry parameters (in DRAM-clock cycles).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramConfig {
     /// Banks per channel.
     pub banks: u32,
@@ -50,7 +49,7 @@ impl Default for DramConfig {
 }
 
 /// One memory request (an L2 miss or writeback).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramRequest {
     /// Line-aligned byte address.
     pub addr: u64,
@@ -59,7 +58,7 @@ pub struct DramRequest {
 }
 
 /// Aggregate statistics for one channel.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct DramStats {
     /// Requests serviced.
     pub requests: u64,
@@ -96,7 +95,7 @@ impl DramStats {
 /// with FR-FCFS. The queue holds each request's `(bank, row)`, resolved
 /// once on enqueue: FR-FCFS rescans its window at every pick, and neither
 /// the address nor the direction affects the timing past that.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DramChannel {
     config: DramConfig,
     open_rows: Vec<Option<u64>>,

@@ -15,20 +15,19 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bvf_isa::ir::BufferId;
-use serde::{Deserialize, Serialize};
 
 /// Buffer base addresses are aligned to this boundary (1 MiB) so distinct
 /// buffers never share a cache line.
 const BUFFER_ALIGN: u64 = 1 << 20;
 
 /// The flat global-memory model: a set of word-addressed named buffers.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GlobalMemory {
     buffers: BTreeMap<BufferId, Buffer>,
     next_base: u64,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Buffer {
     base: u64,
     words: Arc<Vec<u32>>,

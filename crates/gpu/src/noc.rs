@@ -26,8 +26,6 @@
 //! keyed as `channel | SIDEBAND`, so its toggle history never mixes with
 //! the data wires'.
 
-use serde::{Deserialize, Serialize};
-
 /// Bytes of header prepended to every NoC packet (command + address + ids).
 pub const HEADER_BYTES: usize = 16;
 
@@ -48,7 +46,7 @@ pub const ENDPOINT_BITS: u32 = 28;
 pub const BANK_BITS: u32 = 8;
 
 /// Direction of travel through the crossbar.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// SM → L2-bank request channel.
     Request,

@@ -13,10 +13,9 @@
 //! goes.
 
 use bvf_obs::{CounterId, MetricsSink, Recorder, TimerId};
-use serde::{Deserialize, Serialize};
 
 /// A disjoint slice of a launch's wall time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Phase {
     /// Warp decode/execute/scheduling — step time minus the fetch and
     /// memory callbacks.
@@ -66,7 +65,7 @@ impl core::fmt::Display for Phase {
 }
 
 /// One phase's share of a launch (or of an aggregate of launches).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseSlice {
     /// Which phase.
     pub phase: Phase,
@@ -85,7 +84,7 @@ pub struct PhaseSlice {
 /// Profiles are *excluded* from [`crate::TraceSummary`] equality: two runs
 /// of the same workload are the same result however the simulator's own
 /// time was spent.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhaseProfile {
     /// Total launch wall time in nanoseconds (0 when disabled).
     pub launch_nanos: u64,
@@ -95,7 +94,6 @@ pub struct PhaseProfile {
     /// How many dynamic instructions completed on the warp-uniform ALU
     /// fast path (one lane computed, 32 splatted). A subset of the `exec`
     /// slice's events; purely observational.
-    #[serde(default)]
     pub uniform_instructions: u64,
 }
 

@@ -6,15 +6,13 @@
 //! (Fig. 21). The simulator is functional, so "stall" means "the warp just
 //! issued a long-latency memory access".
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::SchedulerKind;
 
 /// Size of the two-level scheduler's active set (per [72] in the paper).
 const TWO_LEVEL_ACTIVE_SET: usize = 8;
 
 /// A warp scheduler instance for one SM.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scheduler {
     kind: SchedulerKind,
     /// GTO: the warp currently holding the greedy slot.

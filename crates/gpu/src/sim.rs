@@ -14,7 +14,6 @@ use bvf_core::Unit;
 use bvf_isa::ir::{BufferId, Kernel, LaunchConfig, Op};
 use bvf_isa::Architecture;
 use bvf_obs::{MetricsSink, Recorder, TraceSink};
-use serde::{Deserialize, Serialize};
 
 use crate::cache::{Access, Cache};
 use crate::config::GpuConfig;
@@ -35,7 +34,7 @@ const INSTR_BASE: u64 = 1 << 40;
 const LANE_SAMPLE_INTERVAL: u64 = 8;
 
 /// Results of one kernel launch.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TraceSummary {
     /// Per-coding-view unit and NoC statistics.
     pub views: Vec<ViewStats>,
@@ -184,6 +183,19 @@ impl PartialEq for LaunchShard {
             && self.dram_log == other.dram_log
             && self.reg_utilization == other.reg_utilization
             && self.sme_utilization == other.sme_utilization
+    }
+}
+
+impl LaunchShard {
+    /// Whether this shard can be merged into a launch on `config` under
+    /// `views`: the same coding views in the same order, and every logged
+    /// DRAM request on one of the config's channels. A shard restored from
+    /// disk that fails this is a foreign or damaged entry, and
+    /// [`merge_shards`] would panic on it.
+    pub fn fits(&self, config: &GpuConfig, views: &[CodingView]) -> bool {
+        self.views.len() == views.len()
+            && self.views.iter().zip(views).all(|(s, v)| s.view == *v)
+            && self.dram_log.iter().all(|&(ch, _)| ch < config.l2_banks)
     }
 }
 

@@ -34,10 +34,9 @@ use std::collections::BTreeMap;
 
 use bvf_bits::{BitCounts, BitPlanes, ChannelToggles, ToggleStats};
 use bvf_core::{IsaCoder, NvCoder, Unit, VsCoder};
-use serde::{Deserialize, Serialize};
 
 /// A named coder configuration applied to trace payloads.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CodingView {
     /// View name (e.g. "baseline", "nv", "bvf").
     pub name: String,
@@ -302,7 +301,7 @@ impl ViewCoders {
 }
 
 /// Per-unit access statistics for one view.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct UnitStats {
     /// Read accesses.
     pub reads: u64,
@@ -352,7 +351,7 @@ impl core::ops::AddAssign for UnitStats {
 /// state is always fully constructed). This replaces the previous typed
 /// hazard where a restored view carried a zero flit size and panicked on
 /// its first NoC packet.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ViewStats {
     /// The view these statistics belong to.
     pub view: CodingView,

@@ -11,14 +11,12 @@
 //! `tests` assert the two pipelines agree bit-for-bit, which is the
 //! correctness argument for the online shortcut.
 
-use serde::{Deserialize, Serialize};
-
 use bvf_core::Unit;
 
 use crate::stats::{AccessKind, CodingView, StatsCollector, ViewStats};
 
 /// Serializable form of [`AccessKind`] for trace records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
     /// Read access.
     Read,
@@ -50,7 +48,7 @@ impl From<TraceKind> for AccessKind {
 
 /// One raw trace event, exactly as the simulator reported it (no coding
 /// applied — the parser applies coders, as in the paper).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
     /// Register-file access: full warp contents + active mask.
     Reg {
@@ -113,7 +111,7 @@ pub enum TraceEvent {
 }
 
 /// A recorded event stream.
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct TraceLog {
     /// Events in simulation order.
     pub events: Vec<TraceEvent>,

@@ -6,10 +6,8 @@
 //! from real binaries; we carry them as reference constants and also derive
 //! our own masks from our synthetic encodings (see [`crate::mask`]).
 
-use serde::{Deserialize, Serialize};
-
 /// A GPU architecture generation with its own 64-bit instruction encoding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Architecture {
     /// Fermi-like (compute capability 2.0).
     Fermi,

@@ -8,12 +8,10 @@
 //! 18 bits wide, wide immediates spill one shared high half, and Fermi
 //! truncates the `c` operand to 12 bits).
 
-use serde::{Deserialize, Serialize};
-
 use crate::arch::Architecture;
 
 /// A decoded operand field: kind tag plus 16-bit payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FieldOperand {
     /// Register index.
     Reg(u8),
@@ -38,7 +36,7 @@ impl FieldOperand {
 }
 
 /// The architectural fields recovered from one instruction word.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Decoded {
     /// Numeric opcode (see `crate::encode`'s opcode table).
     pub opcode: u8,

@@ -6,18 +6,16 @@
 //! BVF evaluation needs — per-lane data, divergent memory access, barriers,
 //! and data-dependent control flow.
 
-use serde::{Deserialize, Serialize};
-
 /// A virtual per-thread register index (the baseline GPU has up to 64
 /// 32-bit registers per thread).
 pub type Reg = u8;
 
 /// Identifier of a named global-memory buffer declared by the workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BufferId(pub u16);
 
 /// Read-only hardware values available to every thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Special {
     /// Thread index within its CTA (x dimension).
     TidX,
@@ -34,7 +32,7 @@ pub enum Special {
 }
 
 /// An instruction operand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Operand {
     /// A per-thread register.
     Reg(Reg),
@@ -58,7 +56,7 @@ impl Operand {
 
 /// Operation codes. Integer ops treat registers as `i32`/`u32`; float ops as
 /// the IEEE-754 bit pattern of an `f32`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     /// `dst = a`
     Mov,
@@ -149,7 +147,7 @@ impl Op {
 /// Memory-op operand convention: `a` = index register/operand, `b` =
 /// immediate word offset, `c` = store data (stores only), `dst` = load
 /// destination (loads only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Instr {
     /// Operation.
     pub op: Op,
@@ -182,7 +180,7 @@ impl Instr {
 }
 
 /// Comparison operator for divergent conditions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// equal
     Eq,
@@ -195,7 +193,7 @@ pub enum CmpOp {
 }
 
 /// A per-lane condition `a <op> b` evaluated on i32 values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Cond {
     /// Left operand.
     pub a: Operand,
@@ -206,7 +204,7 @@ pub struct Cond {
 }
 
 /// A structured statement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Stmt {
     /// A single instruction.
     I(Instr),
@@ -241,7 +239,7 @@ impl Stmt {
 }
 
 /// A compiled kernel: its body plus per-thread resource needs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Kernel {
     /// Kernel name (diagnostics and trace labels).
     pub name: String,
@@ -294,7 +292,7 @@ impl Kernel {
 }
 
 /// Kernel launch geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LaunchConfig {
     /// Number of CTAs (thread blocks) in the grid.
     pub grid_ctas: u32,

@@ -3,14 +3,13 @@
 use bvf_circuit::CellKind;
 use bvf_core::Unit;
 use bvf_gpu::TraceSummary;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use crate::model::{PowerModel, UnitEnergy};
 
 /// A design point: which cell implements the SRAM, which coding view the
 /// data streams follow, and how unused arrays are initialized.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesignPoint {
     /// Display name of the point.
     pub name: String,
@@ -86,7 +85,7 @@ impl DesignPoint {
 }
 
 /// Chip energy breakdown for one design point, all values in femtojoules.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChipEnergy {
     /// Design point evaluated.
     pub point: DesignPoint,

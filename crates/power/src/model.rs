@@ -3,7 +3,6 @@
 use bvf_circuit::{AccessEnergy, CellKind, LeakagePower, PState, ProcessNode};
 use bvf_core::Unit;
 use bvf_gpu::{GpuConfig, UnitStats};
-use serde::{Deserialize, Serialize};
 
 /// Cells per bitline assumed for the production-sized on-chip arrays
 /// (§2.3 notes bitlines shared by up to 128-256 cells; we use 128).
@@ -30,7 +29,7 @@ fn noc_wire_cap_ff(node: ProcessNode) -> f64 {
 /// breakdowns the paper cites (its refs. 30 and 32). They are the only free
 /// parameters in the chip-level composition; everything inside the BVF
 /// units comes from measured bit statistics and the circuit model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NonBvfParams {
     /// Dynamic energy per issued warp instruction spent in execution units,
     /// operand routing and pipeline control, in femtojoules (at 1.2V; scaled
@@ -54,7 +53,7 @@ impl Default for NonBvfParams {
 }
 
 /// A fully-specified power model: process node, P-state, GPU geometry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerModel {
     /// Process technology node.
     pub node: ProcessNode,
@@ -67,7 +66,7 @@ pub struct PowerModel {
 }
 
 /// Dynamic + leakage split of one unit's energy, in femtojoules.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct UnitEnergy {
     /// Access (dynamic) energy.
     pub dynamic_fj: f64,

@@ -2,14 +2,13 @@
 
 use bvf_core::Unit;
 use bvf_gpu::TraceSummary;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use crate::chip::{evaluate, ChipEnergy, DesignPoint};
 use crate::model::PowerModel;
 
 /// A full evaluation of several design points over one trace summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyReport {
     /// One chip-energy breakdown per design point, in evaluation order.
     pub points: Vec<ChipEnergy>,

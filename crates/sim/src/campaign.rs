@@ -2,10 +2,13 @@
 //!
 //! Applications are independent — each runs on a fresh [`Gpu`] — so the
 //! campaign fans them out across a scoped-thread worker pool (see
-//! [`parallel_map`]) controlled by a [`Parallelism`] knob. Results are
+//! [`parallel_map`]) controlled by a [`Parallelism`] knob. The work items
+//! are (application, shard `s` of `n`) units, `n = 1` when sharding is
+//! off; the unit that completes an application merges it. Results are
 //! always assembled in registry order and are bit-identical across worker
-//! counts: the only shared state is the work-queue cursor and the output
-//! slots, never the simulators.
+//! counts and shard counts: the only shared state is the work-queue
+//! cursor, the per-app slot tables and the output slots, never the
+//! simulators.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -13,9 +16,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use bvf_gpu::{CodingView, Gpu, GpuConfig, PhaseProfile, TraceSummary};
+use bvf_gpu::{merge_shards, CodingView, Gpu, GpuConfig, LaunchShard, PhaseProfile, TraceSummary};
 use bvf_isa::{derive_mask_for, Architecture};
-use bvf_obs::{MetricsSink, TraceRecorder, TraceSink};
+use bvf_obs::{CounterId, MetricsSink, SpanGuard, TraceRecorder, TraceSink};
 use bvf_workloads::Application;
 
 use crate::store::ResultStore;
@@ -50,12 +53,12 @@ impl Parallelism {
 
 /// How a campaign splits each application's launch across workers.
 ///
-/// With sharding on, the work queue holds `(app, shard)` items instead of
-/// whole applications: each shard simulates a contiguous SM range against
-/// its own isolated state and the campaign merges the pieces with
-/// [`bvf_gpu::merge_shards`] — bit-identical to the unsharded run, but the
-/// longest single work item (the fan-out's tail) shrinks by the shard
-/// count.
+/// With sharding on, each application is `n` work items instead of one:
+/// each shard simulates a contiguous SM range against its own isolated
+/// state and the unit that finishes the application merges the pieces
+/// with [`bvf_gpu::merge_shards`] — bit-identical to the unsharded run,
+/// but the longest single work item (the fan-out's tail) shrinks by the
+/// shard count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardMode {
     /// One work item per application (no intra-app sharding).
@@ -70,8 +73,8 @@ pub enum ShardMode {
 
 impl ShardMode {
     /// Resolve to a concrete per-application shard count for a pool of
-    /// `workers` over a GPU with `sms` SMs. A result of 1 means the
-    /// campaign runs the classic one-item-per-app queue.
+    /// `workers` over a GPU with `sms` SMs. A result of 1 means one work
+    /// item per application.
     pub fn count(self, workers: usize, sms: u32) -> u32 {
         let cap = sms.max(1);
         match self {
@@ -186,8 +189,8 @@ impl Default for CampaignOptions {
 /// thread reads them at ~4 Hz.
 struct Progress {
     total: usize,
-    /// What a work item is called in the heartbeat: "apps" for the classic
-    /// queue, "shards" when intra-app sharding is on.
+    /// What a work item is called in the heartbeat: "apps" unsharded,
+    /// "shards" when intra-app sharding is on.
     noun: &'static str,
     started: AtomicUsize,
     done: AtomicUsize,
@@ -200,11 +203,7 @@ struct Progress {
 }
 
 impl Progress {
-    fn new(total: usize) -> Self {
-        Self::with_noun(total, "apps")
-    }
-
-    fn with_noun(total: usize, noun: &'static str) -> Self {
+    fn new(total: usize, noun: &'static str) -> Self {
         Self {
             total,
             noun,
@@ -305,7 +304,8 @@ pub struct AppResult {
     pub app: Application,
     /// Its trace summary (all coding views).
     pub summary: TraceSummary,
-    /// Wall-clock time this application's simulation took on its worker.
+    /// Wall-clock time this application's units took on their workers:
+    /// store consult or simulation, plus the merge (store writes excluded).
     pub wall: Duration,
     /// Simulator throughput: dynamic instructions per wall-clock second.
     pub instructions_per_second: f64,
@@ -313,8 +313,8 @@ pub struct AppResult {
     /// simulation (under sharding: every shard came from the store).
     pub cached: bool,
     /// How many launch shards produced this summary (1 = unsharded). With
-    /// sharding, `wall` is the *sum* of the shard walls, so serial-wall
-    /// and speedup accounting stay comparable across shard counts.
+    /// sharding, `wall` is the *sum* of the unit walls, so serial-wall and
+    /// speedup accounting stay comparable across shard counts.
     pub shards: u32,
 }
 
@@ -446,443 +446,88 @@ impl Campaign {
     ) -> Self {
         assert!(!apps.is_empty(), "campaign needs at least one application");
         let isa_mask = Self::derive_isa_mask(opts.arch, apps);
-        let views = CodingView::standard_set(isa_mask);
         // Resolve the shard count against the pool the parallelism knob
         // *would* deliver with no item cap (the item count depends on the
         // shard count, so the cap cannot be applied first).
-        let shard_count = opts.shards.count(opts.par.workers(usize::MAX), config.sms);
-        if shard_count > 1 {
-            return Self::run_sharded(config, apps, opts, isa_mask, &views, shard_count);
-        }
-        let workers = opts.par.workers(apps.len());
-        let progress = Progress::new(apps.len());
-        // Which hits this campaign double-checks against a fresh simulation
-        // (empty when no store or no verification is configured).
-        let verify = opts
-            .store
-            .as_deref()
-            .map(|s| s.verify_selection(apps.len()))
-            .unwrap_or_default();
-        let hits = AtomicUsize::new(0);
-        let misses = AtomicUsize::new(0);
-        let verified = AtomicUsize::new(0);
-        let hit_ctr = opts.sink.counter("store.hit");
-        let miss_ctr = opts.sink.counter("store.miss");
-        let verify_ctr = opts.sink.counter("store.verify");
-        // Workers need their registry index (for the verify selection), and
-        // `parallel_map` hands the callback only the item — so the items
-        // carry their index.
-        let indexed: Vec<(usize, &Application)> = apps.iter().enumerate().collect();
-        let trace_root = format!("campaign:{}", opts.trace_label);
-        let mut main_trace = opts.tracer.is_enabled().then(|| {
-            let rec = opts.tracer.recorder(u32::MAX);
-            let t0_ns = rec.now_ns();
-            (rec, t0_ns)
-        });
-        let t0 = Instant::now();
-        let simulate = |&(i, app): &(usize, &Application)| -> Result<AppResult, AppFailure> {
-            progress.started.fetch_add(1, Ordering::Relaxed);
-            progress.busy.fetch_add(1, Ordering::Relaxed);
-            let t_item = Instant::now();
-            // Per-item trace recorder: its Drop flushes, so even a panic
-            // below delivers every span closed before the unwind.
-            let item_path = opts
-                .tracer
-                .is_enabled()
-                .then(|| format!("{trace_root}/app:{}/shard:0", app.code));
-            let mut item_trace = item_path.as_ref().map(|_| {
-                let rec = opts.tracer.recorder(i as u32);
-                let t0_ns = rec.now_ns();
-                (rec, t0_ns)
-            });
-            // Everything fallible runs under `catch_unwind`: a panicking
-            // application (simulator bug, fault drill, failed cache
-            // verification) becomes an `AppFailure` on this campaign, and
-            // every other application still completes.
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                if opts.fault.as_deref() == Some(app.code) {
-                    panic!("injected fault: worker asked to fail on {}", app.code);
-                }
-                let item_ctx = item_path
-                    .as_ref()
-                    .map(|path| (&opts.tracer, path.as_str(), i as u32));
-                let Some(store) = opts.store.as_deref() else {
-                    return Self::simulate_one(
-                        &config, &views, opts.arch, &opts.sink, app, item_ctx,
-                    );
-                };
-                let key = ResultStore::key(&config, opts.arch, isa_mask, app.code);
-                let t_load = Instant::now();
-                let load_t0 = item_trace.as_ref().map_or(0, |(rec, _)| rec.now_ns());
-                let loaded = store.load(key, app.code);
-                if let (Some((rec, _)), Some(path)) = (item_trace.as_mut(), item_path.as_deref()) {
-                    let end = rec.now_ns();
-                    rec.emit(
-                        format!("{path}/store:load"),
-                        "store",
-                        1,
-                        load_t0,
-                        end.saturating_sub(load_t0),
-                        vec![("hit", u64::from(loaded.is_some()))],
-                    );
-                }
-                if let Some(summary) = loaded {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                    opts.sink.add(hit_ctr, 1);
-                    if verify.get(i).copied().unwrap_or(false) {
-                        let verify_scope = item_path.as_ref().map(|p| p.clone() + "/verify");
-                        let verify_ctx = verify_scope
-                            .as_ref()
-                            .map(|p| (&opts.tracer, p.as_str(), i as u32));
-                        let fresh = Self::simulate_one(
-                            &config, &views, opts.arch, &opts.sink, app, verify_ctx,
-                        );
-                        assert_eq!(
-                            fresh.summary, summary,
-                            "cache verification failed for {}: the stored summary is not \
-                             bit-identical to a fresh simulation — the simulator changed \
-                             without a STORE_FORMAT_VERSION bump",
-                            app.code
-                        );
-                        verified.fetch_add(1, Ordering::Relaxed);
-                        opts.sink.add(verify_ctr, 1);
-                    }
-                    let wall = t_load.elapsed();
-                    return AppResult {
-                        app: app.clone(),
-                        instructions_per_second: summary.dynamic_instructions as f64
-                            / wall.as_secs_f64().max(1e-9),
-                        summary,
-                        wall,
-                        cached: true,
-                        shards: 1,
-                    };
-                }
-                misses.fetch_add(1, Ordering::Relaxed);
-                opts.sink.add(miss_ctr, 1);
-                let result =
-                    Self::simulate_one(&config, &views, opts.arch, &opts.sink, app, item_ctx);
-                let save_t0 = item_trace.as_ref().map_or(0, |(rec, _)| rec.now_ns());
-                store.save(key, app.code, &result.summary);
-                if let (Some((rec, _)), Some(path)) = (item_trace.as_mut(), item_path.as_deref()) {
-                    let end = rec.now_ns();
-                    rec.emit(
-                        format!("{path}/store:save"),
-                        "store",
-                        2,
-                        save_t0,
-                        end.saturating_sub(save_t0),
-                        Vec::new(),
-                    );
-                }
-                result
-            }));
-            if let Ok(result) = &outcome {
-                progress
-                    .instructions
-                    .fetch_add(result.summary.dynamic_instructions, Ordering::Relaxed);
-            }
-            if let (Some((mut rec, item_t0)), Some(path)) = (item_trace, item_path) {
-                let end = rec.now_ns();
-                let args = if outcome.is_err() {
-                    vec![("failed", 1)]
-                } else {
-                    Vec::new()
-                };
-                rec.emit(path, "sched", 0, item_t0, end.saturating_sub(item_t0), args);
-            }
-            progress
-                .item_wall_nanos
-                .fetch_add(t_item.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            progress.busy.fetch_sub(1, Ordering::Relaxed);
-            progress.done.fetch_add(1, Ordering::Relaxed);
-            outcome.map_err(|payload| AppFailure {
-                app: app.code,
-                error: panic_message(payload),
-            })
-        };
-        let outcomes = if opts.progress {
-            with_heartbeat(&progress, || parallel_map(&indexed, opts.par, simulate))
-        } else {
-            parallel_map(&indexed, opts.par, simulate)
-        };
-        let wall = t0.elapsed();
-        let mut results = Vec::with_capacity(outcomes.len());
-        let mut failures = Vec::new();
-        for outcome in outcomes {
-            match outcome {
-                Ok(r) => results.push(r),
-                Err(f) => failures.push(f),
-            }
-        }
-        if let Some((rec, t0_ns)) = main_trace.as_mut() {
-            Self::emit_logical_spans(rec, &trace_root, *t0_ns, &results, &failures);
-        }
-        let index = Self::build_index(&results);
-        let max_item_wall = results.iter().map(|r| r.wall).max().unwrap_or_default();
-        Self {
-            config,
-            arch: opts.arch,
-            isa_mask,
-            results,
-            failures,
-            cache_hits: hits.into_inner(),
-            cache_misses: misses.into_inner(),
-            cache_verified: verified.into_inner(),
-            wall,
-            workers,
-            shards: 1,
-            max_item_wall,
-            index,
-        }
-    }
-
-    /// The sharded fan-out: the work queue holds one item per (application,
-    /// shard) pair, ordered longest-application-first so the schedule's tail
-    /// fills with small shards instead of idling behind one big app.
-    ///
-    /// Each completed shard streams into the result store under its own
-    /// sub-key (see [`ResultStore::shard_key`]) the moment it finishes, so
-    /// an interrupted campaign resumes *mid-application*; the merged
-    /// summary is additionally saved under the whole-application key, so a
-    /// later unsharded run hits too. Results and failures are assembled in
-    /// registry order — never worker completion order — with one failure
-    /// per application (its lowest-indexed failing shard's error).
-    fn run_sharded(
-        config: GpuConfig,
-        apps: &[Application],
-        opts: &CampaignOptions,
-        isa_mask: u64,
-        views: &[CodingView],
-        shard_count: u32,
-    ) -> Self {
-        // Longest-app-first queue of (app index, shard index) items.
+        let n = opts.shards.count(opts.par.workers(usize::MAX), config.sms);
+        // One queue of (app, shard) units for every shard count: longest
+        // app first, so the schedule's tail fills with small items instead
+        // of idling behind one big app, and an app's shards back to back,
+        // so a worker reuses the app's prepared memory image.
         let mut order: Vec<usize> = (0..apps.len()).collect();
         order.sort_by_key(|&i| std::cmp::Reverse(apps[i].work_estimate()));
-        let items: Vec<(usize, u32)> = order
+        let units: Vec<(usize, u32)> = order
             .iter()
-            .flat_map(|&i| (0..shard_count).map(move |s| (i, s)))
+            .flat_map(|&i| (0..n).map(move |s| (i, s)))
             .collect();
-        let workers = opts.par.workers(items.len());
-        let progress = Progress::with_noun(items.len(), "shards");
-        let verify = opts
-            .store
-            .as_deref()
-            .map(|s| s.verify_selection(items.len()))
-            .unwrap_or_default();
-        let hits = AtomicUsize::new(0);
-        let misses = AtomicUsize::new(0);
-        let verified = AtomicUsize::new(0);
-        let hit_ctr = opts.sink.counter("store.hit");
-        let miss_ctr = opts.sink.counter("store.miss");
-        let verify_ctr = opts.sink.counter("store.verify");
-        // Slot index alongside each item, for the verify selection.
-        let indexed: Vec<(usize, usize, u32)> = items
-            .iter()
-            .enumerate()
-            .map(|(j, &(i, s))| (j, i, s))
-            .collect();
-        let trace_root = format!("campaign:{}", opts.trace_label);
+        let workers = opts.par.workers(units.len());
+        let fanout = Fanout {
+            config: &config,
+            views: CodingView::standard_set(isa_mask),
+            apps,
+            opts,
+            isa_mask,
+            n,
+            verify: opts
+                .store
+                .as_deref()
+                .map(|s| s.verify_selection(units.len()))
+                .unwrap_or_default(),
+            slots: apps.iter().map(|_| Mutex::default()).collect(),
+            progress: Progress::new(units.len(), if n == 1 { "apps" } else { "shards" }),
+            trace_root: format!("campaign:{}", opts.trace_label),
+            store_counts: ["store.hit", "store.miss", "store.verify"]
+                .map(|name| (AtomicUsize::new(0), opts.sink.counter(name))),
+        };
         let mut main_trace = opts.tracer.is_enabled().then(|| {
             let rec = opts.tracer.recorder(u32::MAX);
             let t0_ns = rec.now_ns();
             (rec, t0_ns)
         });
         let t0 = Instant::now();
-        type ShardPiece = (bvf_gpu::LaunchShard, Duration, bool);
-        let simulate = |&(j, i, s): &(usize, usize, u32)| -> Result<ShardPiece, String> {
-            let app = &apps[i];
-            progress.started.fetch_add(1, Ordering::Relaxed);
-            progress.busy.fetch_add(1, Ordering::Relaxed);
-            let t_item = Instant::now();
-            // Per-item trace recorder on the queue-slot lane; Drop flushes
-            // it even when the closure below panics.
-            let item_path = opts
-                .tracer
-                .is_enabled()
-                .then(|| format!("{trace_root}/app:{}/shard:{s}", app.code));
-            let mut item_trace = item_path.as_ref().map(|_| {
-                let rec = opts.tracer.recorder(j as u32);
-                let t0_ns = rec.now_ns();
-                (rec, t0_ns)
-            });
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                if opts.fault.as_deref() == Some(app.code) {
-                    panic!("injected fault: worker asked to fail on {}", app.code);
-                }
-                let item_ctx = item_path
-                    .as_ref()
-                    .map(|path| (&opts.tracer, path.as_str(), j as u32));
-                let store_key = opts.store.as_deref().map(|_| {
-                    let app_key = ResultStore::key(&config, opts.arch, isa_mask, app.code);
-                    ResultStore::shard_key(app_key, s, shard_count)
-                });
-                if let (Some(store), Some(key)) = (opts.store.as_deref(), store_key) {
-                    let t_load = Instant::now();
-                    let load_t0 = item_trace.as_ref().map_or(0, |(rec, _)| rec.now_ns());
-                    let loaded = store.load_shard(key, app.code, s, shard_count);
-                    if let (Some((rec, _)), Some(path)) =
-                        (item_trace.as_mut(), item_path.as_deref())
-                    {
-                        let end = rec.now_ns();
-                        rec.emit(
-                            format!("{path}/store:load"),
-                            "store",
-                            1,
-                            load_t0,
-                            end.saturating_sub(load_t0),
-                            vec![("hit", u64::from(loaded.is_some()))],
-                        );
-                    }
-                    if let Some(shard) = loaded {
-                        hits.fetch_add(1, Ordering::Relaxed);
-                        opts.sink.add(hit_ctr, 1);
-                        if verify.get(j).copied().unwrap_or(false) {
-                            let verify_scope = item_path.as_ref().map(|p| p.clone() + "/verify");
-                            let verify_ctx = verify_scope
-                                .as_ref()
-                                .map(|p| (&opts.tracer, p.as_str(), j as u32));
-                            let (fresh, _) = Self::simulate_one_shard(
-                                &config,
-                                views,
-                                opts.arch,
-                                &opts.sink,
-                                app,
-                                s,
-                                shard_count,
-                                verify_ctx,
-                            );
-                            assert_eq!(
-                                fresh, shard,
-                                "cache verification failed for {} shard {s}/{shard_count}: the \
-                                 stored shard is not bit-identical to a fresh simulation — the \
-                                 simulator changed without a STORE_FORMAT_VERSION bump",
-                                app.code
-                            );
-                            verified.fetch_add(1, Ordering::Relaxed);
-                            opts.sink.add(verify_ctr, 1);
-                        }
-                        return (shard, t_load.elapsed(), true);
-                    }
-                }
-                misses.fetch_add(1, Ordering::Relaxed);
-                opts.sink.add(miss_ctr, 1);
-                let (shard, wall) = Self::simulate_one_shard(
-                    &config,
-                    views,
-                    opts.arch,
-                    &opts.sink,
-                    app,
-                    s,
-                    shard_count,
-                    item_ctx,
-                );
-                if let (Some(store), Some(key)) = (opts.store.as_deref(), store_key) {
-                    let save_t0 = item_trace.as_ref().map_or(0, |(rec, _)| rec.now_ns());
-                    store.save_shard(key, app.code, s, shard_count, &shard);
-                    if let (Some((rec, _)), Some(path)) =
-                        (item_trace.as_mut(), item_path.as_deref())
-                    {
-                        let end = rec.now_ns();
-                        rec.emit(
-                            format!("{path}/store:save"),
-                            "store",
-                            2,
-                            save_t0,
-                            end.saturating_sub(save_t0),
-                            Vec::new(),
-                        );
-                    }
-                }
-                (shard, wall, false)
-            }));
-            if let Ok((shard, _, _)) = &outcome {
-                progress
-                    .instructions
-                    .fetch_add(shard.dynamic_instructions, Ordering::Relaxed);
-            }
-            if let (Some((mut rec, item_t0)), Some(path)) = (item_trace, item_path) {
-                let end = rec.now_ns();
-                let args = if outcome.is_err() {
-                    vec![("failed", 1)]
-                } else {
-                    Vec::new()
-                };
-                rec.emit(path, "sched", 0, item_t0, end.saturating_sub(item_t0), args);
-            }
-            progress
-                .item_wall_nanos
-                .fetch_add(t_item.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            progress.busy.fetch_sub(1, Ordering::Relaxed);
-            progress.done.fetch_add(1, Ordering::Relaxed);
-            outcome.map_err(panic_message)
-        };
+        let run_unit = |&(i, s): &(usize, u32)| fanout.run_unit(i, s);
         let outcomes = if opts.progress {
-            with_heartbeat(&progress, || parallel_map(&indexed, opts.par, simulate))
+            with_heartbeat(&fanout.progress, || {
+                parallel_map(&units, opts.par, run_unit)
+            })
         } else {
-            parallel_map(&indexed, opts.par, simulate)
+            parallel_map(&units, opts.par, run_unit)
         };
         let wall = t0.elapsed();
+        let Fanout {
+            slots,
+            trace_root,
+            store_counts,
+            ..
+        } = fanout;
+        let [hits, misses, verified] = store_counts.map(|(total, _)| total.into_inner());
 
-        // Regroup the shard outcomes per application. `parallel_map`
-        // returned them in *queue* order (longest-app-first); assembly
-        // walks the registry order, so results and failures never depend
-        // on either the queue permutation or worker completion order.
-        let mut per_app: Vec<Vec<(u32, Result<ShardPiece, String>)>> =
-            (0..apps.len()).map(|_| Vec::new()).collect();
-        for (&(_, i, s), outcome) in indexed.iter().zip(outcomes) {
-            per_app[i].push((s, outcome));
-        }
+        // Assembly only regroups. `parallel_map` returned the outcomes in
+        // queue order; results and failures go out in registry order, so
+        // neither depends on the queue permutation or on completion order,
+        // with one failure per application (its lowest-indexed failing
+        // unit's error).
+        let mut by_unit: Vec<_> = units.iter().copied().zip(outcomes).collect();
+        by_unit.sort_unstable_by_key(|&(unit, _)| unit);
         let mut results = Vec::with_capacity(apps.len());
         let mut failures = Vec::new();
         let mut max_item_wall = Duration::ZERO;
-        for (app, mut pieces) in apps.iter().zip(per_app) {
-            pieces.sort_by_key(|&(s, _)| s);
-            if let Some((_, Err(error))) = pieces.iter().find(|(_, o)| o.is_err()) {
+        for ((app, slot), outcomes) in apps.iter().zip(slots).zip(by_unit.chunks(n as usize)) {
+            if let Some(error) = outcomes.iter().find_map(|(_, o)| o.as_ref().err()) {
                 failures.push(AppFailure {
                     app: app.code,
                     error: error.clone(),
                 });
                 continue;
             }
-            let mut shards = Vec::with_capacity(pieces.len());
-            let mut app_wall = Duration::ZERO;
-            let mut cached = true;
-            for (_, piece) in pieces {
-                let (shard, shard_wall, shard_cached) = piece.expect("errors handled above");
-                max_item_wall = max_item_wall.max(shard_wall);
-                app_wall += shard_wall;
-                cached &= shard_cached;
-                shards.push(shard);
+            for (_, outcome) in outcomes {
+                max_item_wall = max_item_wall.max(*outcome.as_ref().expect("no unit failed"));
             }
-            let merge_t0 = main_trace.as_ref().map_or(0, |(rec, _)| rec.now_ns());
-            let summary = bvf_gpu::merge_shards(&config, &shards);
-            if !cached {
-                if let Some(store) = opts.store.as_deref() {
-                    let app_key = ResultStore::key(&config, opts.arch, isa_mask, app.code);
-                    store.save(app_key, app.code, &summary);
-                }
-            }
-            if let Some((rec, _)) = main_trace.as_mut() {
-                let end = rec.now_ns();
-                rec.emit(
-                    format!("{trace_root}/app:{}/merge", app.code),
-                    "sched",
-                    0,
-                    merge_t0,
-                    end.saturating_sub(merge_t0),
-                    vec![("shards", u64::from(shard_count))],
-                );
-            }
-            results.push(AppResult {
-                app: app.clone(),
-                instructions_per_second: summary.dynamic_instructions as f64
-                    / app_wall.as_secs_f64().max(1e-9),
-                summary,
-                wall: app_wall,
-                cached,
-                shards: shard_count,
-            });
+            let slot = slot.into_inner().expect("no unit panics holding a slot");
+            results.push(
+                slot.result
+                    .expect("the unit that filled the last slot merged"),
+            );
         }
         if let Some((rec, t0_ns)) = main_trace.as_mut() {
             Self::emit_logical_spans(rec, &trace_root, *t0_ns, &results, &failures);
@@ -894,71 +539,14 @@ impl Campaign {
             isa_mask,
             results,
             failures,
-            cache_hits: hits.into_inner(),
-            cache_misses: misses.into_inner(),
-            cache_verified: verified.into_inner(),
+            cache_hits: hits,
+            cache_misses: misses,
+            cache_verified: verified,
             wall,
             workers,
-            shards: shard_count,
+            shards: n,
             max_item_wall,
             index,
-        }
-    }
-
-    /// Simulate one launch shard of one application on a fresh GPU,
-    /// timing it. `trace` carries (sink, causal scope, lane id) so the GPU
-    /// can attribute its launch/phase spans under the campaign item.
-    #[allow(clippy::too_many_arguments)]
-    fn simulate_one_shard(
-        config: &GpuConfig,
-        views: &[CodingView],
-        arch: Architecture,
-        sink: &MetricsSink,
-        app: &Application,
-        index: u32,
-        count: u32,
-        trace: Option<(&TraceSink, &str, u32)>,
-    ) -> (bvf_gpu::LaunchShard, Duration) {
-        let t0 = Instant::now();
-        let mut gpu = Gpu::new(config.clone(), views.to_vec());
-        gpu.set_architecture(arch);
-        gpu.set_metrics(sink.clone());
-        if let Some((tracer, scope, tid)) = trace {
-            gpu.set_tracer(tracer.clone(), scope.to_string(), tid);
-        }
-        let shard = app.run_shard(&mut gpu, index, count);
-        (shard, t0.elapsed())
-    }
-
-    /// Simulate one application on a fresh GPU, timing it. `pub(crate)` so
-    /// the serve worker pool (`crate::serve`) can run exactly the
-    /// simulation a campaign would, without the campaign fan-out around it.
-    pub(crate) fn simulate_one(
-        config: &GpuConfig,
-        views: &[CodingView],
-        arch: Architecture,
-        sink: &MetricsSink,
-        app: &Application,
-        trace: Option<(&TraceSink, &str, u32)>,
-    ) -> AppResult {
-        let t0 = Instant::now();
-        let mut gpu = Gpu::new(config.clone(), views.to_vec());
-        gpu.set_architecture(arch);
-        gpu.set_metrics(sink.clone());
-        if let Some((tracer, scope, tid)) = trace {
-            gpu.set_tracer(tracer.clone(), scope.to_string(), tid);
-        }
-        let summary = app.run(&mut gpu);
-        let wall = t0.elapsed();
-        let instructions_per_second =
-            summary.dynamic_instructions as f64 / wall.as_secs_f64().max(1e-9);
-        AppResult {
-            app: app.clone(),
-            summary,
-            wall,
-            instructions_per_second,
-            cached: false,
-            shards: 1,
         }
     }
 
@@ -1238,6 +826,323 @@ impl Campaign {
             ],
         );
         Some(t)
+    }
+}
+
+/// Simulate shard `index` of `count` of `app` on a fresh [`Gpu`] — the one
+/// place in this crate that builds a simulator. A whole-app run is shard
+/// (0, 1) passed through [`merge_shards`]. `trace` carries (sink, causal
+/// scope, lane id) so the GPU attributes its launch and phase spans to the
+/// caller's work item.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn simulate_shard(
+    config: &GpuConfig,
+    views: &[CodingView],
+    arch: Architecture,
+    sink: &MetricsSink,
+    app: &Application,
+    index: u32,
+    count: u32,
+    trace: Option<(&TraceSink, String, u32)>,
+) -> LaunchShard {
+    let mut gpu = Gpu::new(config.clone(), views.to_vec());
+    gpu.set_architecture(arch);
+    gpu.set_metrics(sink.clone());
+    if let Some((tracer, scope, tid)) = trace {
+        gpu.set_tracer(tracer.clone(), scope, tid);
+    }
+    app.run_shard(&mut gpu, index, count)
+}
+
+/// What a store hit gives a unit: its launch shard, or — unsharded — the
+/// whole-app summary itself.
+#[allow(clippy::large_enum_variant)] // one per unit, moved twice
+enum Piece {
+    Shard(LaunchShard),
+    Whole(TraceSummary),
+}
+
+/// One application's slot table. A failed unit never fills its slot, so
+/// nobody merges a failed application.
+#[derive(Default)]
+struct AppSlot {
+    /// Shards delivered so far, with their shard indices.
+    shards: Vec<(u32, LaunchShard)>,
+    /// Summed wall time of the units delivered so far.
+    wall: Duration,
+    /// Some delivered unit simulated instead of hitting the store.
+    fresh: bool,
+    /// The result, set by the unit that filled the last slot.
+    result: Option<AppResult>,
+}
+
+/// One work item's trace context: its causal path and its own recorder
+/// on the unit's lane. The recorder's Drop flushes, so a panic inside the
+/// item still delivers every span closed before the unwind.
+struct ItemTrace {
+    path: String,
+    rec: TraceRecorder,
+    span: SpanGuard,
+    store_ops: u32,
+}
+
+/// Run `f` under the child span `<item>/<name>` when the item is traced;
+/// `args` annotates the span from `f`'s result. Store operations are
+/// numbered in the order the item performs them.
+fn traced<R>(
+    trace: &mut Option<ItemTrace>,
+    name: &str,
+    cat: &'static str,
+    f: impl FnOnce() -> R,
+    args: impl FnOnce(&R) -> Vec<(&'static str, u64)>,
+) -> R {
+    let Some(t) = trace.as_mut() else {
+        return f();
+    };
+    let span = t.rec.begin();
+    let out = f();
+    let seq = if cat == "store" {
+        t.store_ops += 1;
+        t.store_ops
+    } else {
+        0
+    };
+    t.rec
+        .end(span, format!("{}/{name}", t.path), cat, seq, args(&out));
+    out
+}
+
+/// Indices into [`Fanout::store_counts`].
+const HIT: usize = 0;
+const MISS: usize = 1;
+const VERIFY: usize = 2;
+
+/// The shared state of one campaign fan-out over (app, shard) units: what
+/// every unit reads, the per-app slot tables units deliver into, and the
+/// counters they bump.
+struct Fanout<'a> {
+    config: &'a GpuConfig,
+    views: Vec<CodingView>,
+    apps: &'a [Application],
+    opts: &'a CampaignOptions,
+    isa_mask: u64,
+    /// Shards per application (1 = unsharded).
+    n: u32,
+    /// Which units re-simulate a store hit, by registry-order unit index
+    /// `i·n + s`.
+    verify: Vec<bool>,
+    slots: Vec<Mutex<AppSlot>>,
+    progress: Progress,
+    trace_root: String,
+    /// Store hits, misses and verifications: campaign total, sink counter.
+    store_counts: [(AtomicUsize, CounterId); 3],
+}
+
+impl Fanout<'_> {
+    fn count(&self, which: usize) {
+        let (total, counter) = &self.store_counts[which];
+        total.fetch_add(1, Ordering::Relaxed);
+        self.opts.sink.add(*counter, 1);
+    }
+
+    /// Simulate shard `s` of `app`, its launches traced under the item's
+    /// path plus `suffix`.
+    fn simulate(
+        &self,
+        app: &Application,
+        s: u32,
+        trace: &Option<ItemTrace>,
+        suffix: &str,
+    ) -> LaunchShard {
+        let scope = trace.as_ref().map(|t| {
+            (
+                &self.opts.tracer,
+                format!("{}{suffix}", t.path),
+                t.rec.tid(),
+            )
+        });
+        simulate_shard(
+            self.config,
+            &self.views,
+            self.opts.arch,
+            &self.opts.sink,
+            app,
+            s,
+            self.n,
+            scope,
+        )
+    }
+
+    /// Run unit (app `i`, shard `s`) and return its wall time, or the
+    /// panic message that failed it. Everything fallible runs under
+    /// `catch_unwind`: a panicking unit (simulator bug, fault drill, failed
+    /// cache verification) fails its application, and every other
+    /// application still completes.
+    fn run_unit(&self, i: usize, s: u32) -> Result<Duration, String> {
+        let app = &self.apps[i];
+        let unit = i * self.n as usize + s as usize;
+        self.progress.started.fetch_add(1, Ordering::Relaxed);
+        self.progress.busy.fetch_add(1, Ordering::Relaxed);
+        let t_item = Instant::now();
+        let mut trace = self.opts.tracer.is_enabled().then(|| {
+            let rec = self.opts.tracer.recorder(unit as u32);
+            ItemTrace {
+                path: format!("{}/app:{}/shard:{s}", self.trace_root, app.code),
+                span: rec.begin(),
+                rec,
+                store_ops: 0,
+            }
+        });
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            if self.opts.fault.as_deref() == Some(app.code) {
+                panic!("injected fault: worker asked to fail on {}", app.code);
+            }
+            self.unit_body(i, s, unit, &mut trace)
+        }));
+        if let Some(mut t) = trace {
+            let args = if outcome.is_err() {
+                vec![("failed", 1)]
+            } else {
+                Vec::new()
+            };
+            t.rec.end(t.span, t.path, "sched", 0, args);
+        }
+        self.progress
+            .item_wall_nanos
+            .fetch_add(t_item.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        self.progress.busy.fetch_sub(1, Ordering::Relaxed);
+        self.progress.done.fetch_add(1, Ordering::Relaxed);
+        outcome.map_err(panic_message)
+    }
+
+    /// Consult the store or simulate, deliver the shard into the app's
+    /// slot table, and — if this unit filled the last slot — merge and save
+    /// the whole-app summary. Returns the unit's wall time: the consult or
+    /// simulation, plus the merge when this unit performed it (store
+    /// writes excluded).
+    fn unit_body(&self, i: usize, s: u32, unit: usize, trace: &mut Option<ItemTrace>) -> Duration {
+        let app = &self.apps[i];
+        let store = self.opts.store.as_deref();
+        let key = ResultStore::key(self.config, self.opts.arch, self.isa_mask, app.code);
+        let t_unit = Instant::now();
+        let (shard, cached) =
+            match store.and_then(|store| self.consult(store, key, app, s, unit, trace)) {
+                Some(Piece::Shard(shard)) => (shard, true),
+                // An unsharded hit is the whole-app entry: nothing to merge.
+                Some(Piece::Whole(summary)) => {
+                    let wall = t_unit.elapsed();
+                    self.progress
+                        .instructions
+                        .fetch_add(summary.dynamic_instructions, Ordering::Relaxed);
+                    self.publish(i, summary, wall, true);
+                    return wall;
+                }
+                None => (self.simulate(app, s, trace, ""), false),
+            };
+        let mut wall = t_unit.elapsed();
+        self.progress
+            .instructions
+            .fetch_add(shard.dynamic_instructions, Ordering::Relaxed);
+        // A sharded miss streams its shard into the store at once, so an
+        // interrupted campaign resumes mid-application.
+        if let (Some(store), false, true) = (store, cached, self.n > 1) {
+            let skey = ResultStore::shard_key(key, s, self.n);
+            let save = || store.save_shard(skey, app.code, s, self.n, &shard);
+            traced(trace, "store:save", "store", save, |_| Vec::new());
+        }
+        let full = {
+            let mut slot = self.slots[i].lock().expect("no unit panics holding a slot");
+            slot.shards.push((s, shard));
+            slot.wall += wall;
+            slot.fresh |= !cached;
+            (slot.shards.len() == self.n as usize)
+                .then(|| (std::mem::take(&mut slot.shards), slot.wall, slot.fresh))
+        };
+        let Some((mut shards, app_wall, fresh)) = full else {
+            return wall;
+        };
+        shards.sort_unstable_by_key(|&(s, _)| s);
+        let shards: Vec<LaunchShard> = shards.into_iter().map(|(_, shard)| shard).collect();
+        let t_merge = Instant::now();
+        let merge = || merge_shards(self.config, &shards);
+        let summary = traced(trace, "merge", "sched", merge, |_| {
+            vec![("shards", u64::from(self.n))]
+        });
+        let merge_wall = t_merge.elapsed();
+        wall += merge_wall;
+        // The whole-app entry: the unit's own entry when unsharded, and
+        // for later runs at any shard count when sharded.
+        if let (Some(store), true) = (store, fresh) {
+            let save = || store.save(key, app.code, &summary);
+            traced(trace, "store:save", "store", save, |_| Vec::new());
+        }
+        self.publish(i, summary, app_wall + merge_wall, !fresh);
+        wall
+    }
+
+    /// Set application `i`'s result in its slot table.
+    fn publish(&self, i: usize, summary: TraceSummary, wall: Duration, cached: bool) {
+        let result = AppResult {
+            app: self.apps[i].clone(),
+            instructions_per_second: summary.dynamic_instructions as f64
+                / wall.as_secs_f64().max(1e-9),
+            summary,
+            wall,
+            cached,
+            shards: self.n,
+        };
+        self.slots[i]
+            .lock()
+            .expect("no unit panics holding a slot")
+            .result = Some(result);
+    }
+
+    /// Consult the store for unit (app, `s`): `Some` on a usable entry —
+    /// re-simulated and checked bit-identical first when the unit is in
+    /// the verify sample — `None` on a miss. Unsharded, the unit's entry is
+    /// the whole-app entry under `key`; sharded, it is the shard sub-key,
+    /// and a decoded shard that does not fit this campaign is a miss like
+    /// any corrupt entry.
+    fn consult(
+        &self,
+        store: &ResultStore,
+        key: u64,
+        app: &Application,
+        s: u32,
+        unit: usize,
+        trace: &mut Option<ItemTrace>,
+    ) -> Option<Piece> {
+        let load = || {
+            if self.n == 1 {
+                return store.load(key, app.code).map(Piece::Whole);
+            }
+            store
+                .load_shard(ResultStore::shard_key(key, s, self.n), app.code, s, self.n)
+                .filter(|shard| shard.fits(self.config, &self.views))
+                .map(Piece::Shard)
+        };
+        let hit = |piece: &Option<Piece>| vec![("hit", u64::from(piece.is_some()))];
+        let Some(piece) = traced(trace, "store:load", "store", load, hit) else {
+            self.count(MISS);
+            return None;
+        };
+        self.count(HIT);
+        if self.verify[unit] {
+            let fresh = self.simulate(app, s, trace, "/verify");
+            let same = match &piece {
+                Piece::Shard(stored) => fresh == *stored,
+                Piece::Whole(stored) => merge_shards(self.config, &[fresh]) == *stored,
+            };
+            assert!(
+                same,
+                "cache verification failed for {} shard {s}/{}: the stored entry is not \
+                 bit-identical to a fresh simulation — the simulator changed without a \
+                 STORE_FORMAT_VERSION bump",
+                app.code, self.n
+            );
+            self.count(VERIFY);
+        }
+        Some(piece)
     }
 }
 
@@ -1534,7 +1439,7 @@ mod tests {
 
     #[test]
     fn heartbeat_line_reports_counts() {
-        let p = Progress::new(6);
+        let p = Progress::new(6, "apps");
         p.started.store(5, Ordering::Relaxed);
         p.done.store(3, Ordering::Relaxed);
         p.busy.store(2, Ordering::Relaxed);
@@ -1772,6 +1677,13 @@ mod tests {
             "6 apps x 2 shards"
         );
         assert!(cold.results.iter().all(|r| !r.cached));
+        // Each app left its 2 shard sub-keys plus the one whole-app entry
+        // its last unit saved after merging.
+        let files: usize = std::fs::read_dir(&dir)
+            .expect("store dir")
+            .map(|sub| std::fs::read_dir(sub.expect("entry").path()).map_or(0, Iterator::count))
+            .sum();
+        assert_eq!(files, 6 * (2 + 1));
 
         // Simulate an interrupted campaign: drop SOME of the shard entries
         // (every app's shard 1, plus both of VAD's) — as if the run died
@@ -1807,6 +1719,41 @@ mod tests {
         assert_eq!((warm.cache_hits, warm.cache_misses), (12, 0));
         assert!(warm.results.iter().all(|r| r.cached));
         assert_eq!(cold, warm);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_planted_shard_that_does_not_fit_is_a_miss() {
+        let dir = temp_store("shard_misfit");
+        let store = Arc::new(ResultStore::open(&dir).expect("open store"));
+        let opts = |store| CampaignOptions {
+            par: Parallelism::Fixed(2),
+            shards: ShardMode::Fixed(2),
+            store: Some(store),
+            ..CampaignOptions::default()
+        };
+        let cold = Campaign::smoke_with_options(&opts(Arc::clone(&store)));
+        // Validly encoded shards that do not fit the campaign: VAD's shard
+        // 0 logs a DRAM request on a channel the GPU does not have, BLA's
+        // shard 1 carries one coding view too few. Merging either panics.
+        let plant = |code: &str, s: u32, damage: fn(&mut LaunchShard, u32)| {
+            let app_key = ResultStore::key(&cold.config, cold.arch, cold.isa_mask, code);
+            let key = ResultStore::shard_key(app_key, s, 2);
+            let mut shard = store
+                .load_shard(key, code, s, 2)
+                .expect("cold run saved it");
+            damage(&mut shard, cold.config.l2_banks);
+            assert!(!shard.fits(&cold.config, &CodingView::standard_set(cold.isa_mask)));
+            store.save_shard(key, code, s, 2, &shard);
+        };
+        plant("VAD", 0, |shard, banks| shard.dram_log[0].0 = banks);
+        plant("BLA", 1, |shard, _| drop(shard.views.pop()));
+        let store = Arc::new(ResultStore::open(&dir).expect("reopen store"));
+        let warm = Campaign::smoke_with_options(&opts(store));
+        assert!(warm.failures.is_empty(), "{:?}", warm.failures);
+        assert_eq!((warm.cache_hits, warm.cache_misses), (10, 2));
+        assert_eq!(warm, cold);
+        assert_eq!(warm, Campaign::smoke());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1877,7 +1824,7 @@ mod tests {
 
     #[test]
     fn heartbeat_line_counts_shards_when_sharding() {
-        let p = Progress::with_noun(12, "shards");
+        let p = Progress::new(12, "shards");
         p.started.store(9, Ordering::Relaxed);
         p.done.store(6, Ordering::Relaxed);
         p.busy.store(3, Ordering::Relaxed);
@@ -1910,7 +1857,7 @@ mod tests {
 
     #[test]
     fn eta_appears_once_items_complete_and_never_before() {
-        let p = Progress::new(8);
+        let p = Progress::new(8, "apps");
         assert!(p.eta(0, 1).is_none(), "no ETA before the first completion");
         p.item_wall_nanos.store(4_000_000_000, Ordering::Relaxed);
         p.done.store(4, Ordering::Relaxed);
@@ -1983,6 +1930,28 @@ mod tests {
         );
         let (other, _, _) = scrubbed_smoke(Parallelism::Sequential, ShardMode::Auto, Some("BFS"));
         assert_eq!(other, base, "panic runs must scrub identically too");
+    }
+
+    #[test]
+    fn sharded_trace_report_reads_the_merge_from_the_blocking_item() {
+        let (_, c, tracer) = scrubbed_smoke(Parallelism::Fixed(2), ShardMode::Fixed(2), None);
+        assert_eq!(c.shards, 2);
+        let reports = crate::trace_report::TraceReport::from_events(&tracer.events());
+        assert_eq!(reports.len(), 1);
+        let r = &reports[0];
+        assert_eq!(r.rows_total_ns(), r.wall_ns);
+        // The unit that finishes last is its app's last unit, so it merged.
+        let merge = r.rows.iter().find(|x| x.label == "merge + DRAM replay");
+        assert!(merge.expect("merge row").nanos > 0, "{r}");
+        // Every app was merged exactly once, inside one of its items.
+        let merges: Vec<String> = tracer
+            .events()
+            .into_iter()
+            .filter(|e| e.name() == "merge")
+            .map(|e| e.path)
+            .collect();
+        assert_eq!(merges.len(), 6, "{merges:?}");
+        assert!(merges.iter().all(|p| p.contains("/shard:")));
     }
 
     #[test]

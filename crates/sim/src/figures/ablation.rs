@@ -12,12 +12,13 @@
 
 use bvf_circuit::{CellKind, PState, ProcessNode};
 use bvf_core::{BusInvertChannel, Coder, IsaCoder, NvCoder, VsCoder};
-use bvf_gpu::{CodingView, Gpu, GpuConfig};
+use bvf_gpu::{merge_shards, CodingView, GpuConfig};
 use bvf_isa::{assemble_kernel, derive_mask, derive_mask_for, Architecture};
+use bvf_obs::MetricsSink;
 use bvf_power::{DesignPoint, EnergyReport, PowerModel};
 use bvf_workloads::{Application, DataProfile};
 
-use crate::campaign::{parallel_map, Campaign, Parallelism};
+use crate::campaign::{parallel_map, simulate_shard, Campaign, Parallelism};
 use crate::table::Table;
 
 /// Pivot-lane ablation: run `apps` once per candidate pivot and report the
@@ -40,8 +41,17 @@ pub fn pivot_ablation(config: &GpuConfig, apps: &[Application], par: Parallelism
             vs_reg_pivot: pivot,
             isa_mask: 0,
         };
-        let mut gpu = Gpu::new(config.clone(), vec![view]);
-        let summary = app.run(&mut gpu);
+        let shard = simulate_shard(
+            config,
+            &[view],
+            Architecture::Pascal,
+            &MetricsSink::disabled(),
+            app,
+            0,
+            1,
+            None,
+        );
+        let summary = merge_shards(config, &[shard]);
         let u = summary.view("vs").unit(bvf_core::Unit::Reg);
         u.read_bits.one_fraction() * 100.0
     });

@@ -41,12 +41,12 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bvf_gpu::{CodingView, GpuConfig, TraceSummary};
+use bvf_gpu::{merge_shards, CodingView, GpuConfig, TraceSummary};
 use bvf_isa::Architecture;
 use bvf_obs::{CounterId, HistogramId, MetricsSink, TimerId};
 use bvf_workloads::Application;
 
-use crate::campaign::{panic_message, Campaign};
+use crate::campaign::{panic_message, simulate_shard};
 use crate::store::ResultStore;
 
 use self::http::{ChunkedWriter, Request, RequestError};
@@ -105,7 +105,7 @@ struct Ids {
     store_misses: CounterId,
     /// `/metrics` scrapes served.
     scrapes: CounterId,
-    /// Wall time inside `simulate_one`.
+    /// Wall time inside the simulation call (`simulate_shard` + `merge_shards`).
     simulate: TimerId,
     /// Nanoseconds a job sat queued before a worker picked it up.
     queue_wait: HistogramId,
@@ -348,25 +348,28 @@ impl Shared {
             if job.fault {
                 panic!("injected fault: worker asked to fail on {}", job.app.code);
             }
-            Campaign::simulate_one(
+            let shard = simulate_shard(
                 &job.config,
                 &job.views,
                 job.arch,
                 &self.sink,
                 &job.app,
+                0,
+                1,
                 None,
-            )
+            );
+            merge_shards(&job.config, &[shard])
         }));
         rec.end(span);
         let outcome = match outcome {
-            Ok(result) => {
+            Ok(summary) => {
                 rec.add(self.ids.simulations, 1);
                 if !job.fault {
                     if let Some(store) = self.store.as_deref() {
-                        store.save(job.key, job.app.code, &result.summary);
+                        store.save(job.key, job.app.code, &summary);
                     }
                 }
-                Ok(Arc::new(result.summary))
+                Ok(Arc::new(summary))
             }
             Err(payload) => {
                 rec.add(self.ids.failures, 1);

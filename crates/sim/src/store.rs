@@ -293,6 +293,77 @@ mod tests {
         assert!(store.load_shard(key, "BFS", 1, 2).is_none());
     }
 
+    /// Keys and on-disk bytes of one valid whole-app entry and one valid
+    /// shard entry (VAD on a 2-SM GPU), made once per test binary.
+    fn valid_entries() -> &'static [(u64, Vec<u8>); 2] {
+        static ENTRIES: std::sync::OnceLock<[(u64, Vec<u8>); 2]> = std::sync::OnceLock::new();
+        ENTRIES.get_or_init(|| {
+            let store = ResultStore::open(temp_dir("valid_entries")).expect("open");
+            let app = bvf_workloads::Application::by_code("VAD").expect("app");
+            let mut config = GpuConfig::baseline();
+            config.sms = 2;
+            let views = vec![bvf_gpu::CodingView::baseline()];
+            let summary = app.run(&mut bvf_gpu::Gpu::new(config.clone(), views.clone()));
+            let shard = app.run_shard(&mut bvf_gpu::Gpu::new(config.clone(), views), 1, 2);
+            let key = ResultStore::key(&config, Architecture::Pascal, 0, "VAD");
+            let skey = ResultStore::shard_key(key, 1, 2);
+            store.save(key, "VAD", &summary);
+            store.save_shard(skey, "VAD", 1, 2, &shard);
+            assert!(store.load(key, "VAD").is_some());
+            assert!(store.load_shard(skey, "VAD", 1, 2).is_some());
+            [key, skey].map(|k| (k, std::fs::read(entry_path(&store, k)).expect("entry")))
+        })
+    }
+
+    fn entry_path(store: &ResultStore, key: u64) -> std::path::PathBuf {
+        store
+            .root()
+            .join(format!("{:02x}", key >> 56))
+            .join(format!("{key:016x}.bvfs"))
+    }
+
+    /// Write `bytes` as entry `which` of [`valid_entries`] (0 = whole app,
+    /// 1 = shard) and load it back through the matching method.
+    fn load_planted(store: &ResultStore, which: usize, bytes: &[u8]) -> bool {
+        let key = valid_entries()[which].0;
+        let path = entry_path(store, key);
+        std::fs::create_dir_all(path.parent().expect("fan-out dir")).expect("mkdir");
+        std::fs::write(&path, bytes).expect("plant entry");
+        if which == 0 {
+            store.load(key, "VAD").is_some()
+        } else {
+            store.load_shard(key, "VAD", 1, 2).is_some()
+        }
+    }
+
+    #[test]
+    fn every_truncated_entry_loads_as_a_miss() {
+        let store = ResultStore::open(temp_dir("truncated")).expect("open");
+        for (which, (_, bytes)) in valid_entries().iter().enumerate() {
+            assert!(load_planted(&store, which, bytes), "the intact entry loads");
+            for len in 0..bytes.len() {
+                assert!(
+                    !load_planted(&store, which, &bytes[..len]),
+                    "entry {which} truncated to {len} of {} bytes loaded",
+                    bytes.len()
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// A single flipped bit anywhere in a valid entry — header, key,
+        /// checksum or payload — is a miss, never a panic or a wrong hit.
+        #[test]
+        fn a_single_bit_flip_loads_as_a_miss(which in 0usize..2, bit in proptest::prelude::any::<u64>()) {
+            let store = ResultStore::open(temp_dir("bit_flip")).expect("open");
+            let mut bytes = valid_entries()[which].1.clone();
+            let bit = (bit % (bytes.len() as u64 * 8)) as usize;
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            proptest::prop_assert!(!load_planted(&store, which, &bytes), "bit {} of entry {} flipped", bit, which);
+        }
+    }
+
     #[test]
     fn app_code_echo_guards_collisions() {
         let store = ResultStore::open(temp_dir("echo")).expect("open");

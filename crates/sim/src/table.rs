@@ -1,9 +1,7 @@
 //! A small fixed-width table type shared by every experiment.
 
-use serde::{Deserialize, Serialize};
-
 /// One labelled row of numeric values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Row {
     /// Row label (application code, design name, lane index, …).
     pub label: String,
@@ -13,7 +11,7 @@ pub struct Row {
 
 /// A figure/table reproduction: an id matching the paper exhibit, a title,
 /// column headers and labelled numeric rows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     /// Exhibit id, e.g. `"fig18"` or `"table2"`.
     pub id: String,

@@ -5,8 +5,8 @@
 //! to the chain that actually blocked it: setup before the first item
 //! started, queue time until the *blocking* item (the one that finished
 //! last) began, the blocking item itself decomposed into store consult,
-//! simulation, and store save, and the assembly tail split into shard
-//! merge / DRAM replay versus the remaining bookkeeping.
+//! simulation, store save, and the shard merge / DRAM replay it performed
+//! as its application's last unit, and the assembly tail after it.
 //!
 //! The rows are a *partition* of the campaign span: they are computed as
 //! differences of the span's own boundary timestamps, so by construction
@@ -40,19 +40,13 @@ pub struct TraceReport {
     /// The item with the largest duration (its causal path and nanos) —
     /// must name the same item as `RunReport.max_item_wall`.
     pub slowest_item: Option<(String, u64)>,
-    /// The item that finished last — the one the merge barrier waited on.
+    /// The item that finished last — the one assembly waited on.
     pub blocking_item: Option<(String, u64)>,
 }
 
 /// An item span: a worker-side `.../app:<code>/shard:<s>` event.
 fn is_item(e: &TraceEvent) -> bool {
     e.cat == "sched" && e.name().starts_with("shard:")
-}
-
-/// A merge span: the main-thread `.../app:<code>/merge` assembly event
-/// (shard merge plus the global DRAM replay inside `merge_shards`).
-fn is_merge(e: &TraceEvent) -> bool {
-    e.cat == "sched" && e.name() == "merge"
 }
 
 impl TraceReport {
@@ -71,12 +65,9 @@ impl TraceReport {
         let prefix = format!("{}/", root.path);
         let c0 = root.t0_ns;
         let c1 = root.t0_ns + root.dur_ns;
-        let in_scope = |e: &&TraceEvent| e.path.starts_with(&prefix);
-
         let items: Vec<&TraceEvent> = events
             .iter()
-            .filter(in_scope)
-            .filter(|e| is_item(e))
+            .filter(|e| e.path.starts_with(&prefix) && is_item(e))
             .collect();
         let slowest_item = items
             .iter()
@@ -107,12 +98,16 @@ impl TraceReport {
         let mut consult = 0u64;
         let mut simulate = 0u64;
         let mut save = 0u64;
+        let mut merge = 0u64;
         if let Some(block) = blocking {
             let child_prefix = format!("{}/", block.path);
             for e in events.iter().filter(|e| e.path.starts_with(&child_prefix)) {
                 match e.name() {
                     "store:load" => consult += e.dur_ns,
                     "store:save" => save += e.dur_ns,
+                    // The shard merge plus the launch-global DRAM replay
+                    // inside `merge_shards`, run by the app's last unit.
+                    "merge" if e.cat == "sched" => merge += e.dur_ns,
                     name if name.starts_with("launch:") && e.cat == "gpu" => {
                         // Direct launches only — a cache-verify resim lives
                         // under `.../verify/launch:n` and is store-consult
@@ -133,19 +128,10 @@ impl TraceReport {
         consult = consult.min(block_dur);
         simulate = simulate.min(block_dur - consult);
         save = save.min(block_dur - consult - simulate);
-        let item_overhead = block_dur - consult - simulate - save;
-
-        // Tail: blocking item end → campaign end. Merge spans (shard
-        // merge + DRAM replay) happen in this window on the main thread.
-        let tail = c1 - block_end;
-        let merge_total: u64 = events
-            .iter()
-            .filter(in_scope)
-            .filter(|e| is_merge(e))
-            .map(|e| e.dur_ns)
-            .sum();
-        let merge = merge_total.min(tail);
-        let assembly = tail - merge;
+        merge = merge.min(block_dur - consult - simulate - save);
+        let item_overhead = block_dur - consult - simulate - save - merge;
+        // Tail: blocking item end → campaign end, on the main thread.
+        let assembly = c1 - block_end;
 
         let rows = vec![
             TraceRow {
@@ -255,10 +241,10 @@ mod tests {
             ev("campaign:t/app:AAA/shard:0/store:load", "store", 150, 10),
             ev("campaign:t/app:AAA/shard:0/launch:0", "gpu", 170, 250),
             ev("campaign:t/app:AAA/shard:0/store:save", "store", 430, 15),
+            ev("campaign:t/app:AAA/shard:0/merge", "sched", 445, 4),
             ev("campaign:t/app:BBB/shard:0", "sched", 150, 700),
             ev("campaign:t/app:BBB/shard:0/launch:0", "gpu", 160, 600),
-            ev("campaign:t/app:AAA/merge", "sched", 900, 40),
-            ev("campaign:t/app:BBB/merge", "sched", 950, 60),
+            ev("campaign:t/app:BBB/shard:0/merge", "sched", 770, 60),
         ];
         let reports = TraceReport::from_events(&events);
         assert_eq!(reports.len(), 1);
@@ -269,8 +255,10 @@ mod tests {
         assert_eq!(row("setup"), 50); // 100 → 150
         assert_eq!(row("queue wait"), 0); // blocking item started first
         assert_eq!(row("simulate (launches)"), 600);
-        assert_eq!(row("merge + DRAM replay"), 100);
-        assert_eq!(row("assembly"), 150); // 850→1100 tail is 250, minus 100 merge
+        // Only the blocking item's own merge is on the critical path.
+        assert_eq!(row("merge + DRAM replay"), 60);
+        assert_eq!(row("item overhead"), 40); // 700 − 600 − 60
+        assert_eq!(row("assembly"), 250); // the whole 850→1100 tail
         assert_eq!(
             r.slowest_item.as_deref_path(),
             Some(("campaign:t/app:BBB/shard:0", 700))

@@ -4,13 +4,12 @@ use std::cell::RefCell;
 
 use bvf_gpu::{GlobalMemory, Gpu, LaunchShard, TraceSummary};
 use bvf_isa::ir::{BufferId, Kernel, LaunchConfig};
-use serde::{Deserialize, Serialize};
 
 use crate::data::DataProfile;
 use crate::kernels;
 
 /// Benchmark suite of origin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Suite {
     /// Rodinia heterogeneous-computing suite.
     Rodinia,
@@ -30,7 +29,7 @@ pub enum Suite {
 
 /// The paper's memory- vs compute-intensity classification (Fig. 18/19:
 /// memory-intensive applications save more chip energy).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AppClass {
     /// Dominated by memory-hierarchy and NoC traffic.
     MemoryIntensive,
@@ -41,7 +40,7 @@ pub enum AppClass {
 }
 
 /// Which kernel template an application instantiates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Template {
     /// Streaming map (`kernels::streaming`).
     Streaming {

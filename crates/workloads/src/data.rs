@@ -9,10 +9,9 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A value-distribution family for one buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DataProfile {
     /// Mostly exact zeros with occasional small integers — activation-style
     /// data (`p_zero` in percent).
