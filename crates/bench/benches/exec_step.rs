@@ -1,11 +1,10 @@
 //! Warp-interpreter microbenches: the per-instruction cost of the execute
-//! loop under the uniformity fast paths and basic-block dispatch.
+//! loop under basic-block dispatch and the address-pattern fast paths.
 //!
-//! Four axes, mirroring the scalarizer's design: uniform vs divergent ALU
-//! (does the one-lane-plus-splat path pay off), per-op `step` vs
-//! block-dispatched `step_run` (does run pre-decode amortize dispatch), and
-//! uniform vs scattered addresses through the full SM memory front (does
-//! O(1) line grouping beat the 32-lane scan).
+//! Two axes: per-op `step` vs block-dispatched `step_run` (does run
+//! pre-decode amortize dispatch), and uniform vs scattered addresses
+//! through the full SM memory front (does O(1) line grouping beat the
+//! 32-lane scan).
 
 use bvf_gpu::exec::{AddrPattern, FlatProgram, Warp, WarpEnv};
 use bvf_gpu::{CodingView, Gpu, GpuConfig};
@@ -44,27 +43,8 @@ impl WarpEnv for NoopEnv {
 
 const ALU_OPS: usize = 256;
 
-/// Straight-line ALU over uniform sources: every op takes the
-/// one-lane-plus-splat fast path.
-fn uniform_alu_kernel() -> Kernel {
-    let mut k = Kernel::new("bench_uniform_alu", 6);
-    k.body
-        .push(Stmt::op3(Op::Mov, 0, Operand::Imm(7), Operand::Imm(0)));
-    for i in 0..ALU_OPS {
-        let dst = 1 + (i % 4) as u8;
-        k.body.push(Stmt::op4(
-            Op::IMad,
-            dst,
-            Operand::Reg(0),
-            Operand::Imm(3),
-            Operand::Reg(dst),
-        ));
-    }
-    k
-}
-
-/// The same shape seeded from `LaneId` so every register is varying and
-/// every op runs the full 32-lane path.
+/// Straight-line ALU seeded from `LaneId`, so every register is varying
+/// and every op runs the full 32-lane path.
 fn divergent_alu_kernel() -> Kernel {
     let mut k = Kernel::new("bench_divergent_alu", 6);
     k.body.push(Stmt::op3(
@@ -109,22 +89,6 @@ fn run_block(prog: &FlatProgram, regs: u8) -> u64 {
         n += issued;
     }
     n
-}
-
-fn bench_alu_uniformity(c: &mut Criterion) {
-    let mut g = c.benchmark_group("exec_step_alu");
-    g.throughput(Throughput::Elements(ALU_OPS as u64));
-    let uniform = uniform_alu_kernel();
-    let uprog = FlatProgram::compile(&uniform, Architecture::Pascal);
-    g.bench_function("uniform_scalarized", |b| {
-        b.iter(|| black_box(run_per_op(&uprog, uniform.regs_per_thread)))
-    });
-    let divergent = divergent_alu_kernel();
-    let dprog = FlatProgram::compile(&divergent, Architecture::Pascal);
-    g.bench_function("divergent_lanewise", |b| {
-        b.iter(|| black_box(run_per_op(&dprog, divergent.regs_per_thread)))
-    });
-    g.finish();
 }
 
 fn bench_dispatch(c: &mut Criterion) {
@@ -206,10 +170,5 @@ fn bench_memory_patterns(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_alu_uniformity,
-    bench_dispatch,
-    bench_memory_patterns
-);
+criterion_group!(benches, bench_dispatch, bench_memory_patterns);
 criterion_main!(benches);

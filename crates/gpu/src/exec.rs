@@ -214,11 +214,6 @@ pub trait WarpEnv {
     fn on_reg_write(&mut self, reg_lanes: &[u32; 32], active: u32, pivot_divergent: bool);
     /// Instruction fetch of the word at `pc`.
     fn on_ifetch(&mut self, pc: usize, word: u64);
-    /// A pure-ALU instruction was executed entirely on the warp-uniform
-    /// fast path (one lane computed, 32 splatted). Observability only — an
-    /// implementation must not let this change simulation results.
-    /// Default: no-op.
-    fn on_uniform_instruction(&mut self) {}
     /// Global/const/texture memory access. `indices` are per-lane word
     /// indices into the buffer; for stores `data` carries lane values.
     /// Loads return per-lane data. `pattern` is the interpreter's
@@ -382,23 +377,6 @@ impl Warp {
             Operand::Reg(r) => self.reg_lanes(r),
             Operand::Imm(v) => [v; 32],
             Operand::Special(s) => self.special_lanes(s),
-        }
-    }
-
-    /// Lane-0 value of an operand (the splat value when the operand is
-    /// known uniform).
-    fn operand_first(&self, operand: Operand) -> u32 {
-        match operand {
-            Operand::Reg(r) => self.regs[usize::from(r) * 32],
-            Operand::Imm(v) => v,
-            Operand::Special(s) => match s {
-                Special::CtaIdX => self.cta_id,
-                Special::NTidX => self.cta_threads,
-                Special::WarpId => self.warp_in_cta,
-                Special::LaneId => 0,
-                Special::TidX => self.warp_in_cta * 32,
-                Special::GlobalTid => self.cta_id * self.cta_threads + self.warp_in_cta * 32,
-            },
         }
     }
 
@@ -722,22 +700,6 @@ impl Warp {
             self.operand_class(i.b),
             self.operand_class(i.c),
         );
-        if self.scalarize
-            && self.active == u32::MAX
-            && (ca, cb, cc) == (LaneClass::Uniform, LaneClass::Uniform, LaneClass::Uniform)
-        {
-            // All inputs are splats under a full mask: compute one lane
-            // and splat the result.
-            let v = alu(
-                i.op,
-                self.operand_first(i.a),
-                self.operand_first(i.b),
-                self.operand_first(i.c),
-            );
-            env.on_uniform_instruction();
-            self.write_dst(i.dst, &[v; 32], LaneClass::Uniform, env);
-            return StepResult::Ok;
-        }
         let a = self.operand_lanes(i.a);
         let b = self.operand_lanes(i.b);
         let c = self.operand_lanes(i.c);
@@ -969,7 +931,6 @@ mod tests {
         global_loads: u64,
         global_stores: u64,
         pivot_divergent_writes: u64,
-        uniform_instructions: u64,
         stored: Vec<(u32, u32)>,
         patterns: Vec<AddrPattern>,
     }
@@ -984,7 +945,6 @@ mod tests {
                 global_loads: 0,
                 global_stores: 0,
                 pivot_divergent_writes: 0,
-                uniform_instructions: 0,
                 stored: Vec::new(),
                 patterns: Vec::new(),
             }
@@ -1003,9 +963,6 @@ mod tests {
         }
         fn on_ifetch(&mut self, _: usize, _: u64) {
             self.ifetches += 1;
-        }
-        fn on_uniform_instruction(&mut self) {
-            self.uniform_instructions += 1;
         }
         fn global_access(
             &mut self,
@@ -1324,8 +1281,7 @@ mod tests {
 
     #[test]
     fn uniform_alu_takes_fast_path_and_matches_reference() {
-        // All-immediate / uniform-register arithmetic: every ALU op should
-        // count as a uniform instruction, and the result must equal the
+        // All-immediate / uniform-register arithmetic must equal the
         // lane-wise reference run.
         let mut k = Kernel::new("t", 4);
         k.body
@@ -1340,7 +1296,6 @@ mod tests {
             Operand::Reg(0),
         ));
         let (warp, env) = run(&k);
-        assert_eq!(env.uniform_instructions, 3);
 
         let prog = FlatProgram::compile(&k, Architecture::Pascal);
         let mut reference = Warp::new(k.regs_per_thread, 0, 0, 32);
@@ -1349,7 +1304,6 @@ mod tests {
         while !reference.is_done() {
             reference.step(&prog, &mut renv);
         }
-        assert_eq!(renv.uniform_instructions, 0);
         for r in 0..4 {
             assert_eq!(warp.reg_lanes(r), reference.reg_lanes(r), "r{r}");
         }
@@ -1466,7 +1420,6 @@ mod tests {
         assert_eq!(ea.reg_reads, eb.reg_reads);
         assert_eq!(ea.reg_writes, eb.reg_writes);
         assert_eq!(ea.global_loads, eb.global_loads);
-        assert_eq!(ea.uniform_instructions, eb.uniform_instructions);
     }
 
     #[test]

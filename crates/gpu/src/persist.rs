@@ -269,8 +269,8 @@ mod tests {
         assert_eq!(w2.into_bytes(), bytes);
     }
 
-    #[test]
-    fn launch_shard_round_trips_bit_identically() {
+    /// Shard 0 of 2 of a copy kernel on two SMs.
+    fn tiny_shard() -> LaunchShard {
         let mut k = Kernel::new("persist_shard", 4);
         k.body.push(Stmt::op3(
             Op::Mov,
@@ -299,7 +299,25 @@ mod tests {
             .add_buffer(BufferId(0), (0..n).map(|i| i ^ 0xa5).collect());
         gpu.memory_mut()
             .add_buffer(BufferId(1), vec![0; n as usize]);
-        let shard = gpu.launch_shard(&k, LaunchConfig::new(8, 32), 0, 2);
+        gpu.launch_shard(&k, LaunchConfig::new(8, 32), 0, 2)
+    }
+
+    fn encode(value: &impl Persist) -> Vec<u8> {
+        let mut w = Writer::new();
+        value.persist(&mut w);
+        w.into_bytes()
+    }
+
+    /// Decoding `bytes` returns a value or an error; a panic fails the
+    /// calling test.
+    fn decode_never_panics(bytes: &[u8]) {
+        let _ = TraceSummary::restore(&mut Reader::new(bytes));
+        let _ = LaunchShard::restore(&mut Reader::new(bytes));
+    }
+
+    #[test]
+    fn launch_shard_round_trips_bit_identically() {
+        let shard = tiny_shard();
         let mut w = Writer::new();
         shard.persist(&mut w);
         let bytes = w.into_bytes();
@@ -322,5 +340,38 @@ mod tests {
         let bytes = w.into_bytes();
         let cut = bytes.len() / 2;
         assert!(TraceSummary::restore(&mut Reader::new(&bytes[..cut])).is_err());
+    }
+
+    // The store's checksum turns corrupt files into misses before they
+    // reach these decoders, so the file-level tests never exercise them.
+    // These feed the decoders directly.
+
+    #[test]
+    fn every_truncation_decodes_or_errs() {
+        for bytes in [encode(&tiny_summary()), encode(&tiny_shard())] {
+            for cut in 0..bytes.len() {
+                decode_never_panics(&bytes[..cut]);
+            }
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_decodes_or_errs() {
+        for mut bytes in [encode(&tiny_summary()), encode(&tiny_shard())] {
+            for bit in 0..bytes.len() * 8 {
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                decode_never_panics(&bytes);
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn arbitrary_bytes_decode_or_err(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..4096),
+        ) {
+            decode_never_panics(&bytes);
+        }
     }
 }

@@ -91,10 +91,6 @@ pub struct PhaseProfile {
     /// Disjoint self-time slices, in fixed [`Phase`] order; they sum to
     /// `launch_nanos` (modulo clock granularity).
     pub slices: Vec<PhaseSlice>,
-    /// How many dynamic instructions completed on the warp-uniform ALU
-    /// fast path (one lane computed, 32 splatted). A subset of the `exec`
-    /// slice's events; purely observational.
-    pub uniform_instructions: u64,
 }
 
 impl PhaseProfile {
@@ -125,7 +121,6 @@ impl PhaseProfile {
             return;
         }
         self.launch_nanos += other.launch_nanos;
-        self.uniform_instructions += other.uniform_instructions;
         for (a, b) in self.slices.iter_mut().zip(&other.slices) {
             debug_assert_eq!(a.phase, b.phase, "profiles share the fixed phase order");
             a.nanos += b.nanos;
@@ -193,7 +188,6 @@ impl PhaseProfile {
         Self {
             launch_nanos: launch,
             slices,
-            uniform_instructions: rec.counter_value(m.uniform_ops),
         }
     }
 }
@@ -219,7 +213,6 @@ pub(crate) struct SimMetrics {
     pub noc_packets: CounterId,
     pub noc_flits: CounterId,
     pub dram_requests: CounterId,
-    pub uniform_ops: CounterId,
 }
 
 impl SimMetrics {
@@ -241,7 +234,6 @@ impl SimMetrics {
             noc_packets: sink.counter("noc.packets"),
             noc_flits: sink.counter("noc.flits"),
             dram_requests: sink.counter("dram.requests"),
-            uniform_ops: sink.counter("sim.uniform_instructions"),
         }
     }
 }
@@ -273,14 +265,12 @@ mod tests {
                     events: 0,
                 },
             ],
-            uniform_instructions: n,
         };
         let mut a = PhaseProfile::empty();
         a.merge(&mk(4)); // adopt
         a.merge(&mk(6)); // accumulate
         a.merge(&PhaseProfile::empty()); // no-op
         assert_eq!(a.launch_nanos, 100);
-        assert_eq!(a.uniform_instructions, 10);
         let exec = a.slice(Phase::Exec).unwrap();
         assert_eq!(exec.nanos, 10);
         assert_eq!(exec.events, 5);

@@ -880,10 +880,6 @@ impl WarpEnv for SmEnv<'_> {
         self.shared.rec.end(span);
     }
 
-    fn on_uniform_instruction(&mut self) {
-        self.shared.rec.add(self.shared.m.uniform_ops, 1);
-    }
-
     fn global_access(
         &mut self,
         op: Op,

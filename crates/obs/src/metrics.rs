@@ -15,7 +15,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Buckets per histogram: bucket `b` counts values in `[2^(b-1), 2^b)`
 /// (bucket 0 counts zeros), which covers `u64` values up to `2^31`-ish
@@ -537,6 +537,16 @@ impl Recorder {
         }
     }
 
+    /// Count one span of `elapsed` on `timer`, measured by the caller —
+    /// for work timed elsewhere (e.g. a campaign result's wall time).
+    pub fn add_span(&mut self, timer: TimerId, elapsed: Duration) {
+        if self.shared.is_some() {
+            let base = timer.0 as usize;
+            *self.slot(base) += elapsed.as_nanos() as u64;
+            *self.slot(base + 1) += 1;
+        }
+    }
+
     /// Add `n` to a counter (a plain local add when enabled).
     #[inline]
     pub fn add(&mut self, c: CounterId, n: u64) {
@@ -631,6 +641,20 @@ mod tests {
         // Locals reset by flush; a second flush adds nothing.
         rec.flush();
         assert_eq!(sink.counter_value(c), 7);
+    }
+
+    #[test]
+    fn add_span_counts_a_measured_duration() {
+        let sink = MetricsSink::enabled();
+        let t = sink.timer("work");
+        let mut rec = sink.recorder();
+        rec.add_span(t, Duration::from_micros(3));
+        rec.add_span(t, Duration::from_nanos(5));
+        rec.flush();
+        assert_eq!(sink.timer_value(t), (3_005, 2));
+        let mut off = MetricsSink::disabled().recorder();
+        off.add_span(t, Duration::from_secs(1));
+        assert_eq!(off.timer_count(t), 0);
     }
 
     #[test]

@@ -343,9 +343,6 @@ fn main() {
         if let Some(t) = c.phase_table() {
             eprintln!("[{label}] {t}");
         }
-        if let Some(t) = c.uniform_share_table() {
-            eprintln!("[{label}] {t}");
-        }
         for f in &c.failures {
             failures
                 .borrow_mut()

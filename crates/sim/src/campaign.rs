@@ -252,9 +252,8 @@ impl Progress {
 }
 
 /// Stringify a panic payload: `panic!("...")` carries a `String` or a
-/// `&'static str`; anything else gets a placeholder. `pub(crate)` because
-/// the serve worker pool (`crate::serve`) isolates faults the same way.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// `&'static str`; anything else gets a placeholder.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     match payload.downcast::<String>() {
         Ok(s) => *s,
         Err(payload) => match payload.downcast::<&'static str>() {
@@ -305,7 +304,8 @@ pub struct AppResult {
     /// Its trace summary (all coding views).
     pub summary: TraceSummary,
     /// Wall-clock time this application's units took on their workers:
-    /// store consult or simulation, plus the merge (store writes excluded).
+    /// the store consult of a hit or the simulation of a miss, plus the
+    /// merge (store writes and missed consults excluded).
     pub wall: Duration,
     /// Simulator throughput: dynamic instructions per wall-clock second.
     pub instructions_per_second: f64,
@@ -446,6 +446,19 @@ impl Campaign {
     ) -> Self {
         assert!(!apps.is_empty(), "campaign needs at least one application");
         let isa_mask = Self::derive_isa_mask(opts.arch, apps);
+        Self::run_with_mask(config, apps, isa_mask, opts)
+    }
+
+    /// [`Campaign::run_with_options`] under a given ISA mask instead of
+    /// the one `apps` derive. `bvf-serve` runs each app of a request as a
+    /// one-app campaign under the request's mask, so its store keys and
+    /// results are those of the whole request.
+    pub(crate) fn run_with_mask(
+        config: GpuConfig,
+        apps: &[Application],
+        isa_mask: u64,
+        opts: &CampaignOptions,
+    ) -> Self {
         // Resolve the shard count against the pool the parallelism knob
         // *would* deliver with no item cap (the item count depends on the
         // shard count, so the cap cannot be applied first).
@@ -784,49 +797,6 @@ impl Campaign {
         }
         Some(t)
     }
-
-    /// Per-app share of dynamic instructions that completed on the warp-
-    /// uniform ALU fast path (one lane computed, 32 splatted), plus a
-    /// campaign-total row — makes the scalarizer's hit rate observable
-    /// rather than assumed. `None` unless the campaign was profiled.
-    pub fn uniform_share_table(&self) -> Option<Table> {
-        if !self.merged_profile().is_enabled() {
-            return None;
-        }
-        let mut t = Table::new(
-            "uniform_share",
-            "Warp-uniform fast-path share of dynamic instructions",
-            vec![
-                "uniform_instr".to_string(),
-                "instructions".to_string(),
-                "share_pct".to_string(),
-            ],
-        );
-        let (mut total_uniform, mut total_instr) = (0u64, 0u64);
-        for r in &self.results {
-            let uniform = r.summary.profile.uniform_instructions;
-            let instr = r.summary.dynamic_instructions;
-            total_uniform += uniform;
-            total_instr += instr;
-            t.push(
-                r.app.code,
-                vec![
-                    uniform as f64,
-                    instr as f64,
-                    100.0 * uniform as f64 / instr.max(1) as f64,
-                ],
-            );
-        }
-        t.push(
-            "total",
-            vec![
-                total_uniform as f64,
-                total_instr as f64,
-                100.0 * total_uniform as f64 / total_instr.max(1) as f64,
-            ],
-        );
-        Some(t)
-    }
 }
 
 /// Simulate shard `index` of `count` of `app` on a fresh [`Gpu`] — the one
@@ -1017,14 +987,14 @@ impl Fanout<'_> {
 
     /// Consult the store or simulate, deliver the shard into the app's
     /// slot table, and — if this unit filled the last slot — merge and save
-    /// the whole-app summary. Returns the unit's wall time: the consult or
-    /// simulation, plus the merge when this unit performed it (store
-    /// writes excluded).
+    /// the whole-app summary. Returns the unit's wall time: the consult of
+    /// a hit or the simulation of a miss, plus the merge when this unit
+    /// performed it (store writes excluded).
     fn unit_body(&self, i: usize, s: u32, unit: usize, trace: &mut Option<ItemTrace>) -> Duration {
         let app = &self.apps[i];
         let store = self.opts.store.as_deref();
         let key = ResultStore::key(self.config, self.opts.arch, self.isa_mask, app.code);
-        let t_unit = Instant::now();
+        let mut t_unit = Instant::now();
         let (shard, cached) =
             match store.and_then(|store| self.consult(store, key, app, s, unit, trace)) {
                 Some(Piece::Shard(shard)) => (shard, true),
@@ -1037,7 +1007,11 @@ impl Fanout<'_> {
                     self.publish(i, summary, wall, true);
                     return wall;
                 }
-                None => (self.simulate(app, s, trace, ""), false),
+                // A missed consult is store I/O, not the unit's work.
+                None => {
+                    t_unit = Instant::now();
+                    (self.simulate(app, s, trace, ""), false)
+                }
             };
         let mut wall = t_unit.elapsed();
         self.progress

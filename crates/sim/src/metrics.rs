@@ -45,18 +45,11 @@ fn app_record_base(campaign: &str, app: &Application, summary: &TraceSummary) ->
 /// that placement is what keeps scrubbed cold and warm streams
 /// byte-identical.
 pub fn app_record(campaign: &str, r: &AppResult) -> String {
-    // `uniform_instructions` is timing too: the counter only accumulates
-    // when a metrics sink is installed, so its value varies with how the
-    // run was instrumented (not with the workload).
     let timing = Record::object()
         .u64("wall_ns", r.wall.as_nanos() as u64)
         .f64("instructions_per_second", r.instructions_per_second)
         .bool("cached", r.cached)
         .u64("shards", u64::from(r.shards))
-        .u64(
-            "uniform_instructions",
-            r.summary.profile.uniform_instructions,
-        )
         .finish();
     app_record_base(campaign, &r.app, &r.summary)
         .raw("timing", &timing)
@@ -113,7 +106,6 @@ pub fn campaign_record(label: &str, c: &Campaign) -> String {
             .collect();
         timing = timing
             .u64("launch_nanos", profile.launch_nanos)
-            .u64("uniform_instructions", profile.uniform_instructions)
             .raw("phases", &format!("[{}]", slices.join(",")));
     }
     let mut rec = Record::new("campaign")

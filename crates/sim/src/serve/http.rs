@@ -1,4 +1,5 @@
-//! A minimal HTTP/1.1 server-side codec over [`TcpStream`].
+//! A minimal HTTP/1.1 server-side codec over [`TcpStream`] (requests are
+//! read from any [`Read`]).
 //!
 //! Covers exactly what `bvf-serve` needs and nothing more: parse one
 //! request (method, path, headers, `Content-Length` body) with hard size
@@ -40,31 +41,37 @@ pub enum RequestError {
     Io(std::io::Error),
 }
 
-/// Read one request from `stream`.
+/// Read one request from `stream` (a `&mut TcpStream` in the server).
 ///
 /// The caller is expected to have set a read timeout: a peer that opens a
 /// connection and never finishes its head would otherwise pin a handler
-/// thread forever.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, RequestError> {
+/// thread forever. Every line read is bounded by what is left of
+/// [`MAX_HEAD_BYTES`], so a head without a newline is cut off at the cap
+/// instead of buffered without bound.
+pub fn read_request<R: Read>(stream: R) -> Result<Request, RequestError> {
     let mut reader = BufReader::new(stream);
-    let mut head_bytes = 0usize;
-    let mut line = String::new();
-    let mut read_line =
-        |reader: &mut BufReader<&mut TcpStream>, line: &mut String| -> Result<(), RequestError> {
-            line.clear();
-            let n = reader.read_line(line).map_err(RequestError::Io)?;
-            if n == 0 {
-                return Err(RequestError::Malformed("connection closed mid-request"));
-            }
-            head_bytes += n;
-            if head_bytes > MAX_HEAD_BYTES {
-                return Err(RequestError::TooLarge);
-            }
-            Ok(())
-        };
+    let mut head_left = MAX_HEAD_BYTES;
+    let mut bytes = Vec::new();
+    let mut read_line = |reader: &mut BufReader<R>| -> Result<String, RequestError> {
+        bytes.clear();
+        let n = reader
+            .by_ref()
+            .take(head_left as u64 + 1)
+            .read_until(b'\n', &mut bytes)
+            .map_err(RequestError::Io)?;
+        if n == 0 {
+            return Err(RequestError::Malformed("connection closed mid-request"));
+        }
+        if n > head_left {
+            return Err(RequestError::TooLarge);
+        }
+        head_left -= n;
+        let line = std::str::from_utf8(&bytes)
+            .map_err(|_| RequestError::Malformed("request head is not UTF-8"))?;
+        Ok(line.trim_end_matches(['\r', '\n']).to_string())
+    };
 
-    read_line(&mut reader, &mut line)?;
-    let request_line = line.trim_end_matches(['\r', '\n']).to_string();
+    let request_line = read_line(&mut reader)?;
     let mut parts = request_line.split(' ');
     let method = parts
         .next()
@@ -82,8 +89,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, RequestError> {
 
     let mut content_length = 0usize;
     loop {
-        read_line(&mut reader, &mut line)?;
-        let header = line.trim_end_matches(['\r', '\n']);
+        let header = read_line(&mut reader)?;
         if header.is_empty() {
             break;
         }

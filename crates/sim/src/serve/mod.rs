@@ -8,6 +8,13 @@
 //! application completes — in request order, so the body is a
 //! deterministic function of the request.
 //!
+//! **One execution path.** A worker runs each job — one application of an
+//! admitted request — as a one-app [`Campaign`] under the request's ISA
+//! mask: the campaign's (app, shard) unit pipeline does the store consult
+//! and write-back, the fault drill, panic isolation, simulation and merge,
+//! exactly as for `reproduce`. Serve itself is only admission: HTTP, the
+//! single-flight map, the bounded priority queue and the drain.
+//!
 //! **Single-flight.** Each application's work is keyed by its
 //! [`ResultStore`] content address — [`ResultStore::key`] over the
 //! resolved config, ISA generation, derived ISA mask, and app code, i.e.
@@ -15,9 +22,10 @@
 //! key is already in flight, the handler *attaches* to the existing
 //! flight instead of enqueuing a duplicate job: N concurrent identical
 //! requests cost one simulation, and all N response bodies are
-//! byte-identical. Fault-drill jobs (`inject_panic`) bypass both the
-//! single-flight map and the store, so a drill can never poison a clean
-//! request's flight or leave a poisoned cache entry.
+//! byte-identical. Fault-drill jobs (`inject_panic`) bypass the
+//! single-flight map, and the pipeline fails them before the store
+//! consult, so a drill can never poison a clean request's flight or leave
+//! a poisoned cache entry.
 //!
 //! **Backpressure.** The queue is bounded ([`ServeOptions::queue_capacity`]).
 //! Admission is per request and atomic: either every job the request needs
@@ -35,18 +43,17 @@ pub mod protocol;
 
 use std::collections::{BinaryHeap, HashMap};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bvf_gpu::{merge_shards, CodingView, GpuConfig, TraceSummary};
+use bvf_gpu::{GpuConfig, TraceSummary};
 use bvf_isa::Architecture;
 use bvf_obs::{CounterId, HistogramId, MetricsSink, TimerId};
 use bvf_workloads::Application;
 
-use crate::campaign::{panic_message, simulate_shard};
+use crate::campaign::{Campaign, CampaignOptions, Parallelism};
 use crate::store::ResultStore;
 
 use self::http::{ChunkedWriter, Request, RequestError};
@@ -105,7 +112,8 @@ struct Ids {
     store_misses: CounterId,
     /// `/metrics` scrapes served.
     scrapes: CounterId,
-    /// Wall time inside the simulation call (`simulate_shard` + `merge_shards`).
+    /// Wall time of fresh jobs' simulation and merge: the one-app
+    /// campaign's [`crate::AppResult::wall`] (no store I/O, no hits).
     simulate: TimerId,
     /// Nanoseconds a job sat queued before a worker picked it up.
     queue_wait: HistogramId,
@@ -175,13 +183,12 @@ struct Job {
     seq: u64,
     app: Application,
     key: u64,
-    /// Whether `key` is registered in the single-flight map (fault-drill
-    /// jobs are not — they must not be attachable).
+    /// Whether `key` is registered in the single-flight map. Only
+    /// fault-drill jobs are not: they must not be attachable.
     registered: bool,
-    config: Arc<GpuConfig>,
-    views: Arc<Vec<CodingView>>,
+    config: GpuConfig,
     arch: Architecture,
-    fault: bool,
+    isa_mask: u64,
     hold: Duration,
     slot: Arc<FlightSlot>,
     enqueued: Instant,
@@ -234,20 +241,13 @@ enum SubmitError {
     ShuttingDown,
 }
 
-/// What the handler waits on per application, in request order.
-enum Waiter {
-    /// This request enqueued (or attached to) a flight.
-    Flight(Arc<FlightSlot>),
-}
-
 impl Shared {
     /// Atomically admit one request: attach each app to an identical
     /// in-flight job where one exists, enqueue the rest — all or nothing
-    /// against the queue capacity.
-    fn submit(&self, req: &SimRequest) -> Result<Vec<(Application, Waiter)>, SubmitError> {
+    /// against the queue capacity. Returns the flight each app waits on,
+    /// in request order.
+    fn submit(&self, req: &SimRequest) -> Result<Vec<(Application, Arc<FlightSlot>)>, SubmitError> {
         let isa_mask = req.isa_mask();
-        let config = Arc::new(req.config.clone());
-        let views = Arc::new(CodingView::standard_set(isa_mask));
         let mut state = self.state.lock().expect("scheduler lock");
         if state.shutdown {
             return Err(SubmitError::ShuttingDown);
@@ -260,12 +260,12 @@ impl Shared {
         let mut waiters = Vec::with_capacity(req.apps.len());
         let mut attached = 0u64;
         for app in &req.apps {
-            let key = ResultStore::key(&config, req.arch, isa_mask, app.code);
+            let key = ResultStore::key(&req.config, req.arch, isa_mask, app.code);
             let fault = req.fault.as_deref() == Some(app.code);
             if !fault {
                 if let Some(slot) = state.inflight.get(&key).or_else(|| staged_map.get(&key)) {
                     attached += 1;
-                    waiters.push((app.clone(), Waiter::Flight(slot.clone())));
+                    waiters.push((app.clone(), slot.clone()));
                     continue;
                 }
             }
@@ -279,15 +279,14 @@ impl Shared {
                 app: app.clone(),
                 key,
                 registered: !fault,
-                config: config.clone(),
-                views: views.clone(),
+                config: req.config.clone(),
                 arch: req.arch,
-                fault,
+                isa_mask,
                 hold: Duration::from_millis(req.hold_ms),
                 slot: slot.clone(),
                 enqueued: Instant::now(),
             });
-            waiters.push((app.clone(), Waiter::Flight(slot)));
+            waiters.push((app.clone(), slot));
         }
         if state.queue.len() + staged.len() > self.capacity {
             return Err(SubmitError::Full);
@@ -304,7 +303,7 @@ impl Shared {
 
     /// Worker body: drain the queue (highest priority first) until
     /// shutdown, publishing each job's outcome to its flight.
-    fn worker_loop(self: &Arc<Self>) {
+    fn worker_loop(&self) {
         let mut rec = self.sink.recorder();
         loop {
             let job = {
@@ -327,66 +326,47 @@ impl Shared {
         }
     }
 
-    fn run_job(self: &Arc<Self>, rec: &mut bvf_obs::Recorder, job: Job) {
-        if !job.hold.is_zero() {
-            std::thread::sleep(job.hold);
-        }
-        // Store consult (fault drills bypass: a drill must exercise the
-        // panic path, not be satisfied by a cache hit).
-        if !job.fault {
-            if let Some(store) = self.store.as_deref() {
-                if let Some(summary) = store.load(job.key, job.app.code) {
-                    rec.add(self.ids.store_hits, 1);
-                    self.finish_job(rec, &job, Ok(Arc::new(summary)));
-                    return;
-                }
-                rec.add(self.ids.store_misses, 1);
-            }
-        }
-        let span = rec.begin(self.ids.simulate);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if job.fault {
-                panic!("injected fault: worker asked to fail on {}", job.app.code);
-            }
-            let shard = simulate_shard(
-                &job.config,
-                &job.views,
-                job.arch,
-                &self.sink,
-                &job.app,
-                0,
-                1,
-                None,
-            );
-            merge_shards(&job.config, &[shard])
-        }));
-        rec.end(span);
-        let outcome = match outcome {
-            Ok(summary) => {
-                rec.add(self.ids.simulations, 1);
-                if !job.fault {
-                    if let Some(store) = self.store.as_deref() {
-                        store.save(job.key, job.app.code, &summary);
-                    }
-                }
-                Ok(Arc::new(summary))
-            }
-            Err(payload) => {
-                rec.add(self.ids.failures, 1);
-                Err(panic_message(payload))
-            }
-        };
-        self.finish_job(rec, &job, outcome);
-    }
-
-    /// Flush the worker's metrics, publish the outcome, then retire the
+    /// Run one job as a one-app campaign under its request's ISA mask,
+    /// then flush the worker's metrics, publish the outcome and retire the
     /// flight. Flushing first means a client that reads the counters after
     /// its response (`/metrics`, or the sink in tests) sees this job
     /// counted. Publishing before retiring means a handler that attaches
     /// between the two steps gets its result immediately; one that looks
     /// up after removal starts a fresh flight — never a deadlock, at worst
     /// a duplicate simulation.
-    fn finish_job(&self, rec: &mut bvf_obs::Recorder, job: &Job, outcome: Outcome) {
+    fn run_job(&self, rec: &mut bvf_obs::Recorder, job: Job) {
+        if !job.hold.is_zero() {
+            std::thread::sleep(job.hold);
+        }
+        let opts = CampaignOptions {
+            par: Parallelism::Sequential,
+            arch: job.arch,
+            sink: self.sink.clone(),
+            store: self.store.clone(),
+            fault: (!job.registered).then(|| job.app.code.to_string()),
+            ..CampaignOptions::default()
+        };
+        let mut campaign = Campaign::run_with_mask(
+            job.config,
+            std::slice::from_ref(&job.app),
+            job.isa_mask,
+            &opts,
+        );
+        rec.add(self.ids.store_hits, campaign.cache_hits as u64);
+        rec.add(self.ids.store_misses, campaign.cache_misses as u64);
+        let outcome = match campaign.results.pop() {
+            Some(result) => {
+                if !result.cached {
+                    rec.add(self.ids.simulations, 1);
+                    rec.add_span(self.ids.simulate, result.wall);
+                }
+                Ok(Arc::new(result.summary))
+            }
+            None => {
+                rec.add(self.ids.failures, 1);
+                Err(campaign.failures.remove(0).error)
+            }
+        };
         rec.flush();
         job.slot.publish(outcome);
         if job.registered {
@@ -670,8 +650,7 @@ fn handle_run(shared: &Arc<Shared>, stream: &mut TcpStream, request: &Request) {
         return;
     }
     let mut failed = 0usize;
-    for (app, waiter) in waiters {
-        let Waiter::Flight(slot) = waiter;
+    for (app, slot) in waiters {
         let line = match slot.wait(FLIGHT_TIMEOUT) {
             Some(Ok(summary)) => protocol::app_line(&app, &summary),
             Some(Err(error)) => {
@@ -691,4 +670,102 @@ fn handle_run(shared: &Arc<Shared>, stream: &mut TcpStream, request: &Request) {
     }
     let _ = out.line(&protocol::done_line(req.apps.len(), failed));
     let _ = out.finish();
+}
+
+#[cfg(test)]
+mod tests {
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    use super::http::{read_request, RequestError, MAX_BODY_BYTES};
+    use super::protocol::{parse_request, MAX_HOLD_MS, MAX_PRIORITY};
+
+    const VALID_HTTP: &str = "POST /run HTTP/1.1\r\nHost: localhost\r\n\
+                              Content-Length: 24\r\n\r\n{\"apps\":[\"VAD\"],\"sms\":1}";
+    const VALID_JSON: &str = r#"{"apps":["VAD","SGE"],"config":"gtx480","sms":2,
+        "scheduler":"lrr","arch":"kepler","priority":7,"inject_panic":"SGE","hold_ms":5}"#;
+
+    /// Apply byte edits `(position, byte, kind)` to `bytes`: overwrite,
+    /// insert, delete, or truncate at the position (taken modulo length).
+    fn mutate(mut bytes: Vec<u8>, edits: &[(u16, u8, u8)]) -> Vec<u8> {
+        for &(pos, byte, kind) in edits {
+            let at = usize::from(pos) % (bytes.len() + 1);
+            match kind % 4 {
+                0 if at < bytes.len() => bytes[at] = byte,
+                1 => bytes.insert(at, byte),
+                2 if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                3 => bytes.truncate(at),
+                _ => {}
+            }
+        }
+        bytes
+    }
+
+    /// A request head never panics the reader: it parses within the caps
+    /// or is an error.
+    fn read_never_panics(bytes: &[u8]) {
+        match read_request(bytes) {
+            Ok(r) => {
+                assert!(!r.method.is_empty());
+                assert!(r.body.len() <= MAX_BODY_BYTES);
+            }
+            Err(RequestError::TooLarge | RequestError::Malformed(_) | RequestError::Io(_)) => {}
+        }
+    }
+
+    /// A request body never panics the parser: it validates within the
+    /// documented bounds or is an error message.
+    fn parse_never_panics(bytes: &[u8]) {
+        if let Ok(r) = parse_request(&String::from_utf8_lossy(bytes)) {
+            assert!((1..=64).contains(&r.apps.len()));
+            assert!(r.config.sms >= 1);
+            assert!(u64::from(r.priority) <= MAX_PRIORITY);
+            assert!(r.hold_ms <= MAX_HOLD_MS);
+            if let Some(code) = &r.fault {
+                assert!(r.apps.iter().any(|a| a.code == code));
+            }
+        }
+    }
+
+    #[test]
+    fn the_valid_seeds_parse() {
+        let r = read_request(VALID_HTTP.as_bytes()).expect("valid request");
+        assert_eq!((r.method.as_str(), r.path.as_str()), ("POST", "/run"));
+        parse_request(&r.body).expect("valid body");
+        parse_request(VALID_JSON).expect("valid body");
+    }
+
+    #[test]
+    fn an_endless_head_is_cut_off_at_the_cap() {
+        let endless = std::io::Read::chain(&b"GET /"[..], std::io::repeat(b'a'));
+        assert!(matches!(read_request(endless), Err(RequestError::TooLarge)));
+    }
+
+    proptest! {
+        #[test]
+        fn arbitrary_bytes_never_panic_the_request_reader(bytes in vec(any::<u8>(), 0..512)) {
+            read_never_panics(&bytes);
+        }
+
+        #[test]
+        fn mutated_requests_never_panic_the_request_reader(
+            edits in vec((any::<u16>(), any::<u8>(), any::<u8>()), 1..8),
+        ) {
+            read_never_panics(&mutate(VALID_HTTP.as_bytes().to_vec(), &edits));
+        }
+
+        #[test]
+        fn arbitrary_bytes_never_panic_the_request_parser(bytes in vec(any::<u8>(), 0..512)) {
+            parse_never_panics(&bytes);
+        }
+
+        #[test]
+        fn mutated_bodies_never_panic_the_request_parser(
+            edits in vec((any::<u16>(), any::<u8>(), any::<u8>()), 1..8),
+        ) {
+            parse_never_panics(&mutate(VALID_JSON.as_bytes().to_vec(), &edits));
+        }
+    }
 }

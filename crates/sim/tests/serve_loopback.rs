@@ -277,6 +277,29 @@ fn malformed_and_hostile_requests_get_4xx_and_the_server_survives() {
 }
 
 #[test]
+fn a_head_without_a_newline_gets_413_at_the_cap() {
+    use std::io::{Read, Write};
+    let server = start(1, 4);
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    // 4 MiB and no newline: far past the 16 KiB head cap. The server must
+    // answer at the cap, not buffer until its own read timeout.
+    let _ = stream.write_all(&vec![b'a'; 4 << 20]);
+    let mut response = String::new();
+    let _ = stream.read_to_string(&mut response);
+    assert!(
+        response.starts_with("HTTP/1.1 413"),
+        "expected 413, got {:?}",
+        &response[..response.len().min(80)]
+    );
+    assert_eq!(counter(&server, "serve.bad_requests"), 1);
+    drop(stream);
+    server.shutdown();
+}
+
+#[test]
 fn warm_store_serves_hits_without_resimulating() {
     let dir = std::env::temp_dir().join(format!("bvf_serve_store_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -301,6 +324,49 @@ fn warm_store_serves_hits_without_resimulating() {
     assert_eq!(counter(&server, "serve.simulations"), 1);
     assert_eq!(counter(&server, "serve.store_hits"), 1);
     assert_eq!(counter(&server, "serve.store_misses"), 1);
+    // `serve.simulate` times the fresh simulation only, never the hit.
+    let (nanos, spans) = server
+        .sink()
+        .timer_value(server.sink().timer("serve.simulate"));
+    assert_eq!(spans, 1);
+    assert!(nanos > 0);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn serve_hits_the_entries_a_direct_campaign_stored() {
+    // One execution path: a store filled by `Campaign::run_with_options`
+    // serves every app of the same request, under the same keys.
+    let dir = std::env::temp_dir().join(format!("bvf_serve_shared_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Arc::new(bvf_sim::ResultStore::open(&dir).expect("open store"));
+    let body = r#"{"apps":["VAD","SGE","BFS"],"sms":1}"#;
+    let req = protocol::parse_request(body).expect("request parses");
+    let filled = Campaign::run_with_options(
+        req.config.clone(),
+        &req.apps,
+        &CampaignOptions {
+            par: Parallelism::Sequential,
+            arch: req.arch,
+            store: Some(store.clone()),
+            ..CampaignOptions::default()
+        },
+    );
+    assert_eq!(filled.cache_misses, 3);
+    let server = Server::start(ServeOptions {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 2,
+        queue_capacity: 4,
+        store: Some(store),
+    })
+    .expect("server starts");
+    let resp = client::post_run(&server.addr().to_string(), body, TIMEOUT).expect("request");
+    assert_eq!(resp.status, 200);
+    assert_eq!(resp.body, direct_body(body));
+    assert_eq!(counter(&server, "serve.store_hits"), 3);
+    assert_eq!(counter(&server, "serve.store_misses"), 0);
+    assert_eq!(counter(&server, "serve.simulations"), 0);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
