@@ -10,8 +10,9 @@
 //! span-wrapped line-granular path and the no-op disabled-sink probes are
 //! benched alongside for the report.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use bvf_bench::min_of_paired_reps;
 use bvf_core::Unit;
 use bvf_gpu::stats::{AccessKind, StatsCollector};
 use bvf_gpu::CodingView;
@@ -28,20 +29,6 @@ fn reg_lanes() -> [u32; 32] {
     core::array::from_fn(|i| 0x3f80_0000 + i as u32)
 }
 
-/// Best-of-`reps` wall time of `iters` runs of `body` (minimum filters the
-/// scheduler noise a mean would smear into the comparison).
-fn min_of_reps(reps: usize, iters: usize, mut body: impl FnMut()) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            body();
-        }
-        best = best.min(t0.elapsed());
-    }
-    best
-}
-
 /// The contract check: a counter probe on the word-granular collector hot
 /// path costs < ~5% of the bare call. Runs in every mode (including the
 /// single-shot smoke pass under `cargo test`), asserting only on the real
@@ -51,19 +38,25 @@ fn assert_counter_overhead_bounded() {
     const ITERS: usize = 20_000;
     let lanes = reg_lanes();
 
-    let mut col = collector();
-    let plain = min_of_reps(REPS, ITERS, || {
-        col.record_register(AccessKind::Write, black_box(&lanes), u32::MAX);
-    });
-
+    let mut bare_col = collector();
     let sink = MetricsSink::enabled();
     let events = sink.counter("bench.reg_events");
     let mut rec = sink.recorder();
     let mut col = collector();
-    let counted = min_of_reps(REPS, ITERS, || {
-        rec.add(events, 1);
-        col.record_register(AccessKind::Write, black_box(&lanes), u32::MAX);
-    });
+    let (plain, counted) = min_of_paired_reps(
+        REPS,
+        || {
+            for _ in 0..ITERS {
+                bare_col.record_register(AccessKind::Write, black_box(&lanes), u32::MAX);
+            }
+        },
+        || {
+            for _ in 0..ITERS {
+                rec.add(events, 1);
+                col.record_register(AccessKind::Write, black_box(&lanes), u32::MAX);
+            }
+        },
+    );
 
     // 5% of the bare path plus 2.5 ns/iter of absolute slack, so a
     // sub-nanosecond probe cannot fail the bound on a noisy machine.

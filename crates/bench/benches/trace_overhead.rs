@@ -9,8 +9,9 @@
 //! without an enabled [`bvf_obs::TraceSink`], asserting the traced run
 //! stays within ~5% of the untraced one.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use bvf_bench::min_of_paired_reps;
 use bvf_obs::{MetricsSink, TraceSink};
 use bvf_sim::{Campaign, CampaignOptions, Parallelism};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -28,31 +29,23 @@ fn smoke_opts(tracer: TraceSink) -> CampaignOptions {
     }
 }
 
-/// Best-of-`reps` wall time of `body` (minimum filters scheduler noise).
-fn min_of_reps(reps: usize, mut body: impl FnMut()) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        body();
-        best = best.min(t0.elapsed());
-    }
-    best
-}
-
 /// The contract check: an enabled trace sink costs < ~5% of the untraced
 /// sequential smoke campaign.
 fn assert_trace_overhead_bounded() {
-    const REPS: usize = 7;
-    let plain = min_of_reps(REPS, || {
-        let c = Campaign::smoke_with_options(&smoke_opts(TraceSink::disabled()));
-        assert!(c.failures.is_empty());
-    });
-    let traced = min_of_reps(REPS, || {
-        let tracer = TraceSink::enabled();
-        let c = Campaign::smoke_with_options(&smoke_opts(tracer.clone()));
-        assert!(c.failures.is_empty());
-        assert!(!tracer.events().is_empty(), "tracing produced no spans");
-    });
+    const REPS: usize = 15;
+    let (plain, traced) = min_of_paired_reps(
+        REPS,
+        || {
+            let c = Campaign::smoke(&smoke_opts(TraceSink::disabled()));
+            assert!(c.failures.is_empty());
+        },
+        || {
+            let tracer = TraceSink::enabled();
+            let c = Campaign::smoke(&smoke_opts(tracer.clone()));
+            assert!(c.failures.is_empty());
+            assert!(!tracer.events().is_empty(), "tracing produced no spans");
+        },
+    );
     // 5% plus 2 ms of absolute slack: the smoke campaign is tens of
     // milliseconds, and a trace that stayed off the per-instruction path
     // costs microseconds — only a pathological regression (per-event
@@ -74,10 +67,10 @@ fn bench_traced_campaign(c: &mut Criterion) {
     let mut g = c.benchmark_group("trace_overhead_campaign");
     g.sample_size(10);
     g.bench_function("smoke_untraced", |b| {
-        b.iter(|| Campaign::smoke_with_options(&smoke_opts(TraceSink::disabled())))
+        b.iter(|| Campaign::smoke(&smoke_opts(TraceSink::disabled())))
     });
     g.bench_function("smoke_traced", |b| {
-        b.iter(|| Campaign::smoke_with_options(&smoke_opts(TraceSink::enabled())))
+        b.iter(|| Campaign::smoke(&smoke_opts(TraceSink::enabled())))
     });
     g.finish();
 }

@@ -37,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod hamming;
-pub mod leakage;
 pub mod persist;
 pub mod plane;
 pub mod position;
@@ -49,7 +48,6 @@ pub mod word;
 pub use hamming::{
     distance_to_splat, distance_u32, distance_u64, weight_bytes, weight_u32, weight_u64,
 };
-pub use leakage::OccupancyIntegrator;
 pub use plane::{splat_bit, transpose32, BitPlanes};
 pub use position::PositionHistogram;
 pub use profile::{signed_leading_bits_u32, NarrowValueProfile};

@@ -45,14 +45,12 @@ impl Persist for NarrowValueProfile {
         w.u64(self.words);
         w.u64(self.leading_bits_sum);
         w.u64(self.zero_words);
-        w.u64(self.non_negative_words);
     }
     fn restore(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(Self {
             words: r.u64()?,
             leading_bits_sum: r.u64()?,
             zero_words: r.u64()?,
-            non_negative_words: r.u64()?,
         })
     }
 }
@@ -83,7 +81,6 @@ mod tests {
             words: 4,
             leading_bits_sum: 30,
             zero_words: 1,
-            non_negative_words: 3,
         });
     }
 }

@@ -43,8 +43,6 @@ pub struct NarrowValueProfile {
     pub leading_bits_sum: u64,
     /// Number of words equal to zero.
     pub zero_words: u64,
-    /// Number of words with the sign bit clear (non-negative as `i32`).
-    pub non_negative_words: u64,
 }
 
 impl NarrowValueProfile {
@@ -60,9 +58,6 @@ impl NarrowValueProfile {
         self.leading_bits_sum += u64::from(signed_leading_bits_u32(w));
         if w == 0 {
             self.zero_words += 1;
-        }
-        if w & 0x8000_0000 == 0 {
-            self.non_negative_words += 1;
         }
     }
 
@@ -99,21 +94,11 @@ impl NarrowValueProfile {
         }
     }
 
-    /// Fraction of words that are non-negative when viewed as `i32`.
-    pub fn non_negative_fraction(&self) -> f64 {
-        if self.words == 0 {
-            0.0
-        } else {
-            self.non_negative_words as f64 / self.words as f64
-        }
-    }
-
     /// Merge another profile into this one.
     pub fn merge(&mut self, other: &Self) {
         self.words += other.words;
         self.leading_bits_sum += other.leading_bits_sum;
         self.zero_words += other.zero_words;
-        self.non_negative_words += other.non_negative_words;
     }
 }
 
@@ -143,7 +128,6 @@ mod tests {
         p.record_words(&[0, 1, 0x0000_ffff, (-1i32) as u32]);
         assert_eq!(p.words, 4);
         assert_eq!(p.zero_words, 1);
-        assert_eq!(p.non_negative_words, 3);
         let expected = (32 + 31 + 16 + 32) as f64 / 4.0;
         assert!((p.mean_leading_bits() - expected).abs() < 1e-12);
     }

@@ -114,16 +114,6 @@ impl SramArray {
         self.supply
     }
 
-    /// Per-bit access energies.
-    pub fn access_energy(&self) -> AccessEnergy {
-        self.access
-    }
-
-    /// Per-bit leakage powers.
-    pub fn leakage_power(&self) -> LeakagePower {
-        self.leakage
-    }
-
     /// Energy (fJ) to read the given bytes (one word access per
     /// `word_bits` chunk, wordline overhead charged per access).
     pub fn read_energy_fj(&self, data: &[u8]) -> f64 {

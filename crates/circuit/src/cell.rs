@@ -45,26 +45,6 @@ impl CellKind {
         CellKind::Edram3T,
     ];
 
-    /// Does this cell exhibit Bit-Value-Favor on reads?
-    pub fn favors_read(self) -> bool {
-        !matches!(self, CellKind::Sram6T)
-    }
-
-    /// Does this cell exhibit Bit-Value-Favor on writes?
-    pub fn favors_write(self) -> bool {
-        matches!(self, CellKind::BvfSram8T | CellKind::Edram3T)
-    }
-
-    /// Relative cell area vs a high-performance 6T cell (§2.2: 8T carries a
-    /// ~20% penalty over high-performance 6T; gain-cell eDRAM is denser).
-    pub fn area_vs_6t(self) -> f64 {
-        match self {
-            CellKind::Sram6T => 1.0,
-            CellKind::ConvSram8T | CellKind::BvfSram8T => 1.2,
-            CellKind::Edram3T => 0.6,
-        }
-    }
-
     /// Can the cell operate at the given supply? 6T fails below ~0.9V.
     pub fn operates_at(self, supply: Supply) -> bool {
         match self {

@@ -84,19 +84,6 @@ impl LeakagePower {
     pub fn array_power(&self, ones: u64, zeros: u64) -> f64 {
         self.store1 * ones as f64 + self.store0 * zeros as f64
     }
-
-    /// Standby *energy* (femtojoules) over bit-cycle occupancy integrals at
-    /// clock frequency `freq_hz`: `P[nW] × bit_cycles / f = E`.
-    ///
-    /// `one_bit_cycles`/`zero_bit_cycles` come from
-    /// [`bvf_bits::OccupancyIntegrator`](https://docs.rs/bvf-bits).
-    pub fn energy_fj(&self, one_bit_cycles: u128, zero_bit_cycles: u128, freq_hz: f64) -> f64 {
-        // nW * s = nJ = 1e6 fJ
-        let seconds_per_cycle = 1.0 / freq_hz;
-        (self.store1 * one_bit_cycles as f64 + self.store0 * zero_bit_cycles as f64)
-            * seconds_per_cycle
-            * 1.0e6
-    }
 }
 
 #[cfg(test)]
@@ -167,13 +154,5 @@ mod tests {
         let total = 1 << 20;
         assert!(l.array_power(total, 0) < l.array_power(0, total));
         assert!(l.array_power(total, 0) < l.array_power(total / 2, total / 2));
-    }
-
-    #[test]
-    fn energy_integrates_bit_cycles() {
-        let l = LeakagePower::of(CellKind::BvfSram8T, ProcessNode::N28, Supply::NOMINAL);
-        let e = l.energy_fj(1_000_000, 0, 700.0e6);
-        let expected = l.store1 * 1.0e6 / 700.0e6 * 1.0e6;
-        assert!((e - expected).abs() < 1e-6);
     }
 }

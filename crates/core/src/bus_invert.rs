@@ -18,7 +18,6 @@
 //! (toggles and weight).
 
 use bvf_bits::hamming::distance_bytes;
-use bvf_bits::weight_bytes;
 
 /// One bus-invert-coded channel of fixed width.
 ///
@@ -124,13 +123,6 @@ impl BusInvertChannel {
     /// How many transfers were sent inverted.
     pub fn inversions(&self) -> u64 {
         self.inversions
-    }
-
-    /// Total Hamming weight of the wire states driven so far would require
-    /// tracking history; instead this helper scores one pattern the way the
-    /// BVF cell charges a stored word.
-    pub fn pattern_weight(wires: &[u8]) -> u64 {
-        weight_bytes(wires)
     }
 }
 

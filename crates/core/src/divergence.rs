@@ -21,17 +21,6 @@
 
 use crate::vs::{VsCoder, WARP_LANES};
 
-/// The three divergence categories of §4.2.2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DivergenceKind {
-    /// Warp access spans multiple cache lines.
-    Memory,
-    /// Partial-warp write that touches the pivot lane.
-    Branch,
-    /// Irregular shared-memory access (VS is disabled there).
-    SharedMemory,
-}
-
 /// Stateful divergence handler + overhead counters for one register file's
 /// VS space.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -58,7 +58,7 @@ pub mod vs;
 
 pub use bus_invert::BusInvertChannel;
 pub use coder::Coder;
-pub use divergence::{DivergenceKind, DivergencePolicy};
+pub use divergence::DivergencePolicy;
 pub use isa_coder::IsaCoder;
 pub use nv::NvCoder;
 pub use overhead::{CoderOverhead, PAPER_TOTAL_XNOR_GATES};

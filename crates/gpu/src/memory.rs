@@ -87,15 +87,6 @@ impl GlobalMemory {
         self.expect(id).base
     }
 
-    /// Number of words in a buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer is not registered.
-    pub fn len_of(&self, id: BufferId) -> usize {
-        self.expect(id).words.len()
-    }
-
     /// Byte address of word `idx` in buffer `id`, clamping the index into
     /// range (out-of-range indices wrap, mimicking the defensive clamping
     /// workload kernels perform).

@@ -776,7 +776,7 @@ impl StatsCollector {
     pub fn record_register(&mut self, kind: AccessKind, lanes: &[u32; 32], active: u32) {
         if let Some(log) = &mut self.log {
             log.events.push(crate::trace::TraceEvent::Reg {
-                kind: kind.into(),
+                kind,
                 lanes: lanes.to_vec(),
                 active,
             });
@@ -808,7 +808,7 @@ impl StatsCollector {
     pub fn record_shared(&mut self, kind: AccessKind, lanes: &[u32; 32], active: u32) {
         if let Some(log) = &mut self.log {
             log.events.push(crate::trace::TraceEvent::Shared {
-                kind: kind.into(),
+                kind,
                 lanes: lanes.to_vec(),
                 active,
             });
@@ -842,7 +842,7 @@ impl StatsCollector {
             for &kind in kinds {
                 log.events.push(crate::trace::TraceEvent::Line {
                     unit,
-                    kind: kind.into(),
+                    kind,
                     data: line.to_vec(),
                 });
             }
@@ -887,7 +887,7 @@ impl StatsCollector {
             for &unit in units {
                 log.events.push(crate::trace::TraceEvent::Instr {
                     unit,
-                    kind: kind.into(),
+                    kind,
                     word: instr,
                 });
             }
@@ -923,7 +923,7 @@ impl StatsCollector {
         if let Some(log) = &mut self.log {
             log.events.push(crate::trace::TraceEvent::InstrLine {
                 unit,
-                kind: kind.into(),
+                kind,
                 words: words.to_vec(),
             });
         }

@@ -15,37 +15,6 @@ use bvf_core::Unit;
 
 use crate::stats::{AccessKind, CodingView, StatsCollector, ViewStats};
 
-/// Serializable form of [`AccessKind`] for trace records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceKind {
-    /// Read access.
-    Read,
-    /// Write access.
-    Write,
-    /// Miss-refill access.
-    Fill,
-}
-
-impl From<AccessKind> for TraceKind {
-    fn from(k: AccessKind) -> Self {
-        match k {
-            AccessKind::Read => TraceKind::Read,
-            AccessKind::Write => TraceKind::Write,
-            AccessKind::Fill => TraceKind::Fill,
-        }
-    }
-}
-
-impl From<TraceKind> for AccessKind {
-    fn from(k: TraceKind) -> Self {
-        match k {
-            TraceKind::Read => AccessKind::Read,
-            TraceKind::Write => AccessKind::Write,
-            TraceKind::Fill => AccessKind::Fill,
-        }
-    }
-}
-
 /// One raw trace event, exactly as the simulator reported it (no coding
 /// applied — the parser applies coders, as in the paper).
 #[derive(Debug, Clone, PartialEq)]
@@ -53,7 +22,7 @@ pub enum TraceEvent {
     /// Register-file access: full warp contents + active mask.
     Reg {
         /// Access kind.
-        kind: TraceKind,
+        kind: AccessKind,
         /// 32 lane values.
         lanes: Vec<u32>,
         /// Active-lane mask.
@@ -62,7 +31,7 @@ pub enum TraceEvent {
     /// Shared-memory access.
     Shared {
         /// Access kind.
-        kind: TraceKind,
+        kind: AccessKind,
         /// 32 lane values.
         lanes: Vec<u32>,
         /// Active-lane mask.
@@ -73,7 +42,7 @@ pub enum TraceEvent {
         /// Target unit.
         unit: Unit,
         /// Access kind.
-        kind: TraceKind,
+        kind: AccessKind,
         /// Raw line content.
         data: Vec<u8>,
     },
@@ -82,7 +51,7 @@ pub enum TraceEvent {
         /// Target unit.
         unit: Unit,
         /// Access kind.
-        kind: TraceKind,
+        kind: AccessKind,
         /// Raw instruction word.
         word: u64,
     },
@@ -91,7 +60,7 @@ pub enum TraceEvent {
         /// Target unit.
         unit: Unit,
         /// Access kind.
-        kind: TraceKind,
+        kind: AccessKind,
         /// Raw instruction words.
         words: Vec<u64>,
     },
@@ -151,7 +120,7 @@ pub fn replay(log: &TraceLog, views: Vec<CodingView>, flit_bytes: usize) -> Vec<
                 active,
             } => {
                 let lanes: [u32; 32] = lanes.as_slice().try_into().expect("32 lanes");
-                collector.record_register((*kind).into(), &lanes, *active);
+                collector.record_register(*kind, &lanes, *active);
             }
             TraceEvent::Shared {
                 kind,
@@ -159,16 +128,16 @@ pub fn replay(log: &TraceLog, views: Vec<CodingView>, flit_bytes: usize) -> Vec<
                 active,
             } => {
                 let lanes: [u32; 32] = lanes.as_slice().try_into().expect("32 lanes");
-                collector.record_shared((*kind).into(), &lanes, *active);
+                collector.record_shared(*kind, &lanes, *active);
             }
             TraceEvent::Line { unit, kind, data } => {
-                collector.record_line(*unit, (*kind).into(), data);
+                collector.record_line(*unit, *kind, data);
             }
             TraceEvent::Instr { unit, kind, word } => {
-                collector.record_instruction(*unit, (*kind).into(), *word);
+                collector.record_instruction(*unit, *kind, *word);
             }
             TraceEvent::InstrLine { unit, kind, words } => {
-                collector.record_instruction_line(*unit, (*kind).into(), words);
+                collector.record_instruction_line(*unit, *kind, words);
             }
             TraceEvent::Noc {
                 channel,
@@ -236,15 +205,6 @@ mod tests {
             assert_eq!(a.units, b.units, "view {}", a.view.name);
             assert_eq!(a.noc, b.noc, "view {}", a.view.name);
             assert_eq!(a.dummy_movs, b.dummy_movs);
-        }
-    }
-
-    #[test]
-    fn kind_conversion_roundtrips() {
-        for k in [AccessKind::Read, AccessKind::Write, AccessKind::Fill] {
-            let t: TraceKind = k.into();
-            let back: AccessKind = t.into();
-            assert_eq!(back, k);
         }
     }
 

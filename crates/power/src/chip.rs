@@ -71,17 +71,6 @@ impl DesignPoint {
             has_coders: false,
         }
     }
-
-    /// The conventional 6T design (Fig. 23 reference).
-    pub fn six_t() -> Self {
-        Self {
-            name: "6t".into(),
-            cell: CellKind::Sram6T,
-            view: "baseline".into(),
-            init_ones: 0.5,
-            has_coders: false,
-        }
-    }
 }
 
 /// Chip energy breakdown for one design point, all values in femtojoules.

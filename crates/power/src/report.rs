@@ -2,7 +2,6 @@
 
 use bvf_core::Unit;
 use bvf_gpu::TraceSummary;
-use std::collections::BTreeMap;
 
 use crate::chip::{evaluate, ChipEnergy, DesignPoint};
 use crate::model::PowerModel;
@@ -77,14 +76,6 @@ impl EnergyReport {
     /// Fractional chip-level reduction.
     pub fn chip_reduction(&self, baseline: &str, against: &str) -> f64 {
         1.0 - self.point(against).total_fj() / self.point(baseline).total_fj()
-    }
-
-    /// Per-unit reduction map for the standard comparison (Fig. 16/17 rows).
-    pub fn unit_reduction_map(&self, baseline: &str, against: &str) -> BTreeMap<Unit, f64> {
-        Unit::ALL
-            .iter()
-            .map(|&u| (u, self.unit_reduction(baseline, against, u)))
-            .collect()
     }
 
     /// Render a fixed-width table of per-point totals (fJ) and reductions

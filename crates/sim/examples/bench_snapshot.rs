@@ -29,8 +29,10 @@
 
 use std::io::Write;
 
+use bvf_gpu::GpuConfig;
 use bvf_obs::Record;
 use bvf_sim::{Campaign, CampaignOptions, Parallelism, ShardMode};
+use bvf_workloads::Application;
 
 /// Extract a numeric field from a flat JSON object without a JSON parser:
 /// finds `"name":` and reads the number that follows.
@@ -67,10 +69,24 @@ fn main() {
         .position(|a| a == "--baseline")
         .and_then(|i| args.get(i + 1));
 
+    // The full 58-app baseline campaign on one worker, sharded or not.
+    let full_baseline = |shards| {
+        Campaign::run_with_options(
+            GpuConfig::baseline(),
+            &Application::all(),
+            &CampaignOptions {
+                par: Parallelism::Sequential,
+                shards,
+                ..CampaignOptions::default()
+            },
+        )
+        .run_report()
+    };
+
     const RUNS: usize = 3;
     let mut best: Option<bvf_sim::RunReport> = None;
     for run in 1..=RUNS {
-        let report = Campaign::full_baseline(Parallelism::Sequential).run_report();
+        let report = full_baseline(ShardMode::Off);
         println!(
             "run {run}/{RUNS}: {:.3?} wall, {:.0} instr/s sequential",
             report.wall, report.serial_instructions_per_second
@@ -93,12 +109,7 @@ fn main() {
     const SHARDS: u32 = 4;
     let mut sharded: Option<bvf_sim::RunReport> = None;
     for run in 1..=RUNS {
-        let report = Campaign::full_baseline_with_options(&CampaignOptions {
-            par: Parallelism::Sequential,
-            shards: ShardMode::Fixed(SHARDS),
-            ..CampaignOptions::default()
-        })
-        .run_report();
+        let report = full_baseline(ShardMode::Fixed(SHARDS));
         println!(
             "sharded run {run}/{RUNS}: {:.3?} wall, {} shards/app, {:.0} instr/s",
             report.wall, report.shards, report.instructions_per_second

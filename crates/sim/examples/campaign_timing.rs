@@ -9,13 +9,24 @@
 //! cargo run --release -p bvf-sim --example campaign_timing
 //! ```
 
-use bvf_sim::{Campaign, Parallelism};
+use bvf_gpu::GpuConfig;
+use bvf_sim::{Campaign, CampaignOptions, Parallelism};
+use bvf_workloads::Application;
 
 fn main() {
-    let seq = Campaign::full_baseline(Parallelism::Sequential);
+    let apps = Application::all();
+    let full_baseline = |par| {
+        let opts = CampaignOptions {
+            par,
+            ..CampaignOptions::default()
+        };
+        Campaign::run_with_options(GpuConfig::baseline(), &apps, &opts)
+    };
+
+    let seq = full_baseline(Parallelism::Sequential);
     println!("sequential   {}", seq.run_report());
 
-    let auto = Campaign::full_baseline(Parallelism::Auto);
+    let auto = full_baseline(Parallelism::Auto);
     println!("auto         {}", auto.run_report());
 
     assert_eq!(

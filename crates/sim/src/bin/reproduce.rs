@@ -58,7 +58,7 @@ use bvf_workloads::Application;
 
 const USAGE: &str =
     "usage: reproduce [quick] [--jobs N] [--shards N|auto] [--export DIR] [--metrics FILE]
-                 [--progress] [--profile] [--cache DIR] [--no-cache] [--cache-verify N]
+                 [--progress] [--profile] [--cache DIR] [--cache-verify N]
                  [--trace FILE] [--trace-report] [--inject-panic APP]
 
   quick           smoke subset (6 apps, 2 SMs) instead of the full 58-app run
@@ -72,7 +72,6 @@ const USAGE: &str =
   --profile       per-phase simulator time breakdown per campaign (stderr)
   --cache DIR     persistent result store: reuse per-app results whose
                   configuration, ISA, and app are unchanged; write the rest
-  --no-cache      ignore --cache for this run (simulate and store nothing)
   --cache-verify N  re-simulate N sampled cache hits per campaign and
                   require bit-identical summaries (needs --cache)
   --trace FILE    write a Chrome trace-event JSON span tree of every
@@ -93,7 +92,6 @@ struct Args {
     progress: bool,
     profile: bool,
     cache_dir: Option<String>,
-    no_cache: bool,
     cache_verify: Option<usize>,
     trace_path: Option<String>,
     trace_report: bool,
@@ -110,7 +108,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         progress: false,
         profile: false,
         cache_dir: None,
-        no_cache: false,
         cache_verify: None,
         trace_path: None,
         trace_report: false,
@@ -172,7 +169,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 args.cache_dir = Some(value_of(i, "--cache")?);
                 i += 1;
             }
-            "--no-cache" => args.no_cache = true,
             "--cache-verify" => {
                 let v = value_of(i, "--cache-verify")?;
                 let n: usize = v
@@ -272,18 +268,13 @@ fn main() {
         eprintln!("error: {e}\n{USAGE}");
         std::process::exit(2);
     });
-    let store = match (&args.cache_dir, args.no_cache) {
-        (Some(dir), false) => {
-            let opened = ResultStore::open(dir).unwrap_or_else(|e| {
-                eprintln!("cannot open cache directory {dir:?}: {e}");
-                std::process::exit(2);
-            });
-            Some(Arc::new(
-                opened.with_verify_sample(args.cache_verify.unwrap_or(0)),
-            ))
-        }
-        _ => None,
-    };
+    let store = args.cache_dir.as_ref().map(|dir| {
+        let opened = ResultStore::open(dir).unwrap_or_else(|e| {
+            eprintln!("cannot open cache directory {dir:?}: {e}");
+            std::process::exit(2);
+        });
+        Arc::new(opened.with_verify_sample(args.cache_verify.unwrap_or(0)))
+    });
     let tracing = args.trace_path.is_some() || args.trace_report;
     let tracer = if tracing {
         bvf_obs::TraceSink::enabled()
@@ -378,9 +369,9 @@ fn main() {
     );
     let t0 = std::time::Instant::now();
     let main_campaign = if args.quick {
-        Campaign::smoke_with_options(&opts_for("main"))
+        Campaign::smoke(&opts_for("main"))
     } else {
-        Campaign::full_baseline_with_options(&opts_for("main"))
+        Campaign::run_with_options(GpuConfig::baseline(), &apps, &opts_for("main"))
     };
     finish_campaign("main", &main_campaign, &mut telemetry);
 

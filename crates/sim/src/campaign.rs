@@ -127,8 +127,8 @@ where
 
 /// Knobs for [`Campaign::run_with_options`] beyond the application set.
 ///
-/// The default is exactly what [`Campaign::run`] does: auto parallelism,
-/// Pascal ISA, no progress output, metrics disabled.
+/// The default runs on an auto-sized pool with the Pascal ISA, no
+/// sharding, store, progress output, metrics or tracing.
 #[derive(Debug, Clone)]
 pub struct CampaignOptions {
     /// Worker-pool sizing.
@@ -401,40 +401,9 @@ impl Campaign {
     }
 
     /// Run every application in `apps` on a fresh GPU with the standard
-    /// five coding views (baseline / NV / VS / ISA / BVF).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `apps` is empty.
-    pub fn run(config: GpuConfig, apps: &[Application], par: Parallelism) -> Self {
-        Self::run_with_arch(config, apps, Architecture::Pascal, par)
-    }
-
-    /// [`Campaign::run`] with an explicit ISA generation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `apps` is empty.
-    pub fn run_with_arch(
-        config: GpuConfig,
-        apps: &[Application],
-        arch: Architecture,
-        par: Parallelism,
-    ) -> Self {
-        Self::run_with_options(
-            config,
-            apps,
-            &CampaignOptions {
-                par,
-                arch,
-                ..CampaignOptions::default()
-            },
-        )
-    }
-
-    /// [`Campaign::run`] with the full option set: parallelism, ISA
-    /// generation, live progress on stderr, and a metrics sink (see
-    /// [`CampaignOptions`]).
+    /// five coding views (baseline / NV / VS / ISA / BVF) under `opts`:
+    /// parallelism, ISA generation, sharding, store, progress, metrics and
+    /// tracing (see [`CampaignOptions`]).
     ///
     /// # Panics
     ///
@@ -649,36 +618,9 @@ impl Campaign {
             .collect()
     }
 
-    /// The full 58-application campaign on the Table 3 baseline.
-    pub fn full_baseline(par: Parallelism) -> Self {
-        Self::full_baseline_with_options(&CampaignOptions {
-            par,
-            ..CampaignOptions::default()
-        })
-    }
-
-    /// [`Campaign::full_baseline`] with the full option set.
-    pub fn full_baseline_with_options(opts: &CampaignOptions) -> Self {
-        Self::run_with_options(GpuConfig::baseline(), &Application::all(), opts)
-    }
-
     /// A reduced campaign for fast tests: a representative subset on a
-    /// 2-SM GPU.
-    pub fn smoke() -> Self {
-        Self::smoke_with(Parallelism::Auto)
-    }
-
-    /// [`Campaign::smoke`] with an explicit parallelism knob (the
-    /// determinism tests compare worker counts on this workload).
-    pub fn smoke_with(par: Parallelism) -> Self {
-        Self::smoke_with_options(&CampaignOptions {
-            par,
-            ..CampaignOptions::default()
-        })
-    }
-
-    /// [`Campaign::smoke`] with the full option set.
-    pub fn smoke_with_options(opts: &CampaignOptions) -> Self {
+    /// 2-SM GPU, run under `opts`.
+    pub fn smoke(opts: &CampaignOptions) -> Self {
         let mut config = GpuConfig::baseline();
         config.sms = 2;
         let apps: Vec<Application> = ["VAD", "BFS", "BLA", "IMD", "RED", "SGE"]
@@ -1226,6 +1168,13 @@ mod tests {
     use bvf_core::Unit;
     use proptest::prelude::*;
 
+    fn with_par(par: Parallelism) -> CampaignOptions {
+        CampaignOptions {
+            par,
+            ..CampaignOptions::default()
+        }
+    }
+
     proptest! {
         /// Output order always matches input order — for any items, any
         /// worker count, and any (uneven) per-item cost profile, so
@@ -1259,7 +1208,7 @@ mod tests {
             .iter()
             .map(|c| Application::by_code(c).expect("app"))
             .collect();
-        let c = Campaign::run(config, &apps, Parallelism::Fixed(3));
+        let c = Campaign::run_with_options(config, &apps, &with_par(Parallelism::Fixed(3)));
         let got: Vec<&str> = c.results.iter().map(|r| r.app.code).collect();
         assert_eq!(got, codes);
     }
@@ -1282,7 +1231,7 @@ mod tests {
 
     #[test]
     fn smoke_campaign_runs_everything() {
-        let c = Campaign::smoke();
+        let c = Campaign::smoke(&CampaignOptions::default());
         assert_eq!(c.results.len(), 6);
         for r in &c.results {
             assert!(
@@ -1324,8 +1273,8 @@ mod tests {
 
     #[test]
     fn sequential_and_parallel_campaigns_are_bit_identical() {
-        let seq = Campaign::smoke_with(Parallelism::Sequential);
-        let par = Campaign::smoke_with(Parallelism::Fixed(4));
+        let seq = Campaign::smoke(&with_par(Parallelism::Sequential));
+        let par = Campaign::smoke(&with_par(Parallelism::Fixed(4)));
         assert_eq!(par.workers, 4);
         assert_eq!(seq.workers, 1);
         // PartialEq covers config, arch, mask, and every TraceSummary —
@@ -1336,7 +1285,7 @@ mod tests {
 
     #[test]
     fn run_report_totals_are_consistent() {
-        let c = Campaign::smoke_with(Parallelism::Fixed(2));
+        let c = Campaign::smoke(&with_par(Parallelism::Fixed(2)));
         let r = c.run_report();
         assert_eq!(r.apps, 6);
         assert_eq!(r.workers, 2);
@@ -1361,7 +1310,7 @@ mod tests {
 
     #[test]
     fn run_report_exposes_per_app_wall_stats() {
-        let c = Campaign::smoke_with(Parallelism::Fixed(2));
+        let c = Campaign::smoke(&with_par(Parallelism::Fixed(2)));
         let r = c.run_report();
         assert!(r.min_app_wall <= r.mean_app_wall);
         assert!(r.mean_app_wall <= r.max_app_wall);
@@ -1380,7 +1329,8 @@ mod tests {
             .iter()
             .map(|c| Application::by_code(c).expect("app"))
             .collect();
-        let plain = Campaign::run(config.clone(), &apps, Parallelism::Sequential);
+        let plain =
+            Campaign::run_with_options(config.clone(), &apps, &with_par(Parallelism::Sequential));
         let sink = MetricsSink::enabled();
         let profiled = Campaign::run_with_options(
             config,
@@ -1435,7 +1385,7 @@ mod tests {
 
     #[test]
     fn bvf_view_increases_ones_across_the_board() {
-        let c = Campaign::smoke();
+        let c = Campaign::smoke(&CampaignOptions::default());
         for r in &c.results {
             let base = r.summary.view("baseline").unit(Unit::Reg);
             let bvf = r.summary.view("bvf").unit(Unit::Reg);
@@ -1449,7 +1399,7 @@ mod tests {
 
     #[test]
     fn result_lookup() {
-        let c = Campaign::smoke();
+        let c = Campaign::smoke(&CampaignOptions::default());
         assert_eq!(c.result("VAD").app.code, "VAD");
         assert_eq!(c.try_result("VAD").unwrap().app.code, "VAD");
         assert!(c.try_result("nope").is_none());
@@ -1458,7 +1408,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "no result for application")]
     fn missing_result_panics() {
-        Campaign::smoke().result("nope");
+        Campaign::smoke(&CampaignOptions::default()).result("nope");
     }
 
     /// A scratch store directory, wiped before use.
@@ -1480,17 +1430,17 @@ mod tests {
     fn cached_campaign_is_bit_identical_to_fresh() {
         let dir = temp_store("roundtrip");
         let store = Arc::new(ResultStore::open(&dir).expect("open store"));
-        let cold = Campaign::smoke_with_options(&store_opts(&store));
+        let cold = Campaign::smoke(&store_opts(&store));
         assert_eq!((cold.cache_hits, cold.cache_misses), (0, 6));
         assert!(cold.results.iter().all(|r| !r.cached));
-        let warm = Campaign::smoke_with_options(&store_opts(&store));
+        let warm = Campaign::smoke(&store_opts(&store));
         assert_eq!((warm.cache_hits, warm.cache_misses), (6, 0));
         assert!(warm.results.iter().all(|r| r.cached));
         // The warm campaign equals both the cold one and a store-less run:
         // PartialEq compares every counter in every TraceSummary, so this
         // is the bit-identical guarantee of the persisted round trip.
         assert_eq!(cold, warm);
-        assert_eq!(Campaign::smoke(), warm);
+        assert_eq!(Campaign::smoke(&CampaignOptions::default()), warm);
         let report = warm.run_report();
         assert_eq!((report.cache_hits, report.cache_misses), (6, 0));
         assert!(format!("{report}").contains("cache: 6 hits, 0 misses"));
@@ -1532,7 +1482,7 @@ mod tests {
     fn corrupted_cache_entries_fall_back_to_simulation() {
         let dir = temp_store("corrupt");
         let store = Arc::new(ResultStore::open(&dir).expect("open store"));
-        let cold = Campaign::smoke_with_options(&store_opts(&store));
+        let cold = Campaign::smoke(&store_opts(&store));
         // Vandalize every entry on disk.
         let mut corrupted = 0;
         for sub in std::fs::read_dir(&dir).expect("store dir") {
@@ -1548,7 +1498,7 @@ mod tests {
         assert_eq!(corrupted, 6, "every app left one entry");
         // A fresh handle (cold stats) sees only misses and re-simulates.
         let store = Arc::new(ResultStore::open(&dir).expect("reopen store"));
-        let warm = Campaign::smoke_with_options(&store_opts(&store));
+        let warm = Campaign::smoke(&store_opts(&store));
         assert_eq!((warm.cache_hits, warm.cache_misses), (0, 6));
         assert_eq!(cold, warm, "corruption must never change results");
         assert_eq!(store.stats().corrupt, 6);
@@ -1557,7 +1507,7 @@ mod tests {
 
     #[test]
     fn injected_panic_surfaces_as_failure_not_abort() {
-        let c = Campaign::smoke_with_options(&CampaignOptions {
+        let c = Campaign::smoke(&CampaignOptions {
             par: Parallelism::Fixed(3),
             fault: Some("BFS".to_string()),
             ..CampaignOptions::default()
@@ -1586,9 +1536,9 @@ mod tests {
             sink: sink.clone(),
             ..store_opts(&store)
         };
-        let cold = Campaign::smoke_with_options(&opts);
+        let cold = Campaign::smoke(&opts);
         assert_eq!(cold.cache_verified, 0, "nothing to verify on a cold run");
-        let warm = Campaign::smoke_with_options(&opts);
+        let warm = Campaign::smoke(&opts);
         assert_eq!((warm.cache_hits, warm.cache_verified), (6, 2));
         assert_eq!(cold, warm);
         // The sink saw the same traffic the campaign counted.
@@ -1611,11 +1561,11 @@ mod tests {
 
     #[test]
     fn sharded_campaigns_are_bit_identical_to_unsharded() {
-        let plain = Campaign::smoke();
+        let plain = Campaign::smoke(&CampaignOptions::default());
         // The smoke GPU has 2 SMs: 2 shards per app, at several worker
         // counts (including one worker handling every shard itself).
         for workers in [1usize, 3, 7] {
-            let sharded = Campaign::smoke_with_options(&CampaignOptions {
+            let sharded = Campaign::smoke(&CampaignOptions {
                 par: Parallelism::Fixed(workers),
                 shards: ShardMode::Fixed(2),
                 ..CampaignOptions::default()
@@ -1625,7 +1575,7 @@ mod tests {
             assert_eq!(plain, sharded, "sharded run diverged at {workers} workers");
         }
         // Auto resolves against the pool and stays bit-identical too.
-        let auto = Campaign::smoke_with_options(&CampaignOptions {
+        let auto = Campaign::smoke(&CampaignOptions {
             par: Parallelism::Fixed(4),
             shards: ShardMode::Auto,
             ..CampaignOptions::default()
@@ -1644,7 +1594,7 @@ mod tests {
             store,
             ..CampaignOptions::default()
         };
-        let cold = Campaign::smoke_with_options(&opts(Some(Arc::clone(&store))));
+        let cold = Campaign::smoke(&opts(Some(Arc::clone(&store))));
         assert_eq!(
             (cold.cache_hits, cold.cache_misses),
             (0, 12),
@@ -1680,7 +1630,7 @@ mod tests {
             }
         }
         let store = Arc::new(ResultStore::open(&dir).expect("reopen store"));
-        let resumed = Campaign::smoke_with_options(&opts(Some(Arc::clone(&store))));
+        let resumed = Campaign::smoke(&opts(Some(Arc::clone(&store))));
         assert_eq!(
             (resumed.cache_hits, resumed.cache_misses),
             (5, 7),
@@ -1689,7 +1639,7 @@ mod tests {
         assert_eq!(cold, resumed, "resume must be bit-identical");
         // Apps with any fresh shard are not `cached`; fully-warm re-run is.
         assert!(resumed.results.iter().all(|r| !r.cached));
-        let warm = Campaign::smoke_with_options(&opts(Some(store)));
+        let warm = Campaign::smoke(&opts(Some(store)));
         assert_eq!((warm.cache_hits, warm.cache_misses), (12, 0));
         assert!(warm.results.iter().all(|r| r.cached));
         assert_eq!(cold, warm);
@@ -1706,7 +1656,7 @@ mod tests {
             store: Some(store),
             ..CampaignOptions::default()
         };
-        let cold = Campaign::smoke_with_options(&opts(Arc::clone(&store)));
+        let cold = Campaign::smoke(&opts(Arc::clone(&store)));
         // Validly encoded shards that do not fit the campaign: VAD's shard
         // 0 logs a DRAM request on a channel the GPU does not have, BLA's
         // shard 1 carries one coding view too few. Merging either panics.
@@ -1723,11 +1673,11 @@ mod tests {
         plant("VAD", 0, |shard, banks| shard.dram_log[0].0 = banks);
         plant("BLA", 1, |shard, _| drop(shard.views.pop()));
         let store = Arc::new(ResultStore::open(&dir).expect("reopen store"));
-        let warm = Campaign::smoke_with_options(&opts(store));
+        let warm = Campaign::smoke(&opts(store));
         assert!(warm.failures.is_empty(), "{:?}", warm.failures);
         assert_eq!((warm.cache_hits, warm.cache_misses), (10, 2));
         assert_eq!(warm, cold);
-        assert_eq!(warm, Campaign::smoke());
+        assert_eq!(warm, Campaign::smoke(&CampaignOptions::default()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1735,14 +1685,14 @@ mod tests {
     fn sharded_campaign_saves_the_merged_summary_for_unsharded_runs() {
         let dir = temp_store("shard_to_whole");
         let store = Arc::new(ResultStore::open(&dir).expect("open store"));
-        let sharded = Campaign::smoke_with_options(&CampaignOptions {
+        let sharded = Campaign::smoke(&CampaignOptions {
             shards: ShardMode::Fixed(2),
             store: Some(Arc::clone(&store)),
             ..CampaignOptions::default()
         });
         // A subsequent UNSHARDED campaign hits the whole-app keys the
         // sharded run saved after merging.
-        let unsharded = Campaign::smoke_with_options(&store_opts(&store));
+        let unsharded = Campaign::smoke(&store_opts(&store));
         assert_eq!((unsharded.cache_hits, unsharded.cache_misses), (6, 0));
         assert_eq!(sharded, unsharded);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1754,7 +1704,7 @@ mod tests {
         // exactly one failure, in registry position, regardless of worker
         // count or the longest-first queue permutation.
         for workers in [1usize, 4] {
-            let c = Campaign::smoke_with_options(&CampaignOptions {
+            let c = Campaign::smoke(&CampaignOptions {
                 par: Parallelism::Fixed(workers),
                 shards: ShardMode::Fixed(2),
                 fault: Some("BFS".to_string()),
@@ -1767,7 +1717,7 @@ mod tests {
             assert!(c.try_result("BFS").is_none());
             // And the failing sharded campaign equals the failing
             // unsharded one — failures included.
-            let plain = Campaign::smoke_with_options(&CampaignOptions {
+            let plain = Campaign::smoke(&CampaignOptions {
                 par: Parallelism::Fixed(workers),
                 fault: Some("BFS".to_string()),
                 ..CampaignOptions::default()
@@ -1778,7 +1728,7 @@ mod tests {
 
     #[test]
     fn sharded_run_report_exposes_the_shorter_tail() {
-        let c = Campaign::smoke_with_options(&CampaignOptions {
+        let c = Campaign::smoke(&CampaignOptions {
             par: Parallelism::Fixed(2),
             shards: ShardMode::Fixed(2),
             ..CampaignOptions::default()
@@ -1791,7 +1741,7 @@ mod tests {
             "one shard can never outlast its whole app"
         );
         assert!(format!("{r}").contains("sharded 2 per app"));
-        let plain = Campaign::smoke_with(Parallelism::Fixed(2)).run_report();
+        let plain = Campaign::smoke(&with_par(Parallelism::Fixed(2))).run_report();
         assert_eq!(plain.shards, 1);
         assert_eq!(plain.max_item_wall, plain.max_app_wall);
     }
@@ -1815,13 +1765,13 @@ mod tests {
                 .expect("open store")
                 .with_verify_sample(6),
         );
-        let cold = Campaign::smoke_with_options(&store_opts(&store));
+        let cold = Campaign::smoke(&store_opts(&store));
         // Plant a stale entry: VAD's key now stores BLA's (validly encoded,
         // wrong) summary — exactly what a simulator change without a
         // STORE_FORMAT_VERSION bump would leave behind.
         let key = ResultStore::key(&cold.config, cold.arch, cold.isa_mask, "VAD");
         store.save(key, "VAD", &cold.result("BLA").summary);
-        let warm = Campaign::smoke_with_options(&store_opts(&store));
+        let warm = Campaign::smoke(&store_opts(&store));
         assert_eq!(warm.failures.len(), 1);
         assert_eq!(warm.failures[0].app, "VAD");
         assert!(warm.failures[0].error.contains("cache verification failed"));
@@ -1863,7 +1813,7 @@ mod tests {
             fault: fault.map(str::to_string),
             ..CampaignOptions::default()
         };
-        let c = Campaign::smoke_with_options(&opts);
+        let c = Campaign::smoke(&opts);
         let text = bvf_obs::trace::export_chrome(&tracer.events(), tracer.dropped());
         let scrubbed = bvf_obs::trace::scrub_chrome(&text).expect("trace parses");
         (scrubbed, c, tracer)

@@ -206,6 +206,7 @@ pub fn edram_substrate(campaign: &Campaign, node: ProcessNode) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::CampaignOptions;
 
     fn small_config() -> GpuConfig {
         let mut cfg = GpuConfig::baseline();
@@ -272,7 +273,7 @@ mod tests {
 
     #[test]
     fn edram_substrate_also_saves() {
-        let c = Campaign::smoke();
+        let c = Campaign::smoke(&CampaignOptions::default());
         let t = edram_substrate(&c, ProcessNode::N40);
         let bvf = t.get("bvf", "chip red %").unwrap();
         let edram = t.get("edram-bvf", "chip red %").unwrap();

@@ -115,10 +115,11 @@ pub fn fig18_19(campaign: &Campaign, node: ProcessNode) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::CampaignOptions;
 
     #[test]
     fn fig16_units_mostly_improve() {
-        let c = Campaign::smoke();
+        let c = Campaign::smoke(&CampaignOptions::default());
         let t = fig16_17(&c, ProcessNode::N28);
         // The combined design must cut register energy substantially.
         let reg = t.get("REG", "bvf").unwrap();
@@ -131,7 +132,7 @@ mod tests {
 
     #[test]
     fn fig18_has_avg_row_with_positive_reduction() {
-        let c = Campaign::smoke();
+        let c = Campaign::smoke(&CampaignOptions::default());
         let t = fig18_19(&c, ProcessNode::N40);
         let red = t.get("AVG", "chip red %").unwrap();
         assert!(red > 0.0, "average chip reduction {red}% not positive");
@@ -141,7 +142,7 @@ mod tests {
 
     #[test]
     fn memory_intensive_apps_save_more() {
-        let c = Campaign::smoke();
+        let c = Campaign::smoke(&CampaignOptions::default());
         let t = fig18_19(&c, ProcessNode::N40);
         let mem = t.get("BFS", "chip red %").unwrap();
         let comp = t.get("BLA", "chip red %").unwrap();

@@ -155,9 +155,10 @@ pub fn table2(apps: &[Application]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::CampaignOptions;
 
     fn campaign() -> Campaign {
-        Campaign::smoke()
+        Campaign::smoke(&CampaignOptions::default())
     }
 
     #[test]

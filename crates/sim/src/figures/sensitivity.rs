@@ -176,10 +176,11 @@ pub fn fig23(campaign: &Campaign) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::CampaignOptions;
 
     #[test]
     fn fig20_reduction_consistent_across_pstates() {
-        let c = Campaign::smoke();
+        let c = Campaign::smoke(&CampaignOptions::default());
         let t = fig20(&c);
         let reds: Vec<f64> = t.rows.iter().map(|r| r.values[2]).collect();
         let (min, max) = reds
@@ -198,7 +199,7 @@ mod tests {
 
     #[test]
     fn fig23_bvf_beats_6t_and_near_threshold_wins() {
-        let c = Campaign::smoke();
+        let c = Campaign::smoke(&CampaignOptions::default());
         let t = fig23(&c);
         let sixt = t.get("6T @1.2V", "40nm").unwrap();
         let bvf = t.get("BVF-8T @1.2V", "40nm").unwrap();

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! key = fnv1a( STORE_FORMAT_VERSION
-//!            ‖ GpuConfig (every field, caches as (bytes, line, assoc))
+//!            ‖ GpuConfig (every simulated field, caches as (bytes, line, assoc))
 //!            ‖ Architecture tag ‖ derived ISA mask
 //!            ‖ application code )
 //! ```
@@ -41,7 +41,11 @@ use bvf_store::{fnv1a, subkey, DiskStore, Persist, Reader, StoreStats, Writer};
 /// channels, and the launch-global DRAM drain moving into `merge_shards`
 /// (shards log their off-chip traffic; the merge replays it) changed
 /// several simulated counters; shard sub-keys were added alongside.
-pub const STORE_FORMAT_VERSION: u32 = 2;
+///
+/// v3: the key preimage no longer carries `GpuConfig::name` (a display
+/// label no simulated counter reads), and `NarrowValueProfile` dropped its
+/// `non_negative_words` counter from the persisted summary.
+pub const STORE_FORMAT_VERSION: u32 = 3;
 
 /// A content-addressed store of per-application simulation results.
 ///
@@ -194,10 +198,12 @@ fn arch_tag(arch: Architecture) -> u8 {
         .expect("every architecture is in Architecture::ALL") as u8
 }
 
-/// Encode every field of a [`GpuConfig`] (the simulation's entire
-/// configuration-space identity) into the key preimage.
+/// Encode every simulated field of a [`GpuConfig`] (the simulation's
+/// entire configuration-space identity) into the key preimage. The display
+/// `name` is left out: configurations that differ only in their label
+/// (`gtx480()` is `baseline()` renamed) simulate identically and share
+/// entries.
 fn encode_config(w: &mut Writer, c: &GpuConfig) {
-    w.str(&c.name);
     w.u32(c.sms);
     w.u32(c.warps_per_sm);
     w.u32(c.reg_bytes_per_sm);
@@ -254,6 +260,12 @@ mod tests {
         }
         // And the key is a pure function: same inputs, same address.
         assert_eq!(key(&base, Architecture::Pascal, 0xff, "VAD"), k0);
+        // The display name is not an axis: the GTX-480 capacity point is
+        // the baseline under another label, so it reuses the entries.
+        assert_eq!(
+            key(&GpuConfig::gtx480(), Architecture::Pascal, 0xff, "VAD"),
+            k0
+        );
     }
 
     #[test]

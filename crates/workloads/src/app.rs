@@ -119,22 +119,6 @@ impl Application {
         Self::all().into_iter().find(|a| a.code == code)
     }
 
-    /// The subsets the paper highlights as memory-intensive big savers.
-    pub fn memory_intensive() -> Vec<Application> {
-        Self::all()
-            .into_iter()
-            .filter(|a| a.class == AppClass::MemoryIntensive)
-            .collect()
-    }
-
-    /// The subsets the paper highlights as compute-intensive modest savers.
-    pub fn compute_intensive() -> Vec<Application> {
-        Self::all()
-            .into_iter()
-            .filter(|a| a.class == AppClass::ComputeIntensive)
-            .collect()
-    }
-
     /// Deterministic per-app data seed.
     fn seed(&self) -> u64 {
         self.code.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {

@@ -136,12 +136,6 @@ impl DataProfile {
             DataProfile::DenseRandom => (0..len).map(|_| rng.gen::<u32>()).collect(),
         }
     }
-
-    /// The suite-average mix the paper profiles: used for buffers standing
-    /// in for "typical application data".
-    pub fn typical() -> Self {
-        DataProfile::NarrowInt { max: 1 << 12 }
-    }
 }
 
 #[cfg(test)]

@@ -8,12 +8,12 @@ use bvf::circuit::ProcessNode;
 use bvf::gpu::GpuConfig;
 use bvf::isa::Architecture;
 use bvf::sim::figures::{circuit, energy, overhead, profile, sensitivity};
-use bvf::sim::Campaign;
+use bvf::sim::{Campaign, CampaignOptions};
 use bvf::workloads::Application;
 
 fn campaign() -> &'static Campaign {
     static C: OnceLock<Campaign> = OnceLock::new();
-    C.get_or_init(Campaign::smoke)
+    C.get_or_init(|| Campaign::smoke(&CampaignOptions::default()))
 }
 
 #[test]
