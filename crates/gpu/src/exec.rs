@@ -809,11 +809,11 @@ fn is_nan(x: u32) -> bool {
 }
 
 /// One lane of an ALU op. Float results are pinned by [`pin_float`]
-/// where Rust leaves their bits open.
+/// where Rust leaves their bits open or [`alu_raw`] may be inexact.
 #[inline(always)]
 fn alu(op: Op, a: u32, b: u32, c: u32) -> u32 {
     let r = alu_raw(op, a, b, c);
-    if needs_pin(op, a, b, r) {
+    if needs_pin(op, a, b, c, r) {
         pin_float(op, a, b, c, r)
     } else {
         r
@@ -839,7 +839,7 @@ fn alu_raw(op: Op, a: u32, b: u32, c: u32) -> u32 {
         Op::Clz => a.leading_zeros(),
         Op::FAdd => (fa + fb).to_bits(),
         Op::FMul => (fa * fb).to_bits(),
-        Op::FFma => fa.mul_add(fb, fc).to_bits(),
+        Op::FFma => (ffma_wide(fa, fb, fc) as f32).to_bits(),
         Op::FMin => fa.min(fb).to_bits(),
         Op::FMax => fa.max(fb).to_bits(),
         Op::I2F => (a as i32 as f32).to_bits(),
@@ -848,19 +848,48 @@ fn alu_raw(op: Op, a: u32, b: u32, c: u32) -> u32 {
     }
 }
 
-/// Whether the raw result `r` of `op` has bits Rust leaves open: a NaN,
-/// or for min/max also the sign of a zero picked from two zeros.
+/// `a * b + c` in `f64`, where the product of two `f32`s is exact and only
+/// the sum rounds. Rounding it again to `f32` is the single rounding of
+/// the exact value that `f32::mul_add` computes (without its out-of-line
+/// `fmaf`) unless [`ffma_twice_rounded`] says otherwise.
 #[inline(always)]
-fn needs_pin(op: Op, a: u32, b: u32, r: u32) -> bool {
+fn ffma_wide(a: f32, b: f32, c: f32) -> f64 {
+    f64::from(a) * f64::from(b) + f64::from(c)
+}
+
+/// Whether `f32` rounding of the [`ffma_wide`] sum may differ from
+/// rounding the exact value: when the sum sits on an `f32` rounding
+/// midpoint (the first rounding may have moved the exact value onto it)
+/// or is a nonzero value below the `f32` normal range (where the
+/// midpoints are farther apart). Every `f32` midpoint is an `f64`, so
+/// elsewhere the first rounding cannot cross one.
+///
+/// Non-short-circuit operators keep the warp's 32-lane check branch-free.
+#[inline(always)]
+fn ffma_twice_rounded(sum: f64) -> bool {
+    (sum.to_bits() & 0x1fff_ffff == 0x1000_0000)
+        | ((sum.abs() < f64::from(f32::MIN_POSITIVE)) & (sum != 0.0))
+}
+
+/// Whether the raw result `r` of `op` has bits Rust leaves open: a NaN,
+/// or for min/max also the sign of a zero picked from two zeros — or, for
+/// a fused multiply-add, may be rounded twice.
+#[inline(always)]
+fn needs_pin(op: Op, a: u32, b: u32, c: u32, r: u32) -> bool {
     match op {
-        Op::FAdd | Op::FMul | Op::FFma => is_nan(r),
+        Op::FAdd | Op::FMul => is_nan(r),
+        Op::FFma => {
+            let (fa, fb, fc) = (f32::from_bits(a), f32::from_bits(b), f32::from_bits(c));
+            is_nan(r) | ffma_twice_rounded(ffma_wide(fa, fb, fc))
+        }
         Op::FMin | Op::FMax => is_nan(r) || (a | b) & !SIGN == 0,
         _ => false,
     }
 }
 
 /// The bits of a float result [`needs_pin`] flags, fixed to the scalar
-/// x86 rule: an add, multiply or fused multiply-add returns its first NaN
+/// x86 rule: a fused multiply-add that may be rounded twice is redone by
+/// `f32::mul_add`; an add, multiply or fused multiply-add returns its first NaN
 /// operand, quieted, or [`DEFAULT_NAN`] when no operand was NaN. Min and
 /// max return the first of two NaNs, quieted, and of two zeros −0 for
 /// min and +0 for max (with one NaN operand Rust already returns the
@@ -869,6 +898,9 @@ fn needs_pin(op: Op, a: u32, b: u32, r: u32) -> bool {
 #[inline(always)]
 fn pin_float(op: Op, a: u32, b: u32, c: u32, r: u32) -> u32 {
     match op {
+        Op::FFma if !is_nan(r) => f32::from_bits(a)
+            .mul_add(f32::from_bits(b), f32::from_bits(c))
+            .to_bits(),
         Op::FMin | Op::FMax if is_nan(r) => a | QUIET,
         Op::FMin => a | b,
         Op::FMax => a & b,
@@ -902,7 +934,7 @@ fn alu_warp(op: Op, a: &[u32; 32], b: &[u32; 32], c: &[u32; 32]) -> [u32; 32] {
                 $(Op::$op => {
                     let raw: [u32; 32] =
                         core::array::from_fn(|l| alu_raw(Op::$op, a[l], b[l], c[l]));
-                    let pin = (0..32).fold(false, |any, l| any | needs_pin(Op::$op, a[l], b[l], raw[l]));
+                    let pin = (0..32).fold(false, |any, l| any | needs_pin(Op::$op, a[l], b[l], c[l], raw[l]));
                     if pin {
                         core::array::from_fn(|l| alu(Op::$op, a[l], b[l], c[l]))
                     } else {
@@ -1574,7 +1606,78 @@ mod tests {
         }
     }
 
+    /// `alu`'s fused multiply-add against `f32::mul_add`, NaN bits pinned
+    /// alike.
+    fn assert_ffma_exact(a: u32, b: u32, c: u32) {
+        let reference = f32::from_bits(a)
+            .mul_add(f32::from_bits(b), f32::from_bits(c))
+            .to_bits();
+        let reference = if is_nan(reference) {
+            pin_float(Op::FFma, a, b, c, reference)
+        } else {
+            reference
+        };
+        assert_eq!(
+            alu(Op::FFma, a, b, c),
+            reference,
+            "fma({a:#010x}, {b:#010x}, {c:#010x})"
+        );
+    }
+
+    /// `b·(1 − 2⁻ʲ)·(1 + 2⁻ʲ)` scaled to half an ulp of `c`: the exact sum
+    /// lies 2⁻²ʲ of that half ulp below `c`'s rounding midpoint, close
+    /// enough for `j ≥ 15` that the `f64` sum rounds onto the midpoint.
+    fn near_midpoint(c: u32, j: u32, negate: bool) -> (u32, u32, u32) {
+        let half_ulp_exp = ((c >> 23) & 0xff) - 24;
+        let a = (half_ulp_exp << 23) | (1 << (23 - j)) | (c & SIGN);
+        let b = (126 << 23) | (0x7f_ffff & !((1 << (24 - j)) - 1));
+        (a ^ if negate { SIGN } else { 0 }, b, c)
+    }
+
+    #[test]
+    fn ffma_is_exact_on_a_double_rounding_midpoint() {
+        // 1 + 2⁻²³ + 2⁻²⁴ − 2⁻⁶⁴ rounds down to 1 + 2⁻²³; the f64 sum
+        // rounds to the midpoint, which ties to the even 1 + 2⁻²².
+        let (a, b, c) = near_midpoint(0x3f80_0001, 20, false);
+        let (fa, fb, fc) = (f32::from_bits(a), f32::from_bits(b), f32::from_bits(c));
+        let twice_rounded = (f64::from(fa) * f64::from(fb) + f64::from(fc)) as f32;
+        assert_eq!(fa.mul_add(fb, fc).to_bits(), 0x3f80_0001);
+        assert_ne!(twice_rounded.to_bits(), 0x3f80_0001, "the case is a hazard");
+        assert_ffma_exact(a, b, c);
+        for &x in &EDGES {
+            for &y in &EDGES {
+                for &z in &EDGES {
+                    assert_ffma_exact(x, y, z);
+                }
+            }
+        }
+    }
+
     proptest::proptest! {
+        /// Fused multiply-add over random bits, edge patterns (NaN, ±inf,
+        /// ±0, subnormals) and sums at or near an `f32` midpoint.
+        #[test]
+        fn ffma_matches_mul_add(
+            raw: [u32; 3],
+            pick: [u8; 3],
+            c in 0x0c80_0000u32..0x7f00_0000,
+            j in 12u32..24,
+            negate: bool,
+            sign: bool,
+        ) {
+            let [a, b, z] = core::array::from_fn(|k| {
+                if pick[k] & 1 == 0 {
+                    EDGES[usize::from(pick[k] >> 1) % EDGES.len()]
+                } else {
+                    raw[k]
+                }
+            });
+            assert_ffma_exact(a, b, z);
+            let (a, b, c) = near_midpoint(c | if sign { SIGN } else { 0 }, j, negate);
+            assert_ffma_exact(a, b, c);
+            assert_alu_warp_matches(&[a; 32], &[b; 32], &[c; 32]);
+        }
+
         /// Random lanes, about half of them replaced by edge patterns.
         #[test]
         fn alu_warp_matches_alu_lanewise(raw: [[u32; 3]; 32], pick: [[u8; 3]; 32]) {

@@ -144,10 +144,11 @@ pub struct CampaignOptions {
     /// aggregates counters across the whole campaign; the default disabled
     /// sink makes every probe a no-op.
     pub sink: MetricsSink,
-    /// Persistent result store. When set, each worker consults the store
-    /// before simulating (a hit skips the simulation entirely) and writes
-    /// fresh results back after a miss. `None` — the default — simulates
-    /// everything.
+    /// Result store, on disk or in memory. When set, the campaign consults
+    /// every app's whole-app entry before scheduling its units (a hit
+    /// skips the simulation entirely), sharded units read their shard
+    /// sub-keys, and fresh results are written back. `None` — the default
+    /// — simulates everything.
     pub store: Option<Arc<ResultStore>>,
     /// Fault-injection drill: a worker about to simulate this application
     /// code panics instead. The panic must surface as an [`AppFailure`] on
@@ -301,11 +302,12 @@ fn with_heartbeat<R: Send>(progress: &Progress, body: impl FnOnce() -> R + Send)
 pub struct AppResult {
     /// The application executed.
     pub app: Application,
-    /// Its trace summary (all coding views).
-    pub summary: TraceSummary,
-    /// Wall-clock time this application's units took on their workers:
-    /// the store consult of a hit or the simulation of a miss, plus the
-    /// merge (store writes and missed consults excluded).
+    /// Its trace summary (all coding views), shared with an in-memory
+    /// store that holds the same result.
+    pub summary: Arc<TraceSummary>,
+    /// Wall-clock time this application's work items took on their
+    /// workers: the store consult of a hit or the simulation of a miss,
+    /// plus the merge (store writes and missed consults excluded).
     pub wall: Duration,
     /// Simulator throughput: dynamic instructions per wall-clock second.
     pub instructions_per_second: f64,
@@ -371,8 +373,8 @@ pub struct Campaign {
     /// Shards per application the work queue used (1 = unsharded).
     pub shards: u32,
     /// Wall time of the longest single work item — a whole application
-    /// unsharded, one shard under sharding. This is the fan-out's tail:
-    /// the quantity sharding exists to shrink.
+    /// unsharded, one shard under sharding, the store consult of a hit.
+    /// This is the fan-out's tail: the quantity sharding exists to shrink.
     pub max_item_wall: Duration,
     /// Application code -> index in `results`, for O(1) lookup.
     index: HashMap<&'static str, usize>,
@@ -432,18 +434,7 @@ impl Campaign {
         // *would* deliver with no item cap (the item count depends on the
         // shard count, so the cap cannot be applied first).
         let n = opts.shards.count(opts.par.workers(usize::MAX), config.sms);
-        // One queue of (app, shard) units for every shard count: longest
-        // app first, so the schedule's tail fills with small items instead
-        // of idling behind one big app, and an app's shards back to back,
-        // so a worker reuses the app's prepared memory image.
-        let mut order: Vec<usize> = (0..apps.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(apps[i].work_estimate()));
-        let units: Vec<(usize, u32)> = order
-            .iter()
-            .flat_map(|&i| (0..n).map(move |s| (i, s)))
-            .collect();
-        let workers = opts.par.workers(units.len());
-        let fanout = Fanout {
+        let mut fanout = Fanout {
             config: &config,
             views: CodingView::standard_set(isa_mask),
             apps,
@@ -453,10 +444,10 @@ impl Campaign {
             verify: opts
                 .store
                 .as_deref()
-                .map(|s| s.verify_selection(units.len()))
+                .map(|s| s.verify_selection(apps.len()))
                 .unwrap_or_default(),
             slots: apps.iter().map(|_| Mutex::default()).collect(),
-            progress: Progress::new(units.len(), if n == 1 { "apps" } else { "shards" }),
+            progress: Progress::new(0, "apps"),
             trace_root: format!("campaign:{}", opts.trace_label),
             store_counts: ["store.hit", "store.miss", "store.verify"]
                 .map(|name| (AtomicUsize::new(0), opts.sink.counter(name))),
@@ -467,6 +458,28 @@ impl Campaign {
             (rec, t0_ns)
         });
         let t0 = Instant::now();
+        // Consult every app's whole-app entry before scheduling its units,
+        // at any shard count: a hit publishes the app and schedules none.
+        let indices: Vec<usize> = (0..apps.len()).collect();
+        let consults = match opts.store {
+            Some(_) => parallel_map(&indices, opts.par, |&i| fanout.consult_app(i)),
+            None => vec![None; apps.len()],
+        };
+        // One queue of (app, shard) units over the rest: longest app
+        // first, so the schedule's tail fills with small items instead of
+        // idling behind one big app, and an app's shards back to back, so
+        // a worker reuses the app's prepared memory image.
+        let mut order: Vec<usize> = indices
+            .into_iter()
+            .filter(|&i| consults[i].is_none())
+            .collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(apps[i].work_estimate()));
+        let units: Vec<(usize, u32)> = order
+            .iter()
+            .flat_map(|&i| (0..n).map(move |s| (i, s)))
+            .collect();
+        let workers = opts.par.workers(units.len().max(apps.len()));
+        fanout.progress = Progress::new(units.len(), if n == 1 { "apps" } else { "shards" });
         let run_unit = |&(i, s): &(usize, u32)| fanout.run_unit(i, s);
         let outcomes = if opts.progress {
             with_heartbeat(&fanout.progress, || {
@@ -484,31 +497,43 @@ impl Campaign {
         } = fanout;
         let [hits, misses, verified] = store_counts.map(|(total, _)| total.into_inner());
 
-        // Assembly only regroups. `parallel_map` returned the outcomes in
-        // queue order; results and failures go out in registry order, so
-        // neither depends on the queue permutation or on completion order,
-        // with one failure per application (its lowest-indexed failing
-        // unit's error).
-        let mut by_unit: Vec<_> = units.iter().copied().zip(outcomes).collect();
+        // Assembly only regroups. Results and failures go out in registry
+        // order, so neither depends on the queue permutation or on
+        // completion order, with one failure per application: its
+        // consult's, or its lowest-indexed failing unit's error.
+        let mut by_unit: Vec<_> = units.into_iter().zip(outcomes).collect();
         by_unit.sort_unstable_by_key(|&(unit, _)| unit);
+        let consulted = consults
+            .into_iter()
+            .enumerate()
+            .filter_map(|(i, outcome)| Some((i, outcome?)));
+        let mut failed: Vec<Option<String>> = vec![None; apps.len()];
+        let mut item_wall = vec![Duration::ZERO; apps.len()];
+        for (i, outcome) in consulted.chain(by_unit.into_iter().map(|((i, _), o)| (i, o))) {
+            match outcome {
+                Ok(wall) => item_wall[i] = item_wall[i].max(wall),
+                Err(error) => {
+                    failed[i].get_or_insert(error);
+                }
+            }
+        }
         let mut results = Vec::with_capacity(apps.len());
         let mut failures = Vec::new();
         let mut max_item_wall = Duration::ZERO;
-        for ((app, slot), outcomes) in apps.iter().zip(slots).zip(by_unit.chunks(n as usize)) {
-            if let Some(error) = outcomes.iter().find_map(|(_, o)| o.as_ref().err()) {
+        for (((app, slot), failed), item_wall) in apps.iter().zip(slots).zip(failed).zip(item_wall)
+        {
+            if let Some(error) = failed {
                 failures.push(AppFailure {
                     app: app.code,
-                    error: error.clone(),
+                    error,
                 });
                 continue;
             }
-            for (_, outcome) in outcomes {
-                max_item_wall = max_item_wall.max(*outcome.as_ref().expect("no unit failed"));
-            }
+            max_item_wall = max_item_wall.max(item_wall);
             let slot = slot.into_inner().expect("no unit panics holding a slot");
             results.push(
                 slot.result
-                    .expect("the unit that filled the last slot merged"),
+                    .expect("a hit or the unit that filled the last slot published"),
             );
         }
         if let Some((rec, t0_ns)) = main_trace.as_mut() {
@@ -543,7 +568,8 @@ impl Campaign {
     /// each app's wall on the main lane (scrubbed before diffing). A phase
     /// slice is emitted iff it recorded events — `events` is deterministic
     /// (instructions for exec, DRAM requests for the drain, …) where its
-    /// nanos are not, so the *set* of emitted spans is stable too.
+    /// nanos are not, so the *set* of emitted spans is stable too. A cached
+    /// result emits none: this campaign ran none of its phases.
     fn emit_logical_spans(
         rec: &mut TraceRecorder,
         root: &str,
@@ -569,7 +595,12 @@ impl Campaign {
                 ],
             );
             let mut phase_cursor = cursor;
-            for (i, s) in r.summary.profile.slices.iter().enumerate() {
+            let slices = if r.cached {
+                &[][..]
+            } else {
+                &r.summary.profile.slices[..]
+            };
+            for (i, s) in slices.iter().enumerate() {
                 if s.events == 0 {
                     continue;
                 }
@@ -697,12 +728,13 @@ impl Campaign {
         }
     }
 
-    /// Every application's [`PhaseProfile`] folded into one (self-time
-    /// nanos and events summed phase-wise). Empty unless the campaign ran
-    /// with an enabled [`CampaignOptions::sink`].
+    /// Every simulated application's [`PhaseProfile`] folded into one
+    /// (self-time nanos and events summed phase-wise). Cached results are
+    /// left out: their profile, if any, timed another campaign. Empty
+    /// unless the campaign ran with an enabled [`CampaignOptions::sink`].
     pub fn merged_profile(&self) -> PhaseProfile {
         let mut merged = PhaseProfile::empty();
-        for r in &self.results {
+        for r in self.results.iter().filter(|r| !r.cached) {
             merged.merge(&r.summary.profile);
         }
         merged
@@ -766,12 +798,12 @@ pub(crate) fn simulate_shard(
     app.run_shard(&mut gpu, index, count)
 }
 
-/// What a store hit gives a unit: its launch shard, or — unsharded — the
-/// whole-app summary itself.
-#[allow(clippy::large_enum_variant)] // one per unit, moved twice
+/// What a store hit gives: a unit its launch shard, an app's whole-app
+/// consult the merged summary.
+#[allow(clippy::large_enum_variant)] // one per consult, moved once
 enum Piece {
     Shard(LaunchShard),
-    Whole(TraceSummary),
+    Whole(Arc<TraceSummary>),
 }
 
 /// One application's slot table. A failed unit never fills its slot, so
@@ -784,12 +816,13 @@ struct AppSlot {
     wall: Duration,
     /// Some delivered unit simulated instead of hitting the store.
     fresh: bool,
-    /// The result, set by the unit that filled the last slot.
+    /// The result, set by a whole-app hit or by the unit that filled the
+    /// last slot.
     result: Option<AppResult>,
 }
 
 /// One work item's trace context: its causal path and its own recorder
-/// on the unit's lane. The recorder's Drop flushes, so a panic inside the
+/// on the item's lane. The recorder's Drop flushes, so a panic inside the
 /// item still delivers every span closed before the unwind.
 struct ItemTrace {
     path: String,
@@ -829,9 +862,8 @@ const HIT: usize = 0;
 const MISS: usize = 1;
 const VERIFY: usize = 2;
 
-/// The shared state of one campaign fan-out over (app, shard) units: what
-/// every unit reads, the per-app slot tables units deliver into, and the
-/// counters they bump.
+/// The shared state of one campaign fan-out: what every work item reads,
+/// the per-app slot tables units deliver into, and the counters they bump.
 struct Fanout<'a> {
     config: &'a GpuConfig,
     views: Vec<CodingView>,
@@ -840,10 +872,10 @@ struct Fanout<'a> {
     isa_mask: u64,
     /// Shards per application (1 = unsharded).
     n: u32,
-    /// Which units re-simulate a store hit, by registry-order unit index
-    /// `i·n + s`.
+    /// Which apps re-simulate their store hits, by registry index.
     verify: Vec<bool>,
     slots: Vec<Mutex<AppSlot>>,
+    /// Progress of the units; set once the consults have picked them.
     progress: Progress,
     trace_root: String,
     /// Store hits, misses and verifications: campaign total, sink counter.
@@ -857,12 +889,12 @@ impl Fanout<'_> {
         self.opts.sink.add(*counter, 1);
     }
 
-    /// Simulate shard `s` of `app`, its launches traced under the item's
-    /// path plus `suffix`.
+    /// Simulate shard `s` of `count` of `app`, its launches traced under
+    /// the item's path plus `suffix`.
     fn simulate(
         &self,
         app: &Application,
-        s: u32,
+        (s, count): (u32, u32),
         trace: &Option<ItemTrace>,
         suffix: &str,
     ) -> LaunchShard {
@@ -880,37 +912,34 @@ impl Fanout<'_> {
             &self.opts.sink,
             app,
             s,
-            self.n,
+            count,
             scope,
         )
     }
 
-    /// Run unit (app `i`, shard `s`) and return its wall time, or the
-    /// panic message that failed it. Everything fallible runs under
-    /// `catch_unwind`: a panicking unit (simulator bug, fault drill, failed
-    /// cache verification) fails its application, and every other
-    /// application still completes.
-    fn run_unit(&self, i: usize, s: u32) -> Result<Duration, String> {
-        let app = &self.apps[i];
-        let unit = i * self.n as usize + s as usize;
-        self.progress.started.fetch_add(1, Ordering::Relaxed);
-        self.progress.busy.fetch_add(1, Ordering::Relaxed);
-        let t_item = Instant::now();
+    /// Run `body` as one work item, traced as `<root>/app:<code>/<name>`
+    /// on lane `lane`, and return its output or the panic message that
+    /// failed it. Everything fallible runs under `catch_unwind`: a
+    /// panicking item (simulator bug, fault drill, failed cache
+    /// verification) fails its application, and every other application
+    /// still completes.
+    fn item<R>(
+        &self,
+        i: usize,
+        name: impl FnOnce() -> String,
+        lane: usize,
+        body: impl FnOnce(&mut Option<ItemTrace>) -> R,
+    ) -> Result<R, String> {
         let mut trace = self.opts.tracer.is_enabled().then(|| {
-            let rec = self.opts.tracer.recorder(unit as u32);
+            let rec = self.opts.tracer.recorder(lane as u32);
             ItemTrace {
-                path: format!("{}/app:{}/shard:{s}", self.trace_root, app.code),
+                path: format!("{}/app:{}/{}", self.trace_root, self.apps[i].code, name()),
                 span: rec.begin(),
                 rec,
                 store_ops: 0,
             }
         });
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if self.opts.fault.as_deref() == Some(app.code) {
-                panic!("injected fault: worker asked to fail on {}", app.code);
-            }
-            self.unit_body(i, s, unit, &mut trace)
-        }));
+        let outcome = catch_unwind(AssertUnwindSafe(|| body(&mut trace)));
         if let Some(mut t) = trace {
             let args = if outcome.is_err() {
                 vec![("failed", 1)]
@@ -919,42 +948,87 @@ impl Fanout<'_> {
             };
             t.rec.end(t.span, t.path, "sched", 0, args);
         }
+        outcome.map_err(panic_message)
+    }
+
+    /// Consult app `i`'s whole-app entry: `Some` with the item's wall time
+    /// (or its failure) when the app is settled without units — a hit,
+    /// published — and `None` when its units must run. A fault drill's
+    /// app is never consulted: its units fail before any store read.
+    fn consult_app(&self, i: usize) -> Option<Result<Duration, String>> {
+        let app = &self.apps[i];
+        let store = self.opts.store.as_deref()?;
+        if self.opts.fault.as_deref() == Some(app.code) {
+            return None;
+        }
+        let key = ResultStore::key(self.config, self.opts.arch, self.isa_mask, app.code);
+        let hit = self.item(
+            i,
+            || "consult".to_string(),
+            i,
+            |trace| {
+                let t = Instant::now();
+                let Some(Piece::Whole(summary)) = self.consult(store, key, i, None, trace) else {
+                    return None;
+                };
+                let wall = t.elapsed();
+                self.publish(i, summary, wall, true);
+                Some(wall)
+            },
+        );
+        hit.transpose()
+    }
+
+    /// Run unit (app `i`, shard `s`) and return its wall time, or the
+    /// panic message that failed it.
+    fn run_unit(&self, i: usize, s: u32) -> Result<Duration, String> {
+        let app = &self.apps[i];
+        let unit = i * self.n as usize + s as usize;
+        self.progress.started.fetch_add(1, Ordering::Relaxed);
+        self.progress.busy.fetch_add(1, Ordering::Relaxed);
+        let t_item = Instant::now();
+        let outcome = self.item(
+            i,
+            || format!("shard:{s}"),
+            unit,
+            |trace| {
+                if self.opts.fault.as_deref() == Some(app.code) {
+                    panic!("injected fault: worker asked to fail on {}", app.code);
+                }
+                self.unit_body(i, s, trace)
+            },
+        );
         self.progress
             .item_wall_nanos
             .fetch_add(t_item.elapsed().as_nanos() as u64, Ordering::Relaxed);
         self.progress.busy.fetch_sub(1, Ordering::Relaxed);
         self.progress.done.fetch_add(1, Ordering::Relaxed);
-        outcome.map_err(panic_message)
+        outcome
     }
 
-    /// Consult the store or simulate, deliver the shard into the app's
-    /// slot table, and — if this unit filled the last slot — merge and save
-    /// the whole-app summary. Returns the unit's wall time: the consult of
-    /// a hit or the simulation of a miss, plus the merge when this unit
+    /// Read the unit's shard sub-key (sharded; the resume of an
+    /// interrupted app) or simulate, deliver the shard into the app's slot
+    /// table, and — if this unit filled the last slot — merge and save the
+    /// whole-app summary. Returns the unit's wall time: the consult of a
+    /// hit or the simulation of a miss, plus the merge when this unit
     /// performed it (store writes excluded).
-    fn unit_body(&self, i: usize, s: u32, unit: usize, trace: &mut Option<ItemTrace>) -> Duration {
+    fn unit_body(&self, i: usize, s: u32, trace: &mut Option<ItemTrace>) -> Duration {
         let app = &self.apps[i];
         let store = self.opts.store.as_deref();
         let key = ResultStore::key(self.config, self.opts.arch, self.isa_mask, app.code);
         let mut t_unit = Instant::now();
-        let (shard, cached) =
-            match store.and_then(|store| self.consult(store, key, app, s, unit, trace)) {
-                Some(Piece::Shard(shard)) => (shard, true),
-                // An unsharded hit is the whole-app entry: nothing to merge.
-                Some(Piece::Whole(summary)) => {
-                    let wall = t_unit.elapsed();
-                    self.progress
-                        .instructions
-                        .fetch_add(summary.dynamic_instructions, Ordering::Relaxed);
-                    self.publish(i, summary, wall, true);
-                    return wall;
-                }
-                // A missed consult is store I/O, not the unit's work.
-                None => {
-                    t_unit = Instant::now();
-                    (self.simulate(app, s, trace, ""), false)
-                }
-            };
+        // Unsharded, the whole-app consult was this unit's consult.
+        let consult = store
+            .filter(|_| self.n > 1)
+            .and_then(|store| self.consult(store, key, i, Some(s), trace));
+        let (shard, cached) = match consult {
+            Some(Piece::Shard(shard)) => (shard, true),
+            // A missed consult is store I/O, not the unit's work.
+            _ => {
+                t_unit = Instant::now();
+                (self.simulate(app, (s, self.n), trace, ""), false)
+            }
+        };
         let mut wall = t_unit.elapsed();
         self.progress
             .instructions
@@ -980,16 +1054,15 @@ impl Fanout<'_> {
         shards.sort_unstable_by_key(|&(s, _)| s);
         let shards: Vec<LaunchShard> = shards.into_iter().map(|(_, shard)| shard).collect();
         let t_merge = Instant::now();
-        let merge = || merge_shards(self.config, &shards);
+        let merge = || Arc::new(merge_shards(self.config, &shards));
         let summary = traced(trace, "merge", "sched", merge, |_| {
             vec![("shards", u64::from(self.n))]
         });
         let merge_wall = t_merge.elapsed();
         wall += merge_wall;
-        // The whole-app entry: the unit's own entry when unsharded, and
-        // for later runs at any shard count when sharded.
+        // The whole-app entry, for later campaigns at any shard count.
         if let (Some(store), true) = (store, fresh) {
-            let save = || store.save(key, app.code, &summary);
+            let save = || store.save_shared(key, app.code, Arc::clone(&summary));
             traced(trace, "store:save", "store", save, |_| Vec::new());
         }
         self.publish(i, summary, app_wall + merge_wall, !fresh);
@@ -997,7 +1070,7 @@ impl Fanout<'_> {
     }
 
     /// Set application `i`'s result in its slot table.
-    fn publish(&self, i: usize, summary: TraceSummary, wall: Duration, cached: bool) {
+    fn publish(&self, i: usize, summary: Arc<TraceSummary>, wall: Duration, cached: bool) {
         let result = AppResult {
             app: self.apps[i].clone(),
             instructions_per_second: summary.dynamic_instructions as f64
@@ -1013,48 +1086,56 @@ impl Fanout<'_> {
             .result = Some(result);
     }
 
-    /// Consult the store for unit (app, `s`): `Some` on a usable entry —
-    /// re-simulated and checked bit-identical first when the unit is in
-    /// the verify sample — `None` on a miss. Unsharded, the unit's entry is
-    /// the whole-app entry under `key`; sharded, it is the shard sub-key,
-    /// and a decoded shard that does not fit this campaign is a miss like
-    /// any corrupt entry.
+    /// Consult the store for app `i`'s whole-app entry (`shard` `None`) or
+    /// its shard sub-key: `Some` on a usable entry — re-simulated and
+    /// checked bit-identical first when the app is in the verify sample —
+    /// `None` on a miss. A decoded shard that does not fit this campaign
+    /// is a miss like any corrupt entry. The counters see one outcome per
+    /// piece the campaign would otherwise simulate: every hit, every shard
+    /// miss, and a whole-app miss only when unsharded (sharded, the units'
+    /// own consults count).
     fn consult(
         &self,
         store: &ResultStore,
         key: u64,
-        app: &Application,
-        s: u32,
-        unit: usize,
+        i: usize,
+        shard: Option<u32>,
         trace: &mut Option<ItemTrace>,
     ) -> Option<Piece> {
-        let load = || {
-            if self.n == 1 {
-                return store.load(key, app.code).map(Piece::Whole);
-            }
-            store
+        let app = &self.apps[i];
+        let load = || match shard {
+            None => store.load_shared(key, app.code).map(Piece::Whole),
+            Some(s) => store
                 .load_shard(ResultStore::shard_key(key, s, self.n), app.code, s, self.n)
                 .filter(|shard| shard.fits(self.config, &self.views))
-                .map(Piece::Shard)
+                .map(Piece::Shard),
         };
         let hit = |piece: &Option<Piece>| vec![("hit", u64::from(piece.is_some()))];
         let Some(piece) = traced(trace, "store:load", "store", load, hit) else {
-            self.count(MISS);
+            if shard.is_some() || self.n == 1 {
+                self.count(MISS);
+            }
             return None;
         };
         self.count(HIT);
-        if self.verify[unit] {
-            let fresh = self.simulate(app, s, trace, "/verify");
+        if self.verify[i] {
             let same = match &piece {
-                Piece::Shard(stored) => fresh == *stored,
-                Piece::Whole(stored) => merge_shards(self.config, &[fresh]) == *stored,
+                Piece::Shard(stored) => {
+                    let s = shard.expect("a shard hit has coordinates");
+                    self.simulate(app, (s, self.n), trace, "/verify") == *stored
+                }
+                Piece::Whole(stored) => {
+                    let fresh = self.simulate(app, (0, 1), trace, "/verify");
+                    merge_shards(self.config, &[fresh]) == **stored
+                }
             };
+            let what = shard.map_or(String::new(), |s| format!(" shard {s}/{}", self.n));
             assert!(
                 same,
-                "cache verification failed for {} shard {s}/{}: the stored entry is not \
+                "cache verification failed for {}{what}: the stored entry is not \
                  bit-identical to a fresh simulation — the simulator changed without a \
                  STORE_FORMAT_VERSION bump",
-                app.code, self.n
+                app.code
             );
             self.count(VERIFY);
         }
@@ -1419,6 +1500,16 @@ mod tests {
         dir
     }
 
+    /// Delete the disk entry under `key`, as an interrupted run leaves it.
+    fn remove_entry(store: &ResultStore, key: u64) {
+        let path = store
+            .root()
+            .expect("a disk store")
+            .join(format!("{:02x}", key >> 56))
+            .join(format!("{key:016x}.bvfs"));
+        std::fs::remove_file(&path).expect("drop entry");
+    }
+
     fn store_opts(store: &Arc<ResultStore>) -> CampaignOptions {
         CampaignOptions {
             store: Some(Arc::clone(store)),
@@ -1609,8 +1700,9 @@ mod tests {
             .sum();
         assert_eq!(files, 6 * (2 + 1));
 
-        // Simulate an interrupted campaign: drop SOME of the shard entries
-        // (every app's shard 1, plus both of VAD's) — as if the run died
+        // Simulate an interrupted campaign: drop every whole-app entry
+        // (no app was merged yet) and SOME of the shard entries (every
+        // app's shard 1, plus both of VAD's) — as if the run died
         // mid-flight. The re-run must complete warm from the surviving
         // sub-keys, re-simulating only what is missing.
         for r in &cold.results {
@@ -1620,13 +1712,9 @@ mod tests {
             } else {
                 vec![1]
             };
+            remove_entry(&store, app_key);
             for s in dropped {
-                let skey = ResultStore::shard_key(app_key, s, 2);
-                let path = store
-                    .root()
-                    .join(format!("{:02x}", skey >> 56))
-                    .join(format!("{skey:016x}.bvfs"));
-                std::fs::remove_file(&path).expect("drop shard entry");
+                remove_entry(&store, ResultStore::shard_key(app_key, s, 2));
             }
         }
         let store = Arc::new(ResultStore::open(&dir).expect("reopen store"));
@@ -1637,10 +1725,11 @@ mod tests {
             "5 surviving shards hit; 7 dropped ones re-simulate"
         );
         assert_eq!(cold, resumed, "resume must be bit-identical");
-        // Apps with any fresh shard are not `cached`; fully-warm re-run is.
+        // Apps with any fresh shard are not `cached`; a fully-warm re-run
+        // is, and reads only the whole-app entries the resume merged.
         assert!(resumed.results.iter().all(|r| !r.cached));
         let warm = Campaign::smoke(&opts(Some(store)));
-        assert_eq!((warm.cache_hits, warm.cache_misses), (12, 0));
+        assert_eq!((warm.cache_hits, warm.cache_misses), (6, 0));
         assert!(warm.results.iter().all(|r| r.cached));
         assert_eq!(cold, warm);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1672,6 +1761,13 @@ mod tests {
         };
         plant("VAD", 0, |shard, banks| shard.dram_log[0].0 = banks);
         plant("BLA", 1, |shard, _| drop(shard.views.pop()));
+        // Without their whole-app entries every app reads its shards.
+        for r in &cold.results {
+            remove_entry(
+                &store,
+                ResultStore::key(&cold.config, cold.arch, cold.isa_mask, r.app.code),
+            );
+        }
         let store = Arc::new(ResultStore::open(&dir).expect("reopen store"));
         let warm = Campaign::smoke(&opts(store));
         assert!(warm.failures.is_empty(), "{:?}", warm.failures);
@@ -1696,6 +1792,75 @@ mod tests {
         assert_eq!((unsharded.cache_hits, unsharded.cache_misses), (6, 0));
         assert_eq!(sharded, unsharded);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_differently_sharded_run_hits_every_whole_app_entry() {
+        let dir = temp_store("reshard");
+        let store = Arc::new(ResultStore::open(&dir).expect("open store"));
+        let mut config = GpuConfig::baseline();
+        config.sms = 4;
+        let apps: Vec<Application> = ["VAD", "BFS", "SGE"]
+            .iter()
+            .map(|c| Application::by_code(c).expect("app"))
+            .collect();
+        let run = |n| {
+            let opts = CampaignOptions {
+                par: Parallelism::Fixed(2),
+                shards: ShardMode::Fixed(n),
+                ..store_opts(&store)
+            };
+            Campaign::run_with_options(config.clone(), &apps, &opts)
+        };
+        let two = run(2);
+        assert_eq!((two.cache_hits, two.cache_misses), (0, 6));
+        let before = store.stats();
+        let four = run(4);
+        assert_eq!(four.shards, 4);
+        assert_eq!((four.cache_hits, four.cache_misses), (3, 0));
+        assert!(four.results.iter().all(|r| r.cached), "nothing simulated");
+        let after = store.stats();
+        // One whole-app load per app; no n = 4 sub-key is ever read.
+        assert_eq!(
+            (after.hits - before.hits, after.misses - before.misses),
+            (3, 0)
+        );
+        assert_eq!(four, two);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn in_memory_reuse_is_exact_and_keeps_whole_app_entries_only() {
+        let store = Arc::new(ResultStore::in_memory());
+        let first = Campaign::smoke(&store_opts(&store));
+        assert_eq!((first.cache_hits, first.cache_misses), (0, 6));
+        let second = Campaign::smoke(&store_opts(&store));
+        assert_eq!((second.cache_hits, second.cache_misses), (6, 0));
+        assert!(second.results.iter().all(|r| r.cached));
+        assert_eq!(second, Campaign::smoke(&CampaignOptions::default()));
+        // A hit is the first run's summary itself, not a copy.
+        for (a, b) in first.results.iter().zip(&second.results) {
+            assert!(Arc::ptr_eq(&a.summary, &b.summary), "{}", a.app.code);
+        }
+        // Cached results time nothing in this campaign.
+        let profiled = CampaignOptions {
+            sink: MetricsSink::enabled(),
+            ..store_opts(&store)
+        };
+        assert!(!Campaign::smoke(&profiled).merged_profile().is_enabled());
+
+        // A sharded run leaves one merged entry per app and no sub-keys.
+        let store = Arc::new(ResultStore::in_memory());
+        let sharded = CampaignOptions {
+            shards: ShardMode::Fixed(2),
+            ..store_opts(&store)
+        };
+        let cold = Campaign::smoke(&sharded);
+        assert_eq!((cold.cache_hits, cold.cache_misses), (0, 12));
+        assert_eq!(store.stats().writes, 6, "whole-app summaries only");
+        let warm = Campaign::smoke(&sharded);
+        assert_eq!((warm.cache_hits, warm.cache_misses), (6, 0));
+        assert_eq!(warm, cold);
     }
 
     #[test]

@@ -360,7 +360,7 @@ impl Shared {
                     rec.add(self.ids.simulations, 1);
                     rec.add_span(self.ids.simulate, result.wall);
                 }
-                Ok(Arc::new(result.summary))
+                Ok(result.summary)
             }
             None => {
                 rec.add(self.ids.failures, 1);

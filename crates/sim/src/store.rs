@@ -1,4 +1,4 @@
-//! [`ResultStore`]: the campaign-level face of the on-disk result cache.
+//! [`ResultStore`]: the campaign-level face of the result cache.
 //!
 //! A campaign consults the store before simulating each application. The
 //! content address of an entry is an FNV-1a hash over the deterministic
@@ -25,8 +25,16 @@
 //! and hand-renamed files) plus the [`TraceSummary`] via its [`Persist`]
 //! encoding. Corrupt or stale entries fall back to simulation — the store
 //! can make a run faster, never wrong or failed.
+//!
+//! A store lives on disk ([`ResultStore::open`]: whole-app entries and
+//! shard sub-keys, kept across runs) or in memory
+//! ([`ResultStore::in_memory`]: this process's merged whole-app summaries
+//! only, each `Arc`-shared with the campaign result that holds it, so
+//! reuse within one run costs no copy).
 
+use std::collections::HashMap;
 use std::path::Path;
+use std::sync::{Arc, Mutex};
 
 use bvf_gpu::{GpuConfig, LaunchShard, TraceSummary};
 use bvf_isa::Architecture;
@@ -53,34 +61,69 @@ pub const STORE_FORMAT_VERSION: u32 = 3;
 /// every campaign worker.
 #[derive(Debug)]
 pub struct ResultStore {
-    disk: DiskStore,
+    backend: Backend,
     verify_sample: usize,
+}
+
+/// Where a [`ResultStore`]'s entries live.
+#[derive(Debug)]
+enum Backend {
+    Disk(DiskStore),
+    Memory(Mutex<Memory>),
+}
+
+/// The in-memory backend: merged whole-app summaries under their content
+/// address (with the app-code echo), and the same counters a disk store
+/// keeps.
+#[derive(Debug, Default)]
+struct Memory {
+    entries: HashMap<u64, (Box<str>, Arc<TraceSummary>)>,
+    stats: StoreStats,
 }
 
 impl ResultStore {
     /// Open (creating if needed) a store rooted at `dir`.
     pub fn open(dir: impl AsRef<Path>) -> std::io::Result<Self> {
         Ok(Self {
-            disk: DiskStore::open(dir.as_ref())?,
+            backend: Backend::Disk(DiskStore::open(dir.as_ref())?),
             verify_sample: 0,
         })
     }
 
-    /// Re-simulate up to `n` cache hits per campaign and assert the stored
-    /// summaries are bit-identical (the `--cache-verify N` behavior).
+    /// An empty store in this process's memory. It keeps merged whole-app
+    /// summaries only — shard sub-keys load as misses and save nowhere —
+    /// so it dedupes repeated (config, ISA, app) keys within one run
+    /// without growing by the shard count.
+    pub fn in_memory() -> Self {
+        Self {
+            backend: Backend::Memory(Mutex::default()),
+            verify_sample: 0,
+        }
+    }
+
+    /// Re-simulate the cache hits of up to `n` apps per campaign and assert
+    /// the stored entries are bit-identical (the `--cache-verify N`
+    /// behavior).
     pub fn with_verify_sample(mut self, n: usize) -> Self {
         self.verify_sample = n;
         self
     }
 
-    /// How many hits per campaign are re-simulated for verification.
+    /// How many apps per campaign have their hits re-simulated.
     pub fn verify_sample(&self) -> usize {
         self.verify_sample
     }
 
-    /// The directory entries live under.
-    pub fn root(&self) -> &Path {
-        self.disk.root()
+    /// The directory entries live under; `None` for an in-memory store.
+    pub fn root(&self) -> Option<&Path> {
+        match &self.backend {
+            Backend::Disk(disk) => Some(disk.root()),
+            Backend::Memory(_) => None,
+        }
+    }
+
+    fn memory(m: &Mutex<Memory>) -> std::sync::MutexGuard<'_, Memory> {
+        m.lock().expect("no store user panics holding the lock")
     }
 
     /// The content address for one `(config, arch, mask, app)` simulation.
@@ -97,7 +140,29 @@ impl ResultStore {
     /// Load the cached summary for `key`, or `None` on any miss (absent,
     /// corrupt, foreign format, or an app-code echo mismatch).
     pub fn load(&self, key: u64, app_code: &str) -> Option<TraceSummary> {
-        let payload = self.disk.load(key)?;
+        self.load_shared(key, app_code).map(Arc::unwrap_or_clone)
+    }
+
+    /// [`ResultStore::load`] as a shared handle: an in-memory hit is the
+    /// very summary that was saved, not a copy.
+    pub(crate) fn load_shared(&self, key: u64, app_code: &str) -> Option<Arc<TraceSummary>> {
+        let disk = match &self.backend {
+            Backend::Disk(disk) => disk,
+            Backend::Memory(m) => {
+                let mut m = Self::memory(m);
+                let hit = match m.entries.get(&key) {
+                    Some((echo, summary)) if **echo == *app_code => Some(Arc::clone(summary)),
+                    _ => None,
+                };
+                if hit.is_some() {
+                    m.stats.hits += 1;
+                } else {
+                    m.stats.misses += 1;
+                }
+                return hit;
+            }
+        };
+        let payload = disk.load(key)?;
         let mut r = Reader::new(&payload);
         let echo = r.str().ok()?;
         if echo != app_code {
@@ -105,16 +170,34 @@ impl ResultStore {
         }
         let summary = TraceSummary::restore(&mut r).ok()?;
         r.finish().ok()?;
-        Some(summary)
+        Some(Arc::new(summary))
     }
 
     /// Store `summary` under `key`. Write failures are swallowed — a
     /// read-only or full cache directory degrades to plain simulation.
     pub fn save(&self, key: u64, app_code: &str, summary: &TraceSummary) {
-        let mut w = Writer::new();
-        w.str(app_code);
-        summary.persist(&mut w);
-        let _ = self.disk.save(key, w.bytes());
+        match &self.backend {
+            Backend::Disk(disk) => {
+                let mut w = Writer::new();
+                w.str(app_code);
+                summary.persist(&mut w);
+                let _ = disk.save(key, w.bytes());
+            }
+            Backend::Memory(_) => self.save_shared(key, app_code, Arc::new(summary.clone())),
+        }
+    }
+
+    /// [`ResultStore::save`] from a shared handle: an in-memory store keeps
+    /// the handle itself.
+    pub(crate) fn save_shared(&self, key: u64, app_code: &str, summary: Arc<TraceSummary>) {
+        match &self.backend {
+            Backend::Disk(_) => self.save(key, app_code, &summary),
+            Backend::Memory(m) => {
+                let mut m = Self::memory(m);
+                m.stats.writes += 1;
+                m.entries.insert(key, (app_code.into(), summary));
+            }
+        }
     }
 
     /// The content address for shard `index` of `count` of the app whose
@@ -127,7 +210,8 @@ impl ResultStore {
 
     /// Load a cached launch shard, or `None` on any miss. The echo check
     /// covers the app code *and* the shard coordinates, so a hand-moved or
-    /// colliding entry can never be served as the wrong shard.
+    /// colliding entry can never be served as the wrong shard. An
+    /// in-memory store keeps no shards: always `None`, counted nowhere.
     pub fn load_shard(
         &self,
         key: u64,
@@ -135,7 +219,10 @@ impl ResultStore {
         index: u32,
         count: u32,
     ) -> Option<LaunchShard> {
-        let payload = self.disk.load(key)?;
+        let Backend::Disk(disk) = &self.backend else {
+            return None;
+        };
+        let payload = disk.load(key)?;
         let mut r = Reader::new(&payload);
         let echo = r.str().ok()?;
         if echo != app_code || r.u32().ok()? != index || r.u32().ok()? != count {
@@ -147,7 +234,7 @@ impl ResultStore {
     }
 
     /// Store one launch shard under `key`. Write failures are swallowed,
-    /// like [`ResultStore::save`].
+    /// like [`ResultStore::save`]; an in-memory store drops the shard.
     pub fn save_shard(
         &self,
         key: u64,
@@ -156,12 +243,15 @@ impl ResultStore {
         count: u32,
         shard: &LaunchShard,
     ) {
+        let Backend::Disk(disk) = &self.backend else {
+            return;
+        };
         let mut w = Writer::new();
         w.str(app_code);
         w.u32(index);
         w.u32(count);
         shard.persist(&mut w);
-        let _ = self.disk.save(key, w.bytes());
+        let _ = disk.save(key, w.bytes());
     }
 
     /// Which of `apps` application indices this campaign should re-verify
@@ -184,9 +274,13 @@ impl ResultStore {
         selected
     }
 
-    /// Counter snapshot from the underlying disk store.
+    /// Counter snapshot: the disk store's, or the in-memory store's loads
+    /// and writes.
     pub fn stats(&self) -> StoreStats {
-        self.disk.stats()
+        match &self.backend {
+            Backend::Disk(disk) => disk.stats(),
+            Backend::Memory(m) => Self::memory(m).stats,
+        }
     }
 }
 
@@ -330,6 +424,7 @@ mod tests {
     fn entry_path(store: &ResultStore, key: u64) -> std::path::PathBuf {
         store
             .root()
+            .expect("a disk store")
             .join(format!("{:02x}", key >> 56))
             .join(format!("{key:016x}.bvfs"))
     }
@@ -377,6 +472,32 @@ mod tests {
     }
 
     #[test]
+    fn in_memory_store_shares_whole_app_summaries_and_keeps_no_shards() {
+        let store = ResultStore::in_memory();
+        assert!(store.root().is_none());
+        let app = bvf_workloads::Application::by_code("VAD").expect("app");
+        let mut config = GpuConfig::baseline();
+        config.sms = 2;
+        let views = vec![bvf_gpu::CodingView::baseline()];
+        let summary = Arc::new(app.run(&mut bvf_gpu::Gpu::new(config.clone(), views.clone())));
+        let key = ResultStore::key(&config, Architecture::Pascal, 0, "VAD");
+        assert!(store.load_shared(key, "VAD").is_none());
+        store.save_shared(key, "VAD", Arc::clone(&summary));
+        let hit = store.load_shared(key, "VAD").expect("saved");
+        assert!(Arc::ptr_eq(&hit, &summary), "a hit is the saved summary");
+        assert_eq!(store.load(key, "VAD").as_ref(), Some(&*summary));
+        // The echo guards a colliding key here too.
+        assert!(store.load_shared(key, "BFS").is_none());
+        // Shards are neither kept nor counted.
+        let shard = app.run_shard(&mut bvf_gpu::Gpu::new(config, views), 1, 2);
+        let skey = ResultStore::shard_key(key, 1, 2);
+        store.save_shard(skey, "VAD", 1, 2, &shard);
+        assert!(store.load_shard(skey, "VAD", 1, 2).is_none());
+        let s = store.stats();
+        assert_eq!((s.hits, s.misses, s.writes), (2, 2, 1));
+    }
+
+    #[test]
     fn app_code_echo_guards_collisions() {
         let store = ResultStore::open(temp_dir("echo")).expect("open");
         // Craft a payload for "VAD" and try to read it back as "BFS" under
@@ -386,7 +507,10 @@ mod tests {
         // A truncated summary would also fail, but the echo check must
         // reject first.
         let key = 42;
-        let _ = store.disk.save(key, w.bytes());
+        let Backend::Disk(disk) = &store.backend else {
+            unreachable!("opened on disk")
+        };
+        let _ = disk.save(key, w.bytes());
         assert!(store.load(key, "BFS").is_none());
     }
 }

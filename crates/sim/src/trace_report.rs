@@ -44,9 +44,10 @@ pub struct TraceReport {
     pub blocking_item: Option<(String, u64)>,
 }
 
-/// An item span: a worker-side `.../app:<code>/shard:<s>` event.
+/// An item span: a worker-side `.../app:<code>/shard:<s>` unit or
+/// `.../app:<code>/consult` whole-app store consult.
 fn is_item(e: &TraceEvent) -> bool {
-    e.cat == "sched" && e.name().starts_with("shard:")
+    e.cat == "sched" && (e.name().starts_with("shard:") || e.name() == "consult")
 }
 
 impl TraceReport {
@@ -292,6 +293,24 @@ mod tests {
         assert_eq!(row("store consult"), 320);
         assert_eq!(row("simulate (launches)"), 0);
         assert_eq!(r.rows_total_ns(), 500);
+    }
+
+    #[test]
+    fn a_whole_app_consult_is_an_item() {
+        let events = vec![
+            ev("campaign:t", "campaign", 0, 100),
+            ev("campaign:t/app:AAA/consult", "sched", 10, 30),
+            ev("campaign:t/app:AAA/consult/store:load", "store", 10, 25),
+        ];
+        let r = &TraceReport::from_events(&events)[0];
+        let row = |label: &str| r.rows.iter().find(|x| x.label == label).unwrap().nanos;
+        assert_eq!(row("setup"), 10);
+        assert_eq!(row("store consult"), 25);
+        assert_eq!(row("assembly"), 60);
+        assert_eq!(
+            r.blocking_item.as_deref_path(),
+            Some(("campaign:t/app:AAA/consult", 30))
+        );
     }
 
     #[test]
