@@ -3,14 +3,26 @@
 //! record paths of every simulation; they must stay allocation-free.
 
 use bvf_core::Unit;
+use bvf_gpu::noc::{channel_id, Direction};
 use bvf_gpu::stats::{AccessKind, StatsCollector};
 use bvf_gpu::CodingView;
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 const FLIT_BYTES: usize = 32;
 
+const ISA_MASK: u64 = 0x0123_4567_89ab_cdef;
+
 fn collector() -> StatsCollector {
-    StatsCollector::new(CodingView::standard_set(0x0123_4567_89ab_cdef), FLIT_BYTES)
+    StatsCollector::new(CodingView::standard_set(ISA_MASK), FLIT_BYTES)
+}
+
+/// The energy pair (`baseline` and `bvf`) an energy-collection campaign
+/// records.
+fn energy_collector() -> StatsCollector {
+    StatsCollector::new(
+        vec![CodingView::baseline(), CodingView::bvf(ISA_MASK)],
+        FLIT_BYTES,
+    )
 }
 
 fn line_image() -> [u8; 128] {
@@ -51,6 +63,18 @@ fn bench_record_register(c: &mut Criterion) {
             col.record_register(AccessKind::Write, black_box(&patterns[k]), u32::MAX)
         })
     });
+    // The same miss path over the two views of an energy collection.
+    g.bench_function("full_warp_two_views_memo_miss", |b| {
+        let patterns: Vec<[u32; 32]> = (0..512u32)
+            .map(|p| core::array::from_fn(|i| (p << 16) ^ (0x3f80_0000 + i as u32)))
+            .collect();
+        let mut col = energy_collector();
+        let mut k = 0usize;
+        b.iter(|| {
+            k = (k + 1) % patterns.len();
+            col.record_register(AccessKind::Write, black_box(&patterns[k]), u32::MAX)
+        })
+    });
     g.finish();
 }
 
@@ -77,6 +101,20 @@ fn bench_record_noc_packet(c: &mut Criterion) {
     g.bench_function("instr_reply_128B_five_views", |b| {
         let mut col = collector();
         b.iter(|| col.record_noc_packet(4, black_box(&header), black_box(&line), true))
+    });
+    // Replies rotating over the baseline's 15 SMs x 6 L2 banks reply
+    // channels, as a launch spreads them: every packet looks its channel
+    // up among 90.
+    g.bench_function("data_reply_128B_five_views_90_channels", |b| {
+        let channels: Vec<u32> = (0..15)
+            .flat_map(|sm| (0..6).map(move |bank| channel_id(sm, bank, Direction::Reply)))
+            .collect();
+        let mut col = collector();
+        let mut k = 0usize;
+        b.iter(|| {
+            k = (k + 7) % channels.len();
+            col.record_noc_packet(channels[k], black_box(&header), black_box(&line), false)
+        })
     });
     g.finish();
 }

@@ -4,7 +4,9 @@
 //! number of wires that switch between consecutive transfers (the activity
 //! factor α in P = αCV²f). [`ChannelToggles`] tracks one physical channel:
 //! it remembers the last flit transmitted and counts bit transitions against
-//! each new flit.
+//! each new flit. [`ToggleStats::packet`] counts one packet on a channel
+//! whose wires rest at an idle flit between packets, which needs no
+//! history at all.
 
 use crate::hamming;
 
@@ -20,6 +22,56 @@ pub struct ToggleStats {
 }
 
 impl ToggleStats {
+    /// Toggles of one packet on a channel whose wires rest at the all-`idle`
+    /// flit between packets: `data` leaves as `flit_bytes`-wide flits (the
+    /// last one zero-padded) and the wires return to idle after it. The
+    /// transition from idle into the first flit counts only when
+    /// `from_idle`; a channel's very first flit primes its wires instead.
+    ///
+    /// Because every packet starts and ends at the same idle flit, a
+    /// channel's toggle count is the sum of this over its packets: on a
+    /// [`ChannelToggles`] that has sent a packet and then idled, sending
+    /// `data` flit by flit with [`ChannelToggles::send`] and idling again
+    /// with [`ChannelToggles::send_splat`] adds exactly
+    /// `ToggleStats::packet(data, flit_bytes, idle, true)`, and on a fresh
+    /// counter exactly the `from_idle = false` value. An empty packet
+    /// sends nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flit_bytes` is zero.
+    pub fn packet(data: &[u8], flit_bytes: usize, idle: u8, from_idle: bool) -> Self {
+        assert!(flit_bytes > 0, "flit size must be non-zero");
+        // Zero-padded tail wires against idle ones.
+        let pad = |len: usize| (flit_bytes - len) as u64 * u64::from(idle.count_ones());
+        let mut flits = data.chunks(flit_bytes);
+        let Some(first) = flits.next() else {
+            return Self::default();
+        };
+        let mut bit_toggles = if from_idle {
+            hamming::distance_to_splat(first, idle) + pad(first.len())
+        } else {
+            0
+        };
+        let mut transfers = u64::from(from_idle);
+        let mut prev = first;
+        for flit in flits {
+            // `prev` is full-width (only the last chunk can be short), so
+            // a short flit's zero-padded tail costs `prev`'s tail weight.
+            bit_toggles += hamming::distance_bytes(&prev[..flit.len()], flit)
+                + hamming::weight_bytes(&prev[flit.len()..]);
+            transfers += 1;
+            prev = flit;
+        }
+        bit_toggles += hamming::distance_to_splat(prev, idle) + pad(prev.len());
+        transfers += 1;
+        Self {
+            transfers,
+            bit_toggles,
+            bit_slots: transfers * flit_bytes as u64 * 8,
+        }
+    }
+
     /// Fraction of wire-slots that toggled, in `[0, 1]`; 0.0 when empty.
     pub fn toggle_rate(&self) -> f64 {
         if self.bit_slots == 0 {
@@ -127,48 +179,6 @@ impl ChannelToggles {
         self.last[..flit.len()].copy_from_slice(flit);
         self.last[flit.len()..].fill(0);
         self.primed = true;
-    }
-
-    /// Transmit a whole line as consecutive flits in one batched pass —
-    /// bit-identical to calling [`ChannelToggles::send`] on every
-    /// `flit_bytes`-sized chunk of `data` (the final chunk may be short and
-    /// zero-pads, as usual), but without copying each intermediate flit into
-    /// the wire-state buffer: toggles between in-line neighbors are computed
-    /// directly on `data`, and only the final flit lands in `last`.
-    ///
-    /// Sending an empty line is a no-op (no flits).
-    pub fn send_line(&mut self, data: &[u8]) {
-        let fb = self.flit_bytes;
-        let mut prev: Option<&[u8]> = None;
-        for flit in data.chunks(fb) {
-            match prev {
-                None => {
-                    // First flit toggles against the stored wire state.
-                    if self.primed {
-                        self.stats.transfers += 1;
-                        self.stats.bit_toggles +=
-                            hamming::distance_bytes(&self.last[..flit.len()], flit)
-                                + hamming::weight_bytes(&self.last[flit.len()..]);
-                        self.stats.bit_slots += fb as u64 * 8;
-                    }
-                }
-                Some(p) => {
-                    // In-line neighbor: `p` is always full-width (only the
-                    // last chunk can be short), so the zero-padded tail of a
-                    // short `flit` contributes `p`'s tail weight.
-                    self.stats.transfers += 1;
-                    self.stats.bit_toggles += hamming::distance_bytes(&p[..flit.len()], flit)
-                        + hamming::weight_bytes(&p[flit.len()..]);
-                    self.stats.bit_slots += fb as u64 * 8;
-                }
-            }
-            prev = Some(flit);
-        }
-        if let Some(flit) = prev {
-            self.last[..flit.len()].copy_from_slice(flit);
-            self.last[flit.len()..].fill(0);
-            self.primed = true;
-        }
     }
 
     /// Transmit one full-width flit whose every byte is `byte` (e.g. the
@@ -282,24 +292,29 @@ mod tests {
         }
 
         #[test]
-        fn send_line_matches_per_flit_sends(lines: Vec<Vec<u8>>, idle_every in 0usize..4) {
-            // Batched whole-line sends must be bit-identical to the scalar
-            // per-flit path, across partial tail flits and interleaved idle
-            // returns (the NoC packet sequence the collector produces).
-            let mut batched = ChannelToggles::new(8);
-            let mut scalar = ChannelToggles::new(8);
-            for (i, line) in lines.iter().enumerate() {
-                batched.send_line(line);
-                for flit in line.chunks(8) {
-                    scalar.send(flit);
+        fn packets_sum_to_the_channel_count(
+            lines: Vec<Vec<u8>>,
+            flit_sel in 0usize..4,
+            idle: u8,
+        ) {
+            // Per-packet counts against the resting idle flit must add up
+            // to one channel counter fed every packet flit by flit, each
+            // followed by the idle return; empty packets send nothing.
+            let fb = [1, 3, 8, 32][flit_sel];
+            let mut channel = ChannelToggles::new(fb);
+            let mut summed = ToggleStats::default();
+            let mut carried = false;
+            for line in &lines {
+                summed += ToggleStats::packet(line, fb, idle, carried);
+                if !line.is_empty() {
+                    for flit in line.chunks(fb) {
+                        channel.send(flit);
+                    }
+                    channel.send_splat(idle);
+                    carried = true;
                 }
-                if idle_every > 0 && i % idle_every == 0 {
-                    batched.send_splat(0xff);
-                    scalar.send_splat(0xff);
-                }
-                prop_assert_eq!(&batched, &scalar);
+                prop_assert_eq!(summed, channel.stats());
             }
-            prop_assert_eq!(batched.stats(), scalar.stats());
         }
 
         #[test]

@@ -22,17 +22,12 @@
 //! [`flits_for`] counts the *occupied* flits of a packet under this model:
 //! one sideband header flit plus the payload flits. (The idle return is a
 //! wire transition, not an occupied flit, so it counts toward toggle energy
-//! but not link utilization.) Within the collector the sideband channel is
-//! keyed as `channel | SIDEBAND`, so its toggle history never mixes with
-//! the data wires'.
+//! but not link utilization.) Within the collector each channel keeps its
+//! sideband toggle history apart from the data wires', whose packets are
+//! counted one at a time from the idle state.
 
 /// Bytes of header prepended to every NoC packet (command + address + ids).
 pub const HEADER_BYTES: usize = 16;
-
-/// Channel-id bit marking the sideband (header) sub-channel of a data
-/// channel. Kept out of [`ENDPOINT_BITS`] so it can never collide with an
-/// endpoint id or the [`REPLY_TAG`] direction bit.
-pub const SIDEBAND: u32 = 1 << 30;
 
 /// Channel-id bit distinguishing reply channels from request channels.
 pub const REPLY_TAG: u32 = 1 << 28;
@@ -64,10 +59,9 @@ pub enum Direction {
 ///
 /// Ids are disjoint by construction as tagged bit-fields: bits
 /// `0..ENDPOINT_BITS` carry the endpoint index (for replies, the SM index
-/// above [`BANK_BITS`] bank bits), bit 28 ([`REPLY_TAG`]) the direction,
-/// and bit 30 ([`SIDEBAND`]) is reserved for the collector's header
-/// sub-channels — so no request, reply, or sideband id can alias another
-/// regardless of SM/bank counts.
+/// above [`BANK_BITS`] bank bits) and bit 28 ([`REPLY_TAG`]) the
+/// direction — so no request or reply id can alias another regardless of
+/// SM/bank counts.
 ///
 /// # Panics
 ///
@@ -238,7 +232,7 @@ mod tests {
 
     proptest! {
         /// Tagged bit-fields make every (endpoint, direction) channel id
-        /// unique, and none can collide with a sideband id.
+        /// unique.
         #[test]
         fn channel_ids_disjoint_by_construction(
             sm in 0u32..(1 << (ENDPOINT_BITS - BANK_BITS)),
@@ -250,10 +244,6 @@ mod tests {
             // Direction is recoverable from the tag alone.
             prop_assert_eq!(req & REPLY_TAG, 0);
             prop_assert_eq!(rep & REPLY_TAG, REPLY_TAG);
-            // Neither uses the sideband bit, so header sub-channels
-            // (`id | SIDEBAND`) can never alias a data channel.
-            prop_assert_eq!(req & SIDEBAND, 0);
-            prop_assert_eq!(rep & SIDEBAND, 0);
         }
 
         /// The header embeds (cmd, sm, bank, warp, addr) injectively for

@@ -46,7 +46,9 @@ pub struct TraceSummary {
     pub l1d_hit_rate: f64,
     /// L2 hit rate across all banks.
     pub l2_hit_rate: f64,
-    /// Narrow-value profile of raw global loads/stores (Fig. 8).
+    /// Narrow-value profile of raw global loads/stores (Fig. 8). This and
+    /// the next three fields are the value profiles: empty (lane 0
+    /// optimal) when [`Gpu::set_value_profiles`] turned them off.
     pub narrow: NarrowValueProfile,
     /// Raw 0/1 bit counts of global data traffic (Fig. 9).
     pub data_bits: BitCounts,
@@ -414,6 +416,9 @@ struct SharedState {
     dram_log: Vec<(u32, DramRequest)>,
     l2_line_bytes: u32,
     flit_bytes: usize,
+    /// Sample the value profiles of Figs. 8/9/11/12 (see
+    /// [`Gpu::set_value_profiles`]).
+    value_profiles: bool,
     /// Per-launch metrics recorder (no-op without a sink) and the ids it
     /// records under.
     rec: Recorder,
@@ -718,6 +723,9 @@ impl SmEnv<'_> {
     }
 
     fn profile_global_data(&mut self, values: &[u32; 32], active: u32) {
+        if !self.shared.value_profiles {
+            return;
+        }
         for (lane, &v) in values.iter().enumerate() {
             if active >> lane & 1 == 1 {
                 self.shared.narrow.record(v);
@@ -799,7 +807,7 @@ impl WarpEnv for SmEnv<'_> {
         }
         // Fig. 11 sampling (full-warp writes only — partial warps would
         // skew the per-lane means with stale data).
-        if active == u32::MAX {
+        if active == u32::MAX && self.shared.value_profiles {
             self.shared.reg_write_counter += 1;
             if self
                 .shared
@@ -1069,6 +1077,7 @@ pub struct Gpu {
     arch: Architecture,
     memory: GlobalMemory,
     views: Vec<CodingView>,
+    value_profiles: bool,
     trace_logging: bool,
     last_log: Option<crate::trace::TraceLog>,
     metrics: MetricsSink,
@@ -1091,6 +1100,7 @@ impl Gpu {
             arch: Architecture::Pascal,
             memory: GlobalMemory::new(),
             views,
+            value_profiles: true,
             trace_logging: false,
             last_log: None,
             metrics: MetricsSink::disabled(),
@@ -1133,6 +1143,14 @@ impl Gpu {
     /// enabled before it.
     pub fn take_trace_log(&mut self) -> Option<crate::trace::TraceLog> {
         self.last_log.take()
+    }
+
+    /// Sample the value profiles of Figs. 8, 9, 11 and 12 (on by default):
+    /// the narrow-value profile and raw bit counts of global data, and the
+    /// per-lane Hamming sums of register writes. Off, a launch leaves them
+    /// empty and every other result, coding views included, unchanged.
+    pub fn set_value_profiles(&mut self, on: bool) {
+        self.value_profiles = on;
     }
 
     /// Select the instruction-set generation (default Pascal).
@@ -1237,6 +1255,7 @@ impl Gpu {
             dram_log: Vec::new(),
             l2_line_bytes: cfg.l2_bank.line_bytes(),
             flit_bytes: cfg.noc_flit_bytes,
+            value_profiles: self.value_profiles,
             rec,
             m,
             narrow: NarrowValueProfile::new(),
@@ -1748,6 +1767,29 @@ mod tests {
         // Small integers → >20 leading zero bits on average.
         assert!(summary.narrow.mean_leading_bits() > 20.0);
         assert!(summary.data_bits.zero_fraction() > 0.5);
+    }
+
+    /// Two views and no value profiles: those two views and every
+    /// view-independent counter equal a five-view profiled launch's, and the
+    /// profiles stay empty.
+    #[test]
+    fn value_profiles_off_changes_nothing_but_the_profiles() {
+        let mask = 0x00f0_0f00_ff00_00ff;
+        let lc = LaunchConfig::new(8, 32);
+        let full = vecadd_gpu(CodingView::standard_set(mask)).launch(&vecadd_kernel(), lc);
+        let mut gpu = vecadd_gpu(vec![CodingView::baseline(), CodingView::bvf(mask)]);
+        gpu.set_value_profiles(false);
+        let pair = gpu.launch(&vecadd_kernel(), lc);
+        assert!(full.narrow.words > 0 && full.lane_profile.iter().any(|&d| d > 0.0));
+        let expect = TraceSummary {
+            views: vec![full.view("baseline").clone(), full.view("bvf").clone()],
+            narrow: NarrowValueProfile::new(),
+            data_bits: BitCounts::default(),
+            lane_profile: [0.0; 32],
+            optimal_lane: 0,
+            ..full
+        };
+        assert_eq!(pair, expect);
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //! * Line-granular events ([`StatsCollector::record_line`],
 //!   [`StatsCollector::record_noc_packet`]) batch over the whole line: NV
 //!   runs as a branch-free SWAR flip two words at a time, VS as one XOR
-//!   against the inverted pivot, and NoC flits toggle through
-//!   [`ChannelToggles::send_line`] in one pass instead of per-flit sends.
+//!   against the inverted pivot, and a NoC packet's flits are counted by
+//!   [`ToggleStats::packet`] in one pass per distinct payload coder.
 //!
 //! Both paths are gated bit-identical to the scalar coders by the replay
 //! oracle ([`crate::trace::replay`]) and the reference-implementation
@@ -449,15 +449,11 @@ pub struct StatsCollector {
     coders: Vec<ViewCoders>,
     /// NoC data-wire flit width shared by every data channel.
     flit_bytes: usize,
-    /// Per-channel toggle scratch for the data wires; each entry holds one
-    /// counter per view (index-aligned with `views`), so a packet costs one
-    /// map lookup for all views. Folded into each view's `noc` by
-    /// [`StatsCollector::finish`].
-    channels: BTreeMap<u32, Vec<ChannelToggles>>,
-    /// Toggle scratch for the sideband (header) wires, shared across views:
-    /// headers are never coded, so every view's sideband history is
-    /// identical and one counter per channel serves them all.
-    sideband: BTreeMap<u32, ChannelToggles>,
+    /// The NoC channels packets were sent on.
+    channels: BTreeMap<u32, NocChannel>,
+    /// Per-view data-wire toggles, index-aligned with `views`, folded into
+    /// each view's `noc` by [`StatsCollector::finish`].
+    noc_acc: Vec<ToggleStats>,
     /// Per-view flat unit counters, indexed `[view][unit as usize]` —
     /// the record paths bump these instead of a map, and `finish` folds
     /// them into each view's `units`.
@@ -479,6 +475,18 @@ pub struct StatsCollector {
     memos: Memos,
     /// Reusable byte image of an instruction line for the memo key.
     instr_line_key: Vec<u8>,
+}
+
+/// What the collector keeps per NoC channel.
+#[derive(Debug, Clone)]
+struct NocChannel {
+    /// Toggle history of the sideband (header) wires, shared across views:
+    /// headers are never coded, so every view's sideband history is
+    /// identical and one counter serves them all.
+    sideband: ChannelToggles,
+    /// Whether the data wires have carried a payload. After the first
+    /// they rest at the idle flit, so every later packet starts from it.
+    carried_payload: bool,
 }
 
 /// The memo tables of one collector, tagged with the coder set that filled
@@ -741,7 +749,7 @@ impl StatsCollector {
             coders,
             flit_bytes,
             channels: BTreeMap::new(),
-            sideband: BTreeMap::new(),
+            noc_acc: vec![ToggleStats::default(); n],
             unit_acc: vec![Default::default(); n],
             warp_rep: representatives(&warp_keys),
             shared_rep: representatives(&shared_keys),
@@ -960,11 +968,13 @@ impl StatsCollector {
 
     /// Record a NoC packet: a raw header (addresses/ids) plus a data
     /// payload, sent on `channel`. Headers travel on the channel's sideband
-    /// control wires (a separate physical sub-channel, keyed
-    /// `channel | SIDEBAND`, never coded); payloads travel on the data
+    /// control wires (a separate physical sub-channel, never coded);
+    /// payloads travel on the data
     /// wires and are coded per view (instruction payloads with ISA, data
     /// payloads with NV+VS). Toggles are counted on both sub-channels, the
-    /// payload's in one batched whole-line pass.
+    /// payload's once per distinct payload coder (`instr_rep` for
+    /// instruction payloads, `line_rep` for data payloads) with
+    /// [`ToggleStats::packet`].
     pub fn record_noc_packet(
         &mut self,
         channel: u32,
@@ -980,27 +990,36 @@ impl StatsCollector {
                 instruction: instruction_payload,
             });
         }
+        let ch = self.channels.entry(channel).or_insert_with(|| NocChannel {
+            sideband: ChannelToggles::new(crate::noc::HEADER_BYTES),
+            carried_payload: false,
+        });
         if !header.is_empty() {
-            // One shared counter: the (never-coded) header bytes are the
-            // same under every view, so so is the sideband toggle history.
-            self.sideband
-                .entry(channel | crate::noc::SIDEBAND)
-                .or_insert_with(|| ChannelToggles::new(crate::noc::HEADER_BYTES))
-                .send(header);
+            ch.sideband.send(header);
         }
         if payload.is_empty() {
             return;
         }
-        let flit_bytes = self.flit_bytes;
-        let n = self.coders.len();
-        let chans = self
-            .channels
-            .entry(channel)
-            .or_insert_with(|| vec![ChannelToggles::new(flit_bytes); n]);
-        let scratch = &mut self.scratch;
-        for (vc, ch) in self.coders.iter().zip(chans) {
+        // Every view of a coder class sends the same encoded payload, and
+        // between packets the data wires rest at their precharged-high idle
+        // state (all-ones), the standard bus convention and the one the
+        // BVF space's "mostly 1s" toggle argument (§3.2) rests on. So a
+        // packet's toggles are a function of its encoded payload alone,
+        // counted once per class and added to every view in it; only a
+        // channel's first payload primes the wires instead of leaving idle.
+        let from_idle = std::mem::replace(&mut ch.carried_payload, true);
+        let reps = if instruction_payload {
+            &self.instr_rep
+        } else {
+            &self.line_rep
+        };
+        for (i, vc) in self.coders.iter().enumerate() {
+            if reps[i] != i {
+                continue;
+            }
             // Encode into the reusable scratch buffer; views that leave the
-            // payload raw (e.g. the baseline) skip the copy entirely.
+            // payload raw (e.g. the baseline) skip the copy.
+            let scratch = &mut self.scratch;
             let data: &[u8] = if instruction_payload {
                 if let Some(isa) = vc.isa {
                     scratch.clear();
@@ -1021,12 +1040,10 @@ impl StatsCollector {
             } else {
                 payload
             };
-            ch.send_line(data);
-            // Between packets the data wires return to their precharged-high
-            // idle state (all-ones), the standard bus convention — and the
-            // one the BVF space's "mostly 1s" toggle argument (§3.2) rests
-            // on. Identical consecutive idle flits cost nothing.
-            ch.send_splat(0xff);
+            let toggles = ToggleStats::packet(data, self.flit_bytes, 0xff, from_idle);
+            for (acc, _) in self.noc_acc.iter_mut().zip(reps).filter(|&(_, &r)| r == i) {
+                *acc += toggles;
+            }
         }
     }
 
@@ -1051,8 +1068,8 @@ impl StatsCollector {
     /// this thread's pool for the next collector.
     pub fn finish(mut self) -> Vec<ViewStats> {
         let default = UnitStats::default();
-        let sideband: ToggleStats = self.sideband.values().map(|c| c.stats()).sum();
-        for (vi, (v, acc)) in self.views.iter_mut().zip(&self.unit_acc).enumerate() {
+        let sideband: ToggleStats = self.channels.values().map(|c| c.sideband.stats()).sum();
+        for ((v, acc), noc) in self.views.iter_mut().zip(&self.unit_acc).zip(&self.noc_acc) {
             for (unit, stats) in bvf_core::Unit::ALL.iter().zip(acc) {
                 if *stats != default {
                     v.units.insert(*unit, *stats);
@@ -1060,7 +1077,7 @@ impl StatsCollector {
             }
             // Every view sees the same (uncoded) sideband traffic plus its
             // own coded data-wire traffic.
-            v.noc = sideband + self.channels.values().map(|chs| chs[vi].stats()).sum();
+            v.noc = sideband + *noc;
         }
         self.memos.release();
         self.views
@@ -1274,6 +1291,62 @@ mod tests {
         BitCounts::of_bytes(&data)
     }
 
+    /// Reference for the NoC path: every view keeps its own counter per
+    /// data channel and per sideband channel, sends its own encoded payload
+    /// (scalar bvf-core coders) flit by flit, then the all-ones idle flit.
+    fn reference_noc(
+        views: &[CodingView],
+        flit_bytes: usize,
+        packets: &[(u32, Vec<u8>, Vec<u8>, bool)],
+    ) -> Vec<ToggleStats> {
+        views
+            .iter()
+            .map(|view| {
+                let mut data: BTreeMap<u32, ChannelToggles> = BTreeMap::new();
+                let mut sideband: BTreeMap<u32, ChannelToggles> = BTreeMap::new();
+                for (channel, header, payload, instruction) in packets {
+                    if !header.is_empty() {
+                        sideband
+                            .entry(*channel)
+                            .or_insert_with(|| ChannelToggles::new(crate::noc::HEADER_BYTES))
+                            .send(header);
+                    }
+                    if payload.is_empty() {
+                        continue;
+                    }
+                    let mut enc = payload.clone();
+                    if *instruction {
+                        if view.isa {
+                            let isa = IsaCoder::new(view.isa_mask);
+                            for c in enc.chunks_exact_mut(8) {
+                                let w = u64::from_le_bytes((&*c).try_into().expect("8 bytes"));
+                                c.copy_from_slice(&isa.encode_instr(w).to_le_bytes());
+                            }
+                        }
+                    } else if enc.len().is_multiple_of(4) {
+                        if view.nv {
+                            NvCoder.encode_bytes(&mut enc);
+                        }
+                        if view.vs {
+                            VsCoder::for_cache_lines().encode_line_bytes(&mut enc);
+                        }
+                    }
+                    let ch = data
+                        .entry(*channel)
+                        .or_insert_with(|| ChannelToggles::new(flit_bytes));
+                    for flit in enc.chunks(flit_bytes) {
+                        ch.send(flit);
+                    }
+                    ch.send_splat(0xff);
+                }
+                data.values()
+                    .chain(sideband.values())
+                    .map(|c| c.stats())
+                    .sum()
+            })
+            .collect()
+    }
+
     fn lanes_from_seed(seed: u64) -> [u32; 32] {
         let mut x = seed;
         core::array::from_fn(|_| {
@@ -1342,6 +1415,49 @@ mod tests {
             for v in c.finish() {
                 let expect = scalar_line_bits(&v.view, &line);
                 prop_assert_eq!(v.unit(Unit::L1d).fill_bits, expect, "view {} len {}", v.view.name, len);
+            }
+        }
+
+        /// Random multi-channel packet streams — data and instruction
+        /// payloads of ragged and full-line lengths, header-only packets,
+        /// the first packet on each channel — must give every view the NoC
+        /// counts of its own per-channel counters fed flit by flit.
+        #[test]
+        fn noc_counts_match_per_view_channel_reference(
+            seed: u64,
+            mask: u64,
+            n_packets in 1usize..40,
+            flit_sel in 0usize..3,
+        ) {
+            const CHANNELS: [u32; 5] = [0, 1, 7, crate::noc::REPLY_TAG | 3, crate::noc::REPLY_TAG | 0x105];
+            const LENS: [usize; 8] = [0, 7, 12, 33, 40, 100, 128, 128];
+            let flit_bytes = [8, 32, 40][flit_sel];
+            let mut x = seed;
+            let mut next = || {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                x >> 32
+            };
+            let packets: Vec<(u32, Vec<u8>, Vec<u8>, bool)> = (0..n_packets)
+                .map(|_| {
+                    let channel = CHANNELS[next() as usize % CHANNELS.len()];
+                    let header_len = [0, 16, 16][next() as usize % 3];
+                    let header = (0..header_len).map(|_| next() as u8).collect();
+                    let len = LENS[next() as usize % LENS.len()];
+                    // Narrow words mixed with wide ones, so NV and VS both bite.
+                    let payload = (0..len)
+                        .map(|i| if next() % 4 == 0 { next() as u8 } else if i % 4 == 3 { 0 } else { 0x11 })
+                        .collect();
+                    (channel, header, payload, next() % 3 == 0)
+                })
+                .collect();
+            let views = CodingView::standard_set(mask);
+            let mut c = StatsCollector::new(views.clone(), flit_bytes);
+            for (channel, header, payload, instruction) in &packets {
+                c.record_noc_packet(*channel, header, payload, *instruction);
+            }
+            let expect = reference_noc(&views, flit_bytes, &packets);
+            for (v, e) in c.finish().iter().zip(expect) {
+                prop_assert_eq!(v.noc, e, "view {}", v.view.name);
             }
         }
 

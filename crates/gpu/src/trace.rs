@@ -291,10 +291,7 @@ mod tests {
                     // Payload lengths straddle flit boundaries (flit = 32):
                     // header-only, short single flits, partial tail flits
                     // (40 → 32+8, 100 → 3×32+4), non-word-aligned payloads
-                    // that skip coding (7, 33), and full lines. Every packet
-                    // is followed by the idle (all-ones) return inside
-                    // `record_noc_packet`, so batched line sends are checked
-                    // against interleaved `send_splat` history too.
+                    // that skip coding (7, 33), and full lines.
                     let len = [0usize, 7, 12, 33, 40, 64, 100, 128][(r.next() % 8) as usize];
                     let payload: Vec<u8> = (0..len).map(|_| (r.next() >> 40) as u8).collect();
                     let instruction = r.next().is_multiple_of(2);

@@ -22,9 +22,11 @@
 //! an earlier campaign's keys, and the `store:` line on stderr counts its
 //! hits and misses.
 //!
-//! The full run executes five campaigns over the 58 applications (baseline,
-//! two alternative schedulers, two alternative SRAM-capacity configurations)
-//! and prints each exhibit as a fixed-width table. Campaigns fan out over a
+//! The full run executes seven campaigns over the 58 applications (the
+//! baseline, three warp schedulers and three SRAM-capacity configurations)
+//! and prints each exhibit as a fixed-width table. The LRR, two-level,
+//! P100 and K80 campaigns collect only the baseline/BVF energy pair that
+//! Figs. 21 and 22 read. Campaigns fan out over a
 //! worker pool — one worker per core unless `--jobs N` pins the count — and
 //! each prints a `campaign:` run report to stderr. The output of this binary
 //! is the source of `EXPERIMENTS.md`.
@@ -58,7 +60,9 @@ use std::sync::Arc;
 use bvf_circuit::ProcessNode;
 use bvf_gpu::{GpuConfig, SchedulerKind};
 use bvf_sim::figures::{ablation, circuit, energy, overhead, profile, sensitivity};
-use bvf_sim::{metrics, Campaign, CampaignOptions, Parallelism, ResultStore, ShardMode};
+use bvf_sim::{
+    metrics, Campaign, CampaignOptions, Collection, Parallelism, ResultStore, ShardMode,
+};
 use bvf_workloads::Application;
 
 const USAGE: &str =
@@ -419,7 +423,7 @@ fn main() {
             Application::all()
         }
     };
-    let mut sched_campaign = |kind: SchedulerKind, label: &str| -> Campaign {
+    let mut sched_campaign = |kind: SchedulerKind, label: &str, collect| -> Campaign {
         let mut cfg = if args.quick {
             let mut c = GpuConfig::baseline();
             c.sms = 2;
@@ -428,14 +432,25 @@ fn main() {
             GpuConfig::baseline()
         };
         cfg.scheduler = kind;
-        let c = Campaign::run_with_options(cfg, &apps_for("sched"), &opts_for(label));
+        let opts = CampaignOptions {
+            collect,
+            ..opts_for(label)
+        };
+        let c = Campaign::run_with_options(cfg, &apps_for("sched"), &opts);
         finish_campaign(label, &c, &mut telemetry);
         c
     };
+    // Figs. 21 and 22 read only the baseline and BVF views. GTO and
+    // GTX-480 still collect everything: they repeat the main campaign's
+    // keys, so their results are store hits on its full entries.
     eprintln!("running scheduler campaigns...");
-    let gto = sched_campaign(SchedulerKind::Gto, "sched-gto");
-    let lrr = sched_campaign(SchedulerKind::Lrr, "sched-lrr");
-    let two = sched_campaign(SchedulerKind::TwoLevel, "sched-two-level");
+    let gto = sched_campaign(SchedulerKind::Gto, "sched-gto", Collection::Full);
+    let lrr = sched_campaign(SchedulerKind::Lrr, "sched-lrr", Collection::Energy);
+    let two = sched_campaign(
+        SchedulerKind::TwoLevel,
+        "sched-two-level",
+        Collection::Energy,
+    );
     emit(
         &sensitivity::fig21(&[("GTO", &gto), ("LRR", &lrr), ("Two-Level", &two)]),
         &mut telemetry,
@@ -443,17 +458,21 @@ fn main() {
 
     // ---- Capacity sensitivity (Fig. 22) ------------------------------------
     eprintln!("running capacity campaigns...");
-    let mut capacity_campaign = |mut cfg: GpuConfig, label: &str| -> Campaign {
+    let mut capacity_campaign = |mut cfg: GpuConfig, label: &str, collect| -> Campaign {
         if args.quick {
             cfg.sms = cfg.sms.min(2);
         }
-        let c = Campaign::run_with_options(cfg, &apps_for("capacity"), &opts_for(label));
+        let opts = CampaignOptions {
+            collect,
+            ..opts_for(label)
+        };
+        let c = Campaign::run_with_options(cfg, &apps_for("capacity"), &opts);
         finish_campaign(label, &c, &mut telemetry);
         c
     };
-    let c480 = capacity_campaign(GpuConfig::gtx480(), "cap-gtx480");
-    let cp100 = capacity_campaign(GpuConfig::tesla_p100(), "cap-p100");
-    let ck80 = capacity_campaign(GpuConfig::tesla_k80(), "cap-k80");
+    let c480 = capacity_campaign(GpuConfig::gtx480(), "cap-gtx480", Collection::Full);
+    let cp100 = capacity_campaign(GpuConfig::tesla_p100(), "cap-p100", Collection::Energy);
+    let ck80 = capacity_campaign(GpuConfig::tesla_k80(), "cap-k80", Collection::Energy);
     emit(
         &sensitivity::fig22(&[
             ("GTX-480", &c480),

@@ -85,6 +85,35 @@ impl ShardMode {
     }
 }
 
+/// What a campaign collects per application.
+///
+/// Every collection simulates the same launch: cycles, instructions, hit
+/// rates, utilization and DRAM statistics do not depend on it, and neither
+/// does any one coding view's statistics. Collections differ in which
+/// views and profiles they record, so each keeps its own store entries
+/// (see [`ResultStore::energy_key`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Collection {
+    /// The five standard coding views plus the value profiles of Figs. 8,
+    /// 9, 11 and 12: everything any exhibit reads.
+    #[default]
+    Full,
+    /// The energy pair only: the `baseline` and `bvf` views, which the
+    /// scheduler and capacity studies (Figs. 21 and 22) read, and no value
+    /// profiles.
+    Energy,
+}
+
+impl Collection {
+    /// The coding views this collection records under `isa_mask`.
+    pub(crate) fn views(self, isa_mask: u64) -> Vec<CodingView> {
+        match self {
+            Collection::Full => CodingView::standard_set(isa_mask),
+            Collection::Energy => vec![CodingView::baseline(), CodingView::bvf(isa_mask)],
+        }
+    }
+}
+
 /// Apply `f` to every item of `items` on a pool of scoped worker threads,
 /// returning outputs in input order regardless of completion order.
 ///
@@ -127,8 +156,8 @@ where
 
 /// Knobs for [`Campaign::run_with_options`] beyond the application set.
 ///
-/// The default runs on an auto-sized pool with the Pascal ISA, no
-/// sharding, store, progress output, metrics or tracing.
+/// The default runs on an auto-sized pool with the Pascal ISA and full
+/// collection, no sharding, store, progress output, metrics or tracing.
 #[derive(Debug, Clone)]
 pub struct CampaignOptions {
     /// Worker-pool sizing.
@@ -167,6 +196,9 @@ pub struct CampaignOptions {
     /// Give concurrent or sequential campaigns sharing one sink distinct
     /// labels, or their span ids collide.
     pub trace_label: String,
+    /// What each application's result records: everything (the default)
+    /// or the energy pair.
+    pub collect: Collection,
 }
 
 impl Default for CampaignOptions {
@@ -181,6 +213,7 @@ impl Default for CampaignOptions {
             shards: ShardMode::Off,
             tracer: TraceSink::disabled(),
             trace_label: "run".to_string(),
+            collect: Collection::Full,
         }
     }
 }
@@ -402,10 +435,11 @@ impl Campaign {
         derive_mask_for(arch, &kernels)
     }
 
-    /// Run every application in `apps` on a fresh GPU with the standard
-    /// five coding views (baseline / NV / VS / ISA / BVF) under `opts`:
-    /// parallelism, ISA generation, sharding, store, progress, metrics and
-    /// tracing (see [`CampaignOptions`]).
+    /// Run every application in `apps` on a fresh GPU under `opts`:
+    /// parallelism, ISA generation, what to collect (by default the
+    /// standard five coding views, baseline / NV / VS / ISA / BVF, and the
+    /// value profiles), sharding, store, progress, metrics and tracing
+    /// (see [`CampaignOptions`]).
     ///
     /// # Panics
     ///
@@ -436,7 +470,7 @@ impl Campaign {
         let n = opts.shards.count(opts.par.workers(usize::MAX), config.sms);
         let mut fanout = Fanout {
             config: &config,
-            views: CodingView::standard_set(isa_mask),
+            views: opts.collect.views(isa_mask),
             apps,
             opts,
             isa_mask,
@@ -677,7 +711,9 @@ impl Campaign {
     }
 
     /// Execution summary of this campaign's fan-out: totals, the estimated
-    /// speedup over a one-worker run, and the slowest application.
+    /// speedup over a one-worker run, and the slowest application. The
+    /// throughputs count simulated results only: a store hit's
+    /// instructions were simulated by an earlier campaign.
     pub fn run_report(&self) -> RunReport {
         let serial: Duration = self.results.iter().map(|r| r.wall).sum();
         let total_instructions: u64 = self
@@ -685,6 +721,19 @@ impl Campaign {
             .iter()
             .map(|r| r.summary.dynamic_instructions)
             .sum();
+        let simulated: Vec<&AppResult> = self.results.iter().filter(|r| !r.cached).collect();
+        let simulated_instructions: u64 = simulated
+            .iter()
+            .map(|r| r.summary.dynamic_instructions)
+            .sum();
+        let simulated_wall: Duration = simulated.iter().map(|r| r.wall).sum();
+        let rate = |wall: Duration| {
+            if simulated.is_empty() {
+                0.0
+            } else {
+                simulated_instructions as f64 / wall.as_secs_f64().max(1e-9)
+            }
+        };
         let slowest = self
             .results
             .iter()
@@ -722,9 +771,9 @@ impl Campaign {
             max_app_wall,
             mean_app_wall,
             total_instructions,
-            instructions_per_second: total_instructions as f64 / self.wall.as_secs_f64().max(1e-9),
-            serial_instructions_per_second: total_instructions as f64
-                / serial.as_secs_f64().max(1e-9),
+            simulated: simulated.len(),
+            instructions_per_second: rate(self.wall),
+            serial_instructions_per_second: rate(simulated_wall),
         }
     }
 
@@ -775,13 +824,15 @@ impl Campaign {
 
 /// Simulate shard `index` of `count` of `app` on a fresh [`Gpu`] — the one
 /// place in this crate that builds a simulator. A whole-app run is shard
-/// (0, 1) passed through [`merge_shards`]. `trace` carries (sink, causal
-/// scope, lane id) so the GPU attributes its launch and phase spans to the
-/// caller's work item.
+/// (0, 1) passed through [`merge_shards`]. `value_profiles` goes to
+/// [`Gpu::set_value_profiles`]. `trace` carries (sink, causal scope, lane
+/// id) so the GPU attributes its launch and phase spans to the caller's
+/// work item.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn simulate_shard(
     config: &GpuConfig,
     views: &[CodingView],
+    value_profiles: bool,
     arch: Architecture,
     sink: &MetricsSink,
     app: &Application,
@@ -790,6 +841,7 @@ pub(crate) fn simulate_shard(
     trace: Option<(&TraceSink, String, u32)>,
 ) -> LaunchShard {
     let mut gpu = Gpu::new(config.clone(), views.to_vec());
+    gpu.set_value_profiles(value_profiles);
     gpu.set_architecture(arch);
     gpu.set_metrics(sink.clone());
     if let Some((tracer, scope, tid)) = trace {
@@ -889,6 +941,16 @@ impl Fanout<'_> {
         self.opts.sink.add(*counter, 1);
     }
 
+    /// The store key of `app`'s whole-app entry under this campaign's
+    /// collection.
+    fn key(&self, app: &Application) -> u64 {
+        let key = ResultStore::key(self.config, self.opts.arch, self.isa_mask, app.code);
+        match self.opts.collect {
+            Collection::Full => key,
+            Collection::Energy => ResultStore::energy_key(key),
+        }
+    }
+
     /// Simulate shard `s` of `count` of `app`, its launches traced under
     /// the item's path plus `suffix`.
     fn simulate(
@@ -908,6 +970,7 @@ impl Fanout<'_> {
         simulate_shard(
             self.config,
             &self.views,
+            self.opts.collect == Collection::Full,
             self.opts.arch,
             &self.opts.sink,
             app,
@@ -961,7 +1024,7 @@ impl Fanout<'_> {
         if self.opts.fault.as_deref() == Some(app.code) {
             return None;
         }
-        let key = ResultStore::key(self.config, self.opts.arch, self.isa_mask, app.code);
+        let key = self.key(app);
         let hit = self.item(
             i,
             || "consult".to_string(),
@@ -1015,7 +1078,7 @@ impl Fanout<'_> {
     fn unit_body(&self, i: usize, s: u32, trace: &mut Option<ItemTrace>) -> Duration {
         let app = &self.apps[i];
         let store = self.opts.store.as_deref();
-        let key = ResultStore::key(self.config, self.opts.arch, self.isa_mask, app.code);
+        let key = self.key(app);
         let mut t_unit = Instant::now();
         // Unsharded, the whole-app consult was this unit's consult.
         let consult = store
@@ -1089,8 +1152,9 @@ impl Fanout<'_> {
     /// Consult the store for app `i`'s whole-app entry (`shard` `None`) or
     /// its shard sub-key: `Some` on a usable entry — re-simulated and
     /// checked bit-identical first when the app is in the verify sample —
-    /// `None` on a miss. A decoded shard that does not fit this campaign
-    /// is a miss like any corrupt entry. The counters see one outcome per
+    /// `None` on a miss. A decoded summary or shard that does not fit this
+    /// campaign (other coding views, another collection's entry) is a
+    /// miss like any corrupt entry. The counters see one outcome per
     /// piece the campaign would otherwise simulate: every hit, every shard
     /// miss, and a whole-app miss only when unsharded (sharded, the units'
     /// own consults count).
@@ -1104,7 +1168,10 @@ impl Fanout<'_> {
     ) -> Option<Piece> {
         let app = &self.apps[i];
         let load = || match shard {
-            None => store.load_shared(key, app.code).map(Piece::Whole),
+            None => store
+                .load_shared(key, app.code)
+                .filter(|summary| summary.views.iter().map(|v| &v.view).eq(&self.views))
+                .map(Piece::Whole),
             Some(s) => store
                 .load_shard(ResultStore::shard_key(key, s, self.n), app.code, s, self.n)
                 .filter(|shard| shard.fits(self.config, &self.views))
@@ -1181,9 +1248,13 @@ pub struct RunReport {
     pub mean_app_wall: Duration,
     /// Dynamic instructions summed over all applications.
     pub total_instructions: u64,
-    /// Aggregate simulator throughput over the campaign wall time.
+    /// Applications simulated rather than served from the store.
+    pub simulated: usize,
+    /// Aggregate simulator throughput: the simulated applications'
+    /// instructions over the campaign wall time (0 when none simulated).
     pub instructions_per_second: f64,
-    /// Per-worker simulator throughput (`total_instructions / serial_wall`).
+    /// Per-worker simulator throughput: the simulated applications'
+    /// instructions over their summed wall times (0 when none simulated).
     /// Worker-count-independent, so it isolates the per-event hot-path cost
     /// (the statistics collector) from the fan-out speedup — the number to
     /// watch when optimizing the collector.
@@ -1192,15 +1263,19 @@ pub struct RunReport {
 
 impl core::fmt::Display for RunReport {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        writeln!(
+        // A campaign that simulated nothing has no throughput to show.
+        write!(
             f,
-            "campaign: {} apps on {} worker{} in {:.3?} ({:.1} M instr/s)",
+            "campaign: {} apps on {} worker{} in {:.3?}",
             self.apps,
             self.workers,
             if self.workers == 1 { "" } else { "s" },
             self.wall,
-            self.instructions_per_second / 1e6,
         )?;
+        if self.simulated > 0 {
+            write!(f, " ({:.1} M instr/s)", self.instructions_per_second / 1e6)?;
+        }
+        writeln!(f)?;
         if self.shards > 1 {
             writeln!(
                 f,
@@ -1208,13 +1283,19 @@ impl core::fmt::Display for RunReport {
                 self.shards, self.max_item_wall,
             )?;
         }
-        writeln!(
+        write!(
             f,
-            "  serial estimate {:.3?}, speedup {:.2}x, {:.1} M instr/s per worker",
-            self.serial_wall,
-            self.speedup,
-            self.serial_instructions_per_second / 1e6,
+            "  serial estimate {:.3?}, speedup {:.2}x",
+            self.serial_wall, self.speedup,
         )?;
+        if self.simulated > 0 {
+            write!(
+                f,
+                ", {:.1} M instr/s per worker",
+                self.serial_instructions_per_second / 1e6
+            )?;
+        }
+        writeln!(f)?;
         write!(
             f,
             "  per-app wall min {:.3?} / mean {:.3?} / max {:.3?}",
@@ -1861,6 +1942,153 @@ mod tests {
         let warm = Campaign::smoke(&sharded);
         assert_eq!((warm.cache_hits, warm.cache_misses), (6, 0));
         assert_eq!(warm, cold);
+    }
+
+    /// What an energy run must return for an app the full run returned
+    /// `full` for: its `baseline` and `bvf` views, every view-independent
+    /// counter, and empty value profiles.
+    fn energy_part(full: &TraceSummary) -> TraceSummary {
+        TraceSummary {
+            views: vec![full.view("baseline").clone(), full.view("bvf").clone()],
+            narrow: bvf_bits::NarrowValueProfile::new(),
+            data_bits: bvf_bits::BitCounts::default(),
+            lane_profile: [0.0; 32],
+            optimal_lane: 0,
+            ..full.clone()
+        }
+    }
+
+    #[test]
+    fn an_energy_run_equals_the_energy_part_of_a_full_run() {
+        let apps: Vec<Application> = ["VAD", "BFS", "SGE"]
+            .iter()
+            .map(|c| Application::by_code(c).expect("app"))
+            .collect();
+        let mut lrr = GpuConfig::baseline();
+        lrr.scheduler = bvf_gpu::SchedulerKind::Lrr;
+        for config in [lrr, GpuConfig::tesla_p100()] {
+            let full =
+                Campaign::run_with_options(config.clone(), &apps, &CampaignOptions::default());
+            for n in [1, 4] {
+                let energy = Campaign::run_with_options(
+                    config.clone(),
+                    &apps,
+                    &CampaignOptions {
+                        par: Parallelism::Fixed(2),
+                        shards: ShardMode::Fixed(n),
+                        collect: Collection::Energy,
+                        ..CampaignOptions::default()
+                    },
+                );
+                assert_eq!(energy.shards, n);
+                for (e, f) in energy.results.iter().zip(&full.results) {
+                    assert_eq!(
+                        *e.summary,
+                        energy_part(&f.summary),
+                        "{} on {} at {n} shards",
+                        e.app.code,
+                        config.name
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn energy_and_full_entries_never_serve_each_other() {
+        let config = GpuConfig::baseline();
+        let key = ResultStore::key(&config, Architecture::Pascal, 0x00ff, "VAD");
+        let energy_key = ResultStore::energy_key(key);
+        assert_ne!(energy_key, key);
+        for n in 1..=8 {
+            for s in 0..n {
+                let shard = ResultStore::shard_key(key, s, n);
+                assert_ne!(energy_key, shard, "shard {s}/{n}");
+                assert_ne!(ResultStore::shard_key(energy_key, s, n), shard);
+            }
+        }
+
+        let dir = temp_store("collections");
+        let disk = Arc::new(ResultStore::open(&dir).expect("open store"));
+        for (store, n) in [(Arc::new(ResultStore::in_memory()), 1), (disk, 2)] {
+            let opts = |collect| CampaignOptions {
+                shards: ShardMode::Fixed(n),
+                collect,
+                ..store_opts(&store)
+            };
+            let misses = 6 * n as usize;
+            let full = Campaign::smoke(&opts(Collection::Full));
+            let energy = Campaign::smoke(&opts(Collection::Energy));
+            assert_eq!((energy.cache_hits, energy.cache_misses), (0, misses));
+            let warm = Campaign::smoke(&opts(Collection::Energy));
+            assert_eq!((warm.cache_hits, warm.cache_misses), (6, 0));
+            assert_eq!(warm, energy);
+            let full_again = Campaign::smoke(&opts(Collection::Full));
+            assert_eq!((full_again.cache_hits, full_again.cache_misses), (6, 0));
+            assert_eq!(full_again, full);
+        }
+
+        // A full summary planted under an energy key does not fit an energy
+        // campaign's views, so it is a miss like a corrupt entry.
+        let store = Arc::new(ResultStore::in_memory());
+        let full = Campaign::smoke(&store_opts(&store));
+        for r in &full.results {
+            let key = ResultStore::key(&full.config, full.arch, full.isa_mask, r.app.code);
+            store.save(ResultStore::energy_key(key), r.app.code, &r.summary);
+        }
+        let energy = Campaign::smoke(&CampaignOptions {
+            collect: Collection::Energy,
+            ..store_opts(&store)
+        });
+        assert_eq!((energy.cache_hits, energy.cache_misses), (0, 6));
+        for (e, f) in energy.results.iter().zip(&full.results) {
+            assert_eq!(*e.summary, energy_part(&f.summary));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn run_report_rates_count_simulated_results_only() {
+        let store = Arc::new(ResultStore::in_memory());
+        let mut config = GpuConfig::baseline();
+        config.sms = 2;
+        let apps = |codes: &[&str]| -> Vec<Application> {
+            codes
+                .iter()
+                .map(|c| Application::by_code(c).expect("app"))
+                .collect()
+        };
+        let opts = CampaignOptions {
+            par: Parallelism::Sequential,
+            ..store_opts(&store)
+        };
+        Campaign::run_with_options(config.clone(), &apps(&["SGE"]), &opts);
+        // SGE is a hit, VAD simulates: only VAD's instructions and wall
+        // make the rates, though the total counts both.
+        let mixed = Campaign::run_with_options(config.clone(), &apps(&["VAD", "SGE"]), &opts);
+        let report = mixed.run_report();
+        let vad = mixed.result("VAD");
+        assert!(mixed.result("SGE").cached && !vad.cached);
+        assert_eq!(report.simulated, 1);
+        assert_eq!(
+            report.total_instructions,
+            vad.summary.dynamic_instructions + mixed.result("SGE").summary.dynamic_instructions
+        );
+        let vad_rate = vad.summary.dynamic_instructions as f64 / vad.wall.as_secs_f64();
+        assert_eq!(report.serial_instructions_per_second, vad_rate);
+        assert!(
+            report.instructions_per_second <= vad_rate,
+            "the campaign wall covers VAD's"
+        );
+        // An all-hit campaign simulated nothing and shows no rate.
+        let warm = Campaign::run_with_options(config, &apps(&["VAD", "SGE"]), &opts);
+        let report = warm.run_report();
+        assert_eq!(report.simulated, 0);
+        assert_eq!(report.instructions_per_second, 0.0);
+        assert_eq!(report.serial_instructions_per_second, 0.0);
+        let text = format!("{report}");
+        assert!(!text.contains("instr/s"), "{text}");
+        assert!(text.contains("cache: 2 hits, 0 misses"), "{text}");
     }
 
     #[test]

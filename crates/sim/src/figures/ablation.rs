@@ -44,6 +44,7 @@ pub fn pivot_ablation(config: &GpuConfig, apps: &[Application], par: Parallelism
         let shard = simulate_shard(
             config,
             &[view],
+            false,
             Architecture::Pascal,
             &MetricsSink::disabled(),
             app,

@@ -2,7 +2,8 @@
 //!
 //! The entry point is a [`Campaign`]: one full pass over the 58 applications
 //! on a given GPU configuration, producing a [`bvf_gpu::TraceSummary`] per
-//! application (five coding views each). From a campaign (or several, for
+//! application (five coding views each, or only the baseline/BVF energy
+//! pair under [`Collection::Energy`]). From a campaign (or several, for
 //! the scheduler/capacity sensitivities), the functions in [`figures`]
 //! compute exactly the series each paper figure plots and render them as
 //! fixed-width text tables.
@@ -37,8 +38,8 @@ pub mod table;
 pub mod trace_report;
 
 pub use campaign::{
-    parallel_map, AppFailure, AppResult, Campaign, CampaignOptions, Parallelism, RunReport,
-    ShardMode,
+    parallel_map, AppFailure, AppResult, Campaign, CampaignOptions, Collection, Parallelism,
+    RunReport, ShardMode,
 };
 pub use serve::{ServeOptions, Server};
 pub use store::{ResultStore, STORE_FORMAT_VERSION};

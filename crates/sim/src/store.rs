@@ -208,6 +208,16 @@ impl ResultStore {
         subkey(app_key, u64::from(index), u64::from(count))
     }
 
+    /// The content address of the energy-collection entry
+    /// ([`crate::Collection::Energy`]) for the app whose full-collection
+    /// key is `app_key`. Derived with [`bvf_store::subkey`] under the
+    /// coordinates (0, 0), which no shard has (shard counts start at 1),
+    /// so it never aliases a full-collection key or a shard sub-key; an
+    /// energy campaign's shard sub-keys derive from it in turn.
+    pub fn energy_key(app_key: u64) -> u64 {
+        subkey(app_key, 0, 0)
+    }
+
     /// Load a cached launch shard, or `None` on any miss. The echo check
     /// covers the app code *and* the shard coordinates, so a hand-moved or
     /// colliding entry can never be served as the wrong shard. An
