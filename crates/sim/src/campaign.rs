@@ -348,8 +348,8 @@ pub struct AppResult {
     /// simulation (under sharding: every shard came from the store).
     pub cached: bool,
     /// How many launch shards produced this summary (1 = unsharded). With
-    /// sharding, `wall` is the *sum* of the unit walls, so serial-wall and
-    /// speedup accounting stay comparable across shard counts.
+    /// sharding, `wall` is the *sum* of the unit walls, so per-app walls
+    /// and per-worker throughput stay comparable across shard counts.
     pub shards: u32,
 }
 
@@ -710,12 +710,11 @@ impl Campaign {
             .unwrap_or_else(|| panic!("no result for application {code:?}"))
     }
 
-    /// Execution summary of this campaign's fan-out: totals, the estimated
-    /// speedup over a one-worker run, and the slowest application. The
-    /// throughputs count simulated results only: a store hit's
-    /// instructions were simulated by an earlier campaign.
+    /// Execution summary of this campaign's fan-out: totals, per-app wall
+    /// times, and the slowest application. The throughputs count simulated
+    /// results only: a store hit's instructions were simulated by an
+    /// earlier campaign.
     pub fn run_report(&self) -> RunReport {
-        let serial: Duration = self.results.iter().map(|r| r.wall).sum();
         let total_instructions: u64 = self
             .results
             .iter()
@@ -751,7 +750,11 @@ impl Campaign {
             .map(|r| r.wall)
             .max()
             .unwrap_or_default();
-        let mean_app_wall = serial
+        let mean_app_wall = self
+            .results
+            .iter()
+            .map(|r| r.wall)
+            .sum::<Duration>()
             .checked_div(self.results.len().max(1) as u32)
             .unwrap_or_default();
         RunReport {
@@ -764,8 +767,6 @@ impl Campaign {
             shards: self.shards,
             max_item_wall: self.max_item_wall,
             wall: self.wall,
-            serial_wall: serial,
-            speedup: serial.as_secs_f64() / self.wall.as_secs_f64().max(1e-9),
             slowest,
             min_app_wall,
             max_app_wall,
@@ -1234,17 +1235,13 @@ pub struct RunReport {
     pub max_item_wall: Duration,
     /// Wall-clock time of the whole fan-out.
     pub wall: Duration,
-    /// Sum of per-application wall times (≈ one-worker wall time).
-    pub serial_wall: Duration,
-    /// `serial_wall / wall`: the speedup the pool delivered.
-    pub speedup: f64,
     /// Slowest application and its wall time (the fan-out's critical path).
     pub slowest: Option<(&'static str, Duration)>,
     /// Fastest single application's wall time.
     pub min_app_wall: Duration,
     /// Slowest single application's wall time (`slowest`'s duration).
     pub max_app_wall: Duration,
-    /// Mean per-application wall time (`serial_wall / apps`).
+    /// Mean per-application wall time.
     pub mean_app_wall: Duration,
     /// Dynamic instructions summed over all applications.
     pub total_instructions: u64,
@@ -1256,7 +1253,7 @@ pub struct RunReport {
     /// Per-worker simulator throughput: the simulated applications'
     /// instructions over their summed wall times (0 when none simulated).
     /// Worker-count-independent, so it isolates the per-event hot-path cost
-    /// (the statistics collector) from the fan-out speedup — the number to
+    /// (the statistics collector) from the fan-out — the number to
     /// watch when optimizing the collector.
     pub serial_instructions_per_second: f64,
 }
@@ -1283,19 +1280,13 @@ impl core::fmt::Display for RunReport {
                 self.shards, self.max_item_wall,
             )?;
         }
-        write!(
-            f,
-            "  serial estimate {:.3?}, speedup {:.2}x",
-            self.serial_wall, self.speedup,
-        )?;
         if self.simulated > 0 {
-            write!(
+            writeln!(
                 f,
-                ", {:.1} M instr/s per worker",
+                "  {:.1} M instr/s per worker",
                 self.serial_instructions_per_second / 1e6
             )?;
         }
-        writeln!(f)?;
         write!(
             f,
             "  per-app wall min {:.3?} / mean {:.3?} / max {:.3?}",
@@ -1452,8 +1443,7 @@ mod tests {
         assert_eq!(r.apps, 6);
         assert_eq!(r.workers, 2);
         assert!(r.wall > Duration::ZERO);
-        assert!(r.serial_wall >= c.results.iter().map(|x| x.wall).max().unwrap());
-        assert!(r.speedup > 0.0);
+        assert!(r.serial_instructions_per_second > 0.0);
         let (code, wall) = r.slowest.expect("six apps ran");
         assert!(c
             .results
@@ -1477,7 +1467,8 @@ mod tests {
         assert!(r.min_app_wall <= r.mean_app_wall);
         assert!(r.mean_app_wall <= r.max_app_wall);
         assert_eq!(r.max_app_wall, r.slowest.expect("apps ran").1);
-        assert_eq!(r.mean_app_wall, r.serial_wall / r.apps as u32);
+        let summed: Duration = c.results.iter().map(|x| x.wall).sum();
+        assert_eq!(r.mean_app_wall, summed / r.apps as u32);
         let shown = format!("{r}");
         assert!(shown.contains("per-app wall min"));
         assert!(shown.contains("slowest app"));
@@ -1581,16 +1572,6 @@ mod tests {
         dir
     }
 
-    /// Delete the disk entry under `key`, as an interrupted run leaves it.
-    fn remove_entry(store: &ResultStore, key: u64) {
-        let path = store
-            .root()
-            .expect("a disk store")
-            .join(format!("{:02x}", key >> 56))
-            .join(format!("{key:016x}.bvfs"));
-        std::fs::remove_file(&path).expect("drop entry");
-    }
-
     fn store_opts(store: &Arc<ResultStore>) -> CampaignOptions {
         CampaignOptions {
             store: Some(Arc::clone(store)),
@@ -1655,19 +1636,9 @@ mod tests {
         let dir = temp_store("corrupt");
         let store = Arc::new(ResultStore::open(&dir).expect("open store"));
         let cold = Campaign::smoke(&store_opts(&store));
-        // Vandalize every entry on disk.
-        let mut corrupted = 0;
-        for sub in std::fs::read_dir(&dir).expect("store dir") {
-            let sub = sub.expect("dir entry").path();
-            if !sub.is_dir() {
-                continue;
-            }
-            for f in std::fs::read_dir(&sub).expect("fan-out dir") {
-                std::fs::write(f.expect("entry").path(), b"not a store entry").expect("corrupt");
-                corrupted += 1;
-            }
-        }
-        assert_eq!(corrupted, 6, "every app left one entry");
+        // Vandalize every record on disk: one bad payload byte each.
+        let corrupted = crate::store::testing::corrupt_records(&dir, |_| true);
+        assert_eq!(corrupted, 6, "every app left one record");
         // A fresh handle (cold stats) sees only misses and re-simulates.
         let store = Arc::new(ResultStore::open(&dir).expect("reopen store"));
         let warm = Campaign::smoke(&store_opts(&store));
@@ -1773,42 +1744,58 @@ mod tests {
             "6 apps x 2 shards"
         );
         assert!(cold.results.iter().all(|r| !r.cached));
-        // Each app left its 2 shard sub-keys plus the one whole-app entry
-        // its last unit saved after merging.
-        let files: usize = std::fs::read_dir(&dir)
-            .expect("store dir")
-            .map(|sub| std::fs::read_dir(sub.expect("entry").path()).map_or(0, Iterator::count))
-            .sum();
-        assert_eq!(files, 6 * (2 + 1));
+        // Each app left its 2 shard sub-keys plus the one whole-app record
+        // its last unit saved after merging, all in the handle's segment.
+        let [segment] = &crate::store::testing::segments(&dir)[..] else {
+            panic!("one writing handle, one segment")
+        };
+        let bytes = std::fs::read(segment).expect("read segment");
+        let records = crate::store::testing::records(&bytes);
+        assert_eq!(records.len(), 6 * (2 + 1));
 
-        // Simulate an interrupted campaign: drop every whole-app entry
-        // (no app was merged yet) and SOME of the shard entries (every
-        // app's shard 1, plus both of VAD's) — as if the run died
-        // mid-flight. The re-run must complete warm from the surviving
-        // sub-keys, re-simulating only what is missing.
-        for r in &cold.results {
-            let app_key = ResultStore::key(&cold.config, cold.arch, cold.isa_mask, r.app.code);
-            let dropped = if r.app.code == "VAD" {
-                vec![0, 1]
-            } else {
-                vec![1]
+        // Simulate an interrupted campaign: cut the segment at a record
+        // boundary before any app was merged — the last such boundary
+        // that leaves some app with one of its two shards. The re-run
+        // must complete warm from the surviving sub-keys, re-simulating
+        // only what is missing.
+        let app_keys: Vec<u64> = cold
+            .results
+            .iter()
+            .map(|r| ResultStore::key(&cold.config, cold.arch, cold.isa_mask, r.app.code))
+            .collect();
+        let app_of_shard = |key| {
+            app_keys
+                .iter()
+                .position(|&app| (0..2).any(|s| ResultStore::shard_key(app, s, 2) == key))
+        };
+        let mut kept = vec![0; app_keys.len()];
+        let mut cut = None;
+        for (key, range) in &records {
+            let Some(app) = app_of_shard(*key) else {
+                break; // the first whole-app record
             };
-            remove_entry(&store, app_key);
-            for s in dropped {
-                remove_entry(&store, ResultStore::shard_key(app_key, s, 2));
+            kept[app] += 1;
+            if kept.contains(&1) {
+                cut = Some((range.end, kept.clone()));
             }
         }
+        let (cut, kept) = cut.expect("the first record is a shard");
+        std::fs::write(segment, &bytes[..cut]).expect("cut segment");
+        let survivors: usize = kept.iter().sum();
         let store = Arc::new(ResultStore::open(&dir).expect("reopen store"));
         let resumed = Campaign::smoke(&opts(Some(Arc::clone(&store))));
         assert_eq!(
             (resumed.cache_hits, resumed.cache_misses),
-            (5, 7),
-            "5 surviving shards hit; 7 dropped ones re-simulate"
+            (survivors, 12 - survivors),
+            "surviving shards hit; the cut ones re-simulate"
         );
         assert_eq!(cold, resumed, "resume must be bit-identical");
-        // Apps with any fresh shard are not `cached`; a fully-warm re-run
-        // is, and reads only the whole-app entries the resume merged.
-        assert!(resumed.results.iter().all(|r| !r.cached));
+        // An app with a fresh shard is not `cached`, one whose shards all
+        // survived is; a fully-warm re-run reads only the whole-app
+        // records the resume merged.
+        for (r, kept) in resumed.results.iter().zip(kept) {
+            assert_eq!(r.cached, kept == 2, "{}", r.app.code);
+        }
         let warm = Campaign::smoke(&opts(Some(store)));
         assert_eq!((warm.cache_hits, warm.cache_misses), (6, 0));
         assert!(warm.results.iter().all(|r| r.cached));
@@ -1842,13 +1829,14 @@ mod tests {
         };
         plant("VAD", 0, |shard, banks| shard.dram_log[0].0 = banks);
         plant("BLA", 1, |shard, _| drop(shard.views.pop()));
-        // Without their whole-app entries every app reads its shards.
-        for r in &cold.results {
-            remove_entry(
-                &store,
-                ResultStore::key(&cold.config, cold.arch, cold.isa_mask, r.app.code),
-            );
-        }
+        // With their whole-app records corrupt, every app reads its shards.
+        let app_keys: Vec<u64> = cold
+            .results
+            .iter()
+            .map(|r| ResultStore::key(&cold.config, cold.arch, cold.isa_mask, r.app.code))
+            .collect();
+        let corrupted = crate::store::testing::corrupt_records(&dir, |key| app_keys.contains(&key));
+        assert_eq!(corrupted, 6);
         let store = Arc::new(ResultStore::open(&dir).expect("reopen store"));
         let warm = Campaign::smoke(&opts(store));
         assert!(warm.failures.is_empty(), "{:?}", warm.failures);

@@ -74,12 +74,10 @@ pub fn campaign_record(label: &str, c: &Campaign) -> String {
     let report = c.run_report();
     let mut timing = Record::object()
         .u64("wall_ns", report.wall.as_nanos() as u64)
-        .u64("serial_wall_ns", report.serial_wall.as_nanos() as u64)
         .u64("workers", report.workers as u64)
         .u64("cache_hits", report.cache_hits as u64)
         .u64("cache_misses", report.cache_misses as u64)
         .u64("cache_verified", report.cache_verified as u64)
-        .f64("speedup", report.speedup)
         .u64("min_app_wall_ns", report.min_app_wall.as_nanos() as u64)
         .u64("mean_app_wall_ns", report.mean_app_wall.as_nanos() as u64)
         .u64("max_app_wall_ns", report.max_app_wall.as_nanos() as u64)

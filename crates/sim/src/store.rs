@@ -22,7 +22,7 @@
 //! hits and asserts the stored summary is bit-identical to a fresh run.
 //!
 //! The payload is the application code (an echo, guarding FNV collisions
-//! and hand-renamed files) plus the [`TraceSummary`] via its [`Persist`]
+//! and hand-edited records) plus the [`TraceSummary`] via its [`Persist`]
 //! encoding. Corrupt or stale entries fall back to simulation — the store
 //! can make a run faster, never wrong or failed.
 //!
@@ -330,6 +330,61 @@ fn encode_config(w: &mut Writer, c: &GpuConfig) {
     w.u32(c.miss_latency);
 }
 
+/// Helpers for tests that damage a disk store the way an interrupted run
+/// or bit rot does. They read the record framing `bvf_store::DiskStore`
+/// documents: a 32-byte header (magic, format version, key, payload
+/// length, checksum) and the payload.
+#[cfg(test)]
+pub(crate) mod testing {
+    use std::ops::Range;
+    use std::path::{Path, PathBuf};
+
+    /// The segment files in a store directory, in name order.
+    pub fn segments(dir: &Path) -> Vec<PathBuf> {
+        let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
+            .expect("store dir")
+            .map(|e| e.expect("dir entry").path())
+            .filter(|p| p.extension().is_some_and(|ext| ext == "bvfl"))
+            .collect();
+        paths.sort();
+        paths
+    }
+
+    /// Every whole record of a segment: its key and byte range, header
+    /// included.
+    pub fn records(segment: &[u8]) -> Vec<(u64, Range<usize>)> {
+        let mut out = Vec::new();
+        let mut at = 0;
+        while let Some(header) = segment.get(at..at + 32) {
+            let field = |i: usize| u64::from_le_bytes(header[i..i + 8].try_into().expect("8"));
+            let end = at + 32 + field(16) as usize;
+            if end > segment.len() {
+                break;
+            }
+            out.push((field(8), at..end));
+            at = end;
+        }
+        out
+    }
+
+    /// Flip the last payload byte of every record whose key `damage`
+    /// selects, in every segment of `dir`; returns how many it flipped.
+    pub fn corrupt_records(dir: &Path, damage: impl Fn(u64) -> bool) -> usize {
+        let mut flipped = 0;
+        for path in segments(dir) {
+            let mut bytes = std::fs::read(&path).expect("read segment");
+            for (key, range) in records(&bytes) {
+                if damage(key) {
+                    bytes[range.end - 1] ^= 0xFF;
+                    flipped += 1;
+                }
+            }
+            std::fs::write(&path, &bytes).expect("rewrite segment");
+        }
+        flipped
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -409,12 +464,13 @@ mod tests {
         assert!(store.load_shard(key, "BFS", 1, 2).is_none());
     }
 
-    /// Keys and on-disk bytes of one valid whole-app entry and one valid
+    /// Keys and on-disk records of one valid whole-app entry and one valid
     /// shard entry (VAD on a 2-SM GPU), made once per test binary.
     fn valid_entries() -> &'static [(u64, Vec<u8>); 2] {
         static ENTRIES: std::sync::OnceLock<[(u64, Vec<u8>); 2]> = std::sync::OnceLock::new();
         ENTRIES.get_or_init(|| {
-            let store = ResultStore::open(temp_dir("valid_entries")).expect("open");
+            let dir = temp_dir("valid_entries");
+            let store = ResultStore::open(&dir).expect("open");
             let app = bvf_workloads::Application::by_code("VAD").expect("app");
             let mut config = GpuConfig::baseline();
             config.sms = 2;
@@ -427,25 +483,25 @@ mod tests {
             store.save_shard(skey, "VAD", 1, 2, &shard);
             assert!(store.load(key, "VAD").is_some());
             assert!(store.load_shard(skey, "VAD", 1, 2).is_some());
-            [key, skey].map(|k| (k, std::fs::read(entry_path(&store, k)).expect("entry")))
+            let [segment] = &testing::segments(&dir)[..] else {
+                panic!("one handle writes one segment")
+            };
+            let bytes = std::fs::read(segment).expect("segment");
+            let records = testing::records(&bytes);
+            assert_eq!(records.iter().map(|r| r.0).collect::<Vec<_>>(), [key, skey]);
+            [0, 1].map(|i| (records[i].0, bytes[records[i].1.clone()].to_vec()))
         })
     }
 
-    fn entry_path(store: &ResultStore, key: u64) -> std::path::PathBuf {
-        store
-            .root()
-            .expect("a disk store")
-            .join(format!("{:02x}", key >> 56))
-            .join(format!("{key:016x}.bvfs"))
-    }
-
-    /// Write `bytes` as entry `which` of [`valid_entries`] (0 = whole app,
-    /// 1 = shard) and load it back through the matching method.
-    fn load_planted(store: &ResultStore, which: usize, bytes: &[u8]) -> bool {
+    /// Plant `bytes` as the only segment of a fresh store under `tag` and
+    /// load entry `which` of [`valid_entries`] (0 = whole app, 1 = shard)
+    /// back through the matching method.
+    fn load_planted(tag: &str, which: usize, bytes: &[u8]) -> bool {
+        let dir = temp_dir(tag);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        std::fs::write(dir.join("planted.bvfl"), bytes).expect("plant segment");
+        let store = ResultStore::open(&dir).expect("open");
         let key = valid_entries()[which].0;
-        let path = entry_path(store, key);
-        std::fs::create_dir_all(path.parent().expect("fan-out dir")).expect("mkdir");
-        std::fs::write(&path, bytes).expect("plant entry");
         if which == 0 {
             store.load(key, "VAD").is_some()
         } else {
@@ -455,12 +511,14 @@ mod tests {
 
     #[test]
     fn every_truncated_entry_loads_as_a_miss() {
-        let store = ResultStore::open(temp_dir("truncated")).expect("open");
         for (which, (_, bytes)) in valid_entries().iter().enumerate() {
-            assert!(load_planted(&store, which, bytes), "the intact entry loads");
+            assert!(
+                load_planted("truncated", which, bytes),
+                "the intact entry loads"
+            );
             for len in 0..bytes.len() {
                 assert!(
-                    !load_planted(&store, which, &bytes[..len]),
+                    !load_planted("truncated", which, &bytes[..len]),
                     "entry {which} truncated to {len} of {} bytes loaded",
                     bytes.len()
                 );
@@ -473,11 +531,10 @@ mod tests {
         /// checksum or payload — is a miss, never a panic or a wrong hit.
         #[test]
         fn a_single_bit_flip_loads_as_a_miss(which in 0usize..2, bit in proptest::prelude::any::<u64>()) {
-            let store = ResultStore::open(temp_dir("bit_flip")).expect("open");
             let mut bytes = valid_entries()[which].1.clone();
             let bit = (bit % (bytes.len() as u64 * 8)) as usize;
             bytes[bit / 8] ^= 1 << (bit % 8);
-            proptest::prop_assert!(!load_planted(&store, which, &bytes), "bit {} of entry {} flipped", bit, which);
+            proptest::prop_assert!(!load_planted("bit_flip", which, &bytes), "bit {} of entry {} flipped", bit, which);
         }
     }
 

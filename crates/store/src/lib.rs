@@ -12,11 +12,12 @@
 //! * [`fnv`] — FNV-1a 64-bit hashing over encoded bytes, used both for the
 //!   content address of a cache key and for the payload checksum that
 //!   detects on-disk corruption.
-//! * [`disk`] — [`DiskStore`], a directory of `key -> payload` entries with
-//!   a versioned header, checksummed payloads, and atomic (write-temp +
-//!   rename) publication. Corrupt, truncated, or foreign entries are
-//!   treated as misses, never errors: a damaged cache degrades to
-//!   simulation, it cannot poison results.
+//! * [`disk`] — [`DiskStore`], an append-only log of `key -> payload`
+//!   records with a versioned header and checksummed payloads: each store
+//!   handle appends to one segment file of its own, and every handle
+//!   indexes every segment in the directory. Corrupt, truncated, or
+//!   foreign records are treated as misses, never errors: a damaged cache
+//!   degrades to simulation, it cannot poison results.
 //!
 //! The store is value-agnostic: callers encode their own payloads (see
 //! `bvf_gpu`'s `Persist` impls and `bvf_sim::store::ResultStore`) and the
