@@ -2,9 +2,6 @@
 //!
 //! The Criterion benches live under `benches/`:
 //!
-//! * `benches/coders.rs` — throughput of the NV/VS/ISA coders.
-//! * `benches/gpu_sim.rs` — simulator throughput per kernel-template family
-//!   and multi-view statistics scaling.
 //! * `benches/collector.rs` and `benches/exec_step.rs` — the collector and
 //!   execute-loop hot paths.
 //! * `benches/obs_overhead.rs` and `benches/trace_overhead.rs` — the <5%

@@ -191,6 +191,15 @@ impl MetricsSink {
         self.shared.is_some()
     }
 
+    /// Do both handles record into the same aggregate (or are both
+    /// disabled)?
+    pub fn shares(&self, other: &Self) -> bool {
+        match (&self.shared, &other.shared) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (a, b) => a.is_none() && b.is_none(),
+        }
+    }
+
     /// Register (or look up) a counter by name.
     pub fn counter(&self, name: &'static str) -> CounterId {
         CounterId(match &self.shared {

@@ -150,6 +150,15 @@ impl TraceSink {
         self.shared.is_some()
     }
 
+    /// Do both handles record into the same event store (or are both
+    /// disabled)?
+    pub fn shares(&self, other: &Self) -> bool {
+        match (&self.shared, &other.shared) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (a, b) => a.is_none() && b.is_none(),
+        }
+    }
+
     /// A recorder for the calling thread/work-item, displayed on lane
     /// `tid` in the Chrome export.
     pub fn recorder(&self, tid: u32) -> TraceRecorder {

@@ -26,7 +26,10 @@
 //! baseline, three warp schedulers and three SRAM-capacity configurations)
 //! and prints each exhibit as a fixed-width table. The LRR, two-level,
 //! P100 and K80 campaigns collect only the baseline/BVF energy pair that
-//! Figs. 21 and 22 read. Campaigns fan out over a
+//! Figs. 21 and 22 read. The six sensitivity campaigns run as one
+//! campaign set, app by app, so a worker generates each app's inputs once
+//! for all of them; the last stderr lines count the store's traffic and
+//! the input images generated. Campaigns fan out over a
 //! worker pool — one worker per core unless `--jobs N` pins the count — and
 //! each prints a `campaign:` run report to stderr. The output of this binary
 //! is the source of `EXPERIMENTS.md`.
@@ -412,72 +415,88 @@ fn main() {
     emit(&sensitivity::fig20(&main_campaign), &mut telemetry);
     emit(&sensitivity::fig23(&main_campaign), &mut telemetry);
 
-    // ---- Scheduler sensitivity (Fig. 21) -----------------------------------
-    let apps_for = |_: &str| -> Vec<Application> {
-        if args.quick {
-            ["VAD", "BFS", "BLA"]
-                .iter()
-                .map(|c| Application::by_code(c).expect("app"))
-                .collect()
-        } else {
-            Application::all()
-        }
+    // ---- Scheduler and capacity sensitivity (Figs. 21 and 22) -------------
+    // The six campaigns run as one set, app by app, so a worker prepares
+    // each app's inputs once for all of them. Figs. 21 and 22 read only
+    // the baseline and BVF views; GTO and GTX-480 still collect everything
+    // because they repeat the main campaign's keys, so their results are
+    // store hits on its full entries.
+    eprintln!("running scheduler and capacity campaigns...");
+    let sensitivity_apps: Vec<Application> = if args.quick {
+        ["VAD", "BFS", "BLA"]
+            .iter()
+            .map(|c| Application::by_code(c).expect("app"))
+            .collect()
+    } else {
+        Application::all()
     };
-    let mut sched_campaign = |kind: SchedulerKind, label: &str, collect| -> Campaign {
-        let mut cfg = if args.quick {
-            let mut c = GpuConfig::baseline();
-            c.sms = 2;
-            c
-        } else {
-            GpuConfig::baseline()
-        };
-        cfg.scheduler = kind;
-        let opts = CampaignOptions {
-            collect,
-            ..opts_for(label)
-        };
-        let c = Campaign::run_with_options(cfg, &apps_for("sched"), &opts);
-        finish_campaign(label, &c, &mut telemetry);
+    // `quick` runs every configuration on at most 2 SMs.
+    let sized = |mut c: GpuConfig| {
+        if args.quick {
+            c.sms = c.sms.min(2);
+        }
         c
     };
-    // Figs. 21 and 22 read only the baseline and BVF views. GTO and
-    // GTX-480 still collect everything: they repeat the main campaign's
-    // keys, so their results are store hits on its full entries.
-    eprintln!("running scheduler campaigns...");
-    let gto = sched_campaign(SchedulerKind::Gto, "sched-gto", Collection::Full);
-    let lrr = sched_campaign(SchedulerKind::Lrr, "sched-lrr", Collection::Energy);
-    let two = sched_campaign(
-        SchedulerKind::TwoLevel,
-        "sched-two-level",
-        Collection::Energy,
-    );
+    let scheduler = |kind| {
+        sized(GpuConfig {
+            scheduler: kind,
+            ..GpuConfig::baseline()
+        })
+    };
+    let members = [
+        ("sched-gto", scheduler(SchedulerKind::Gto), Collection::Full),
+        (
+            "sched-lrr",
+            scheduler(SchedulerKind::Lrr),
+            Collection::Energy,
+        ),
+        (
+            "sched-two-level",
+            scheduler(SchedulerKind::TwoLevel),
+            Collection::Energy,
+        ),
+        ("cap-gtx480", sized(GpuConfig::gtx480()), Collection::Full),
+        (
+            "cap-p100",
+            sized(GpuConfig::tesla_p100()),
+            Collection::Energy,
+        ),
+        ("cap-k80", sized(GpuConfig::tesla_k80()), Collection::Energy),
+    ];
+    let labels = members.each_ref().map(|(label, ..)| *label);
+    let set: Vec<(GpuConfig, CampaignOptions)> = members
+        .into_iter()
+        .map(|(label, config, collect)| {
+            let opts = CampaignOptions {
+                collect,
+                ..opts_for(label)
+            };
+            (config, opts)
+        })
+        .collect();
+    let campaigns = Campaign::run_set(&sensitivity_apps, &set);
+    // Reports, records and exhibits go out in the order the campaigns
+    // used to run one by one: the schedulers and Fig. 21, then capacity.
+    let finish_members = |members: std::ops::Range<usize>, telemetry: &mut Telemetry| {
+        for k in members {
+            finish_campaign(labels[k], &campaigns[k], telemetry);
+        }
+    };
+    finish_members(0..3, &mut telemetry);
     emit(
-        &sensitivity::fig21(&[("GTO", &gto), ("LRR", &lrr), ("Two-Level", &two)]),
+        &sensitivity::fig21(&[
+            ("GTO", &campaigns[0]),
+            ("LRR", &campaigns[1]),
+            ("Two-Level", &campaigns[2]),
+        ]),
         &mut telemetry,
     );
-
-    // ---- Capacity sensitivity (Fig. 22) ------------------------------------
-    eprintln!("running capacity campaigns...");
-    let mut capacity_campaign = |mut cfg: GpuConfig, label: &str, collect| -> Campaign {
-        if args.quick {
-            cfg.sms = cfg.sms.min(2);
-        }
-        let opts = CampaignOptions {
-            collect,
-            ..opts_for(label)
-        };
-        let c = Campaign::run_with_options(cfg, &apps_for("capacity"), &opts);
-        finish_campaign(label, &c, &mut telemetry);
-        c
-    };
-    let c480 = capacity_campaign(GpuConfig::gtx480(), "cap-gtx480", Collection::Full);
-    let cp100 = capacity_campaign(GpuConfig::tesla_p100(), "cap-p100", Collection::Energy);
-    let ck80 = capacity_campaign(GpuConfig::tesla_k80(), "cap-k80", Collection::Energy);
+    finish_members(3..6, &mut telemetry);
     emit(
         &sensitivity::fig22(&[
-            ("GTX-480", &c480),
-            ("Tesla-P100", &cp100),
-            ("Tesla-K80", &ck80),
+            ("GTX-480", &campaigns[3]),
+            ("Tesla-P100", &campaigns[4]),
+            ("Tesla-K80", &campaigns[5]),
         ]),
         &mut telemetry,
     );
@@ -533,6 +552,10 @@ fn main() {
             "under {}",
             dir.display()
         )),
+    );
+    eprintln!(
+        "inputs: {} images generated",
+        bvf_workloads::input_generations_total()
     );
     eprintln!("all exhibits regenerated in {:?}", t0.elapsed());
     let failures = failures.into_inner();

@@ -4,11 +4,14 @@
 //! campaign fans them out across a scoped-thread worker pool (see
 //! [`parallel_map`]) controlled by a [`Parallelism`] knob. The work items
 //! are (application, shard `s` of `n`) units, `n = 1` when sharding is
-//! off; the unit that completes an application merges it. Results are
-//! always assembled in registry order and are bit-identical across worker
-//! counts and shard counts: the only shared state is the work-queue
-//! cursor, the per-app slot tables and the output slots, never the
-//! simulators.
+//! off; the unit that completes an application merges it. Several
+//! campaigns over the same applications can share one queue as a
+//! *campaign set* ([`Campaign::run_set`]), whose units go app by app so a
+//! worker prepares each application's inputs once for every member.
+//! Results are always assembled in registry order and are bit-identical
+//! across worker counts, shard counts and set membership: the only shared
+//! state is the work-queue cursor, the per-app slot tables and the output
+//! slots, never the simulators.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -158,6 +161,8 @@ where
 ///
 /// The default runs on an auto-sized pool with the Pascal ISA and full
 /// collection, no sharding, store, progress output, metrics or tracing.
+/// The members of a [`Campaign::run_set`] may differ only in `arch`,
+/// `trace_label` and `collect`.
 #[derive(Debug, Clone)]
 pub struct CampaignOptions {
     /// Worker-pool sizing.
@@ -399,10 +404,17 @@ pub struct Campaign {
     pub cache_misses: usize,
     /// Cache hits re-simulated and checked bit-identical (`--cache-verify`).
     pub cache_verified: usize,
-    /// Total wall-clock time of the simulation fan-out.
+    /// Input images this campaign's simulations generated (see
+    /// [`bvf_workloads::input_generations`]). A unit whose worker still
+    /// held its app's image from the previous unit generated none.
+    pub input_generations: u64,
+    /// Total wall-clock time of the simulation fan-out: under a campaign
+    /// set, the whole set's (see [`Campaign::run_set`]).
     pub wall: Duration,
     /// Worker count the run actually used.
     pub workers: usize,
+    /// Campaigns in the set this one ran in (1 when it ran alone).
+    pub set_size: usize,
     /// Shards per application the work queue used (1 = unsharded).
     pub shards: u32,
     /// Wall time of the longest single work item — a whole application
@@ -439,7 +451,7 @@ impl Campaign {
     /// parallelism, ISA generation, what to collect (by default the
     /// standard five coding views, baseline / NV / VS / ISA / BVF, and the
     /// value profiles), sharding, store, progress, metrics and tracing
-    /// (see [`CampaignOptions`]).
+    /// (see [`CampaignOptions`]). This is a [`Campaign::run_set`] of one.
     ///
     /// # Panics
     ///
@@ -464,131 +476,125 @@ impl Campaign {
         isa_mask: u64,
         opts: &CampaignOptions,
     ) -> Self {
-        // Resolve the shard count against the pool the parallelism knob
-        // *would* deliver with no item cap (the item count depends on the
-        // shard count, so the cap cannot be applied first).
-        let n = opts.shards.count(opts.par.workers(usize::MAX), config.sms);
-        let mut fanout = Fanout {
-            config: &config,
-            views: opts.collect.views(isa_mask),
-            apps,
-            opts,
-            isa_mask,
-            n,
-            verify: opts
-                .store
-                .as_deref()
-                .map(|s| s.verify_selection(apps.len()))
-                .unwrap_or_default(),
-            slots: apps.iter().map(|_| Mutex::default()).collect(),
-            progress: Progress::new(0, "apps"),
-            trace_root: format!("campaign:{}", opts.trace_label),
-            store_counts: ["store.hit", "store.miss", "store.verify"]
-                .map(|name| (AtomicUsize::new(0), opts.sink.counter(name))),
-        };
+        let mut set = Self::fan_out(apps, &[(&config, isa_mask, opts)]);
+        set.pop().expect("a set of one runs one campaign")
+    }
+
+    /// Run several campaigns over the same `apps` as one *campaign set*:
+    /// one store consult pass and one work queue, ordered app by app, so a
+    /// worker runs every member's units of an application back to back and
+    /// prepares its inputs once (see [`Application::prepare`]). Each member
+    /// is a (configuration, options) pair and comes back exactly as
+    /// [`Campaign::run_with_options`] would have returned it alone —
+    /// results, failures and store counts — in member order.
+    ///
+    /// Members may differ in configuration, `trace_label`, `collect` and
+    /// `arch` (hence ISA mask). Their other options must agree, sinks and
+    /// store being the same handles. Each member's `wall` is the set's, and
+    /// its `campaign:<label>` trace root spans the whole set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `apps` or `members` is empty, or if the members' options
+    /// disagree beyond those settings.
+    pub fn run_set(apps: &[Application], members: &[(GpuConfig, CampaignOptions)]) -> Vec<Self> {
+        assert!(!apps.is_empty(), "campaign needs at least one application");
+        let members: Vec<(&GpuConfig, u64, &CampaignOptions)> = members
+            .iter()
+            .map(|(config, opts)| (config, Self::derive_isa_mask(opts.arch, apps), opts))
+            .collect();
+        Self::fan_out(apps, &members)
+    }
+
+    /// The one fan-out behind every campaign: run each (configuration,
+    /// ISA mask, options) member over `apps` and assemble the members in
+    /// order.
+    fn fan_out(apps: &[Application], members: &[(&GpuConfig, u64, &CampaignOptions)]) -> Vec<Self> {
+        let (_, _, opts) = *members.first().expect("a campaign set has members");
+        for &(_, _, other) in &members[1..] {
+            let same_store = match (&opts.store, &other.store) {
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                (a, b) => a.is_none() && b.is_none(),
+            };
+            assert!(
+                same_store
+                    && other.par == opts.par
+                    && other.progress == opts.progress
+                    && other.fault == opts.fault
+                    && other.shards == opts.shards
+                    && other.sink.shares(&opts.sink)
+                    && other.tracer.shares(&opts.tracer),
+                "campaign set members may differ only in configuration, trace label, \
+                 collection, architecture and ISA mask"
+            );
+        }
+        let members: Vec<Member> = members
+            .iter()
+            .map(|&(config, isa_mask, opts)| Member::new(config, apps, isa_mask, opts))
+            .collect();
         let mut main_trace = opts.tracer.is_enabled().then(|| {
             let rec = opts.tracer.recorder(u32::MAX);
             let t0_ns = rec.now_ns();
             (rec, t0_ns)
         });
         let t0 = Instant::now();
-        // Consult every app's whole-app entry before scheduling its units,
-        // at any shard count: a hit publishes the app and schedules none.
-        let indices: Vec<usize> = (0..apps.len()).collect();
+        // Consult every member's whole-app entry of every app before
+        // scheduling any unit, at any shard count: a hit publishes the app
+        // and schedules none of that member's units.
+        let consult_items: Vec<(usize, usize)> = (0..apps.len())
+            .flat_map(|i| (0..members.len()).map(move |m| (i, m)))
+            .collect();
         let consults = match opts.store {
-            Some(_) => parallel_map(&indices, opts.par, |&i| fanout.consult_app(i)),
-            None => vec![None; apps.len()],
+            Some(_) => parallel_map(&consult_items, opts.par, |&(i, m)| {
+                members[m].consult_app(i)
+            }),
+            None => vec![None; consult_items.len()],
         };
-        // One queue of (app, shard) units over the rest: longest app
-        // first, so the schedule's tail fills with small items instead of
-        // idling behind one big app, and an app's shards back to back, so
-        // a worker reuses the app's prepared memory image.
-        let mut order: Vec<usize> = indices
-            .into_iter()
-            .filter(|&i| consults[i].is_none())
-            .collect();
+        // One queue of (app, member, shard) units over the rest. Longest
+        // app first, so the schedule's tail fills with small items instead
+        // of idling behind one big app. Within an app, member by member
+        // and each member's shards back to back, so a worker reuses the
+        // app's prepared memory image across all of them.
+        let mut order: Vec<usize> = (0..apps.len()).collect();
         order.sort_by_key(|&i| std::cmp::Reverse(apps[i].work_estimate()));
-        let units: Vec<(usize, u32)> = order
-            .iter()
-            .flat_map(|&i| (0..n).map(move |s| (i, s)))
-            .collect();
+        let mut units: Vec<(usize, usize, u32)> = Vec::new();
+        for i in order {
+            for (m, member) in members.iter().enumerate() {
+                if consults[i * members.len() + m].is_none() {
+                    units.extend((0..member.n).map(|s| (i, m, s)));
+                }
+            }
+        }
         let workers = opts.par.workers(units.len().max(apps.len()));
-        fanout.progress = Progress::new(units.len(), if n == 1 { "apps" } else { "shards" });
-        let run_unit = |&(i, s): &(usize, u32)| fanout.run_unit(i, s);
+        let sharded = members.iter().any(|m| m.n > 1);
+        let progress = Progress::new(units.len(), if sharded { "shards" } else { "apps" });
+        let run_unit = |&(i, m, s): &(usize, usize, u32)| members[m].run_unit(i, s, &progress);
         let outcomes = if opts.progress {
-            with_heartbeat(&fanout.progress, || {
-                parallel_map(&units, opts.par, run_unit)
-            })
+            with_heartbeat(&progress, || parallel_map(&units, opts.par, run_unit))
         } else {
             parallel_map(&units, opts.par, run_unit)
         };
         let wall = t0.elapsed();
-        let Fanout {
-            slots,
-            trace_root,
-            store_counts,
-            ..
-        } = fanout;
-        let [hits, misses, verified] = store_counts.map(|(total, _)| total.into_inner());
 
-        // Assembly only regroups. Results and failures go out in registry
-        // order, so neither depends on the queue permutation or on
-        // completion order, with one failure per application: its
-        // consult's, or its lowest-indexed failing unit's error.
-        let mut by_unit: Vec<_> = units.into_iter().zip(outcomes).collect();
-        by_unit.sort_unstable_by_key(|&(unit, _)| unit);
-        let consulted = consults
-            .into_iter()
-            .enumerate()
-            .filter_map(|(i, outcome)| Some((i, outcome?)));
-        let mut failed: Vec<Option<String>> = vec![None; apps.len()];
-        let mut item_wall = vec![Duration::ZERO; apps.len()];
-        for (i, outcome) in consulted.chain(by_unit.into_iter().map(|((i, _), o)| (i, o))) {
-            match outcome {
-                Ok(wall) => item_wall[i] = item_wall[i].max(wall),
-                Err(error) => {
-                    failed[i].get_or_insert(error);
-                }
+        // Hand each member its own consults and units, then assemble the
+        // members in order.
+        let mut consulted: Vec<Vec<_>> = members.iter().map(|_| Vec::new()).collect();
+        for ((i, m), outcome) in consult_items.into_iter().zip(consults) {
+            if let Some(outcome) = outcome {
+                consulted[m].push((i, outcome));
             }
         }
-        let mut results = Vec::with_capacity(apps.len());
-        let mut failures = Vec::new();
-        let mut max_item_wall = Duration::ZERO;
-        for (((app, slot), failed), item_wall) in apps.iter().zip(slots).zip(failed).zip(item_wall)
-        {
-            if let Some(error) = failed {
-                failures.push(AppFailure {
-                    app: app.code,
-                    error,
-                });
-                continue;
-            }
-            max_item_wall = max_item_wall.max(item_wall);
-            let slot = slot.into_inner().expect("no unit panics holding a slot");
-            results.push(
-                slot.result
-                    .expect("a hit or the unit that filled the last slot published"),
-            );
+        let mut by_unit: Vec<Vec<_>> = members.iter().map(|_| Vec::new()).collect();
+        for ((i, m, s), outcome) in units.into_iter().zip(outcomes) {
+            by_unit[m].push(((i, s), outcome));
         }
-        if let Some((rec, t0_ns)) = main_trace.as_mut() {
-            Self::emit_logical_spans(rec, &trace_root, *t0_ns, &results, &failures);
+        let set_size = members.len();
+        let mut campaigns = Vec::with_capacity(set_size);
+        for ((member, consulted), by_unit) in members.into_iter().zip(consulted).zip(by_unit) {
+            let trace = main_trace.as_mut();
+            campaigns.push(member.assemble(consulted, by_unit, trace, (wall, workers, set_size)));
         }
-        let index = Self::build_index(&results);
-        Self {
-            config,
-            arch: opts.arch,
-            isa_mask,
-            results,
-            failures,
-            cache_hits: hits,
-            cache_misses: misses,
-            cache_verified: verified,
-            wall,
-            workers,
-            shards: n,
-            max_item_wall,
-            index,
-        }
+        campaigns
     }
 
     /// Emit the *logical* span tree — campaign, per-app, per-phase — from
@@ -773,6 +779,8 @@ impl Campaign {
             mean_app_wall,
             total_instructions,
             simulated: simulated.len(),
+            input_generations: self.input_generations,
+            set_size: self.set_size,
             instructions_per_second: rate(self.wall),
             serial_instructions_per_second: rate(simulated_wall),
         }
@@ -828,7 +836,8 @@ impl Campaign {
 /// (0, 1) passed through [`merge_shards`]. `value_profiles` goes to
 /// [`Gpu::set_value_profiles`]. `trace` carries (sink, causal scope, lane
 /// id) so the GPU attributes its launch and phase spans to the caller's
-/// work item.
+/// work item. Returns the shard and the input images its preparation
+/// generated (0 when this thread's memo held the app's image).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn simulate_shard(
     config: &GpuConfig,
@@ -840,7 +849,7 @@ pub(crate) fn simulate_shard(
     index: u32,
     count: u32,
     trace: Option<(&TraceSink, String, u32)>,
-) -> LaunchShard {
+) -> (LaunchShard, u64) {
     let mut gpu = Gpu::new(config.clone(), views.to_vec());
     gpu.set_value_profiles(value_profiles);
     gpu.set_architecture(arch);
@@ -848,7 +857,9 @@ pub(crate) fn simulate_shard(
     if let Some((tracer, scope, tid)) = trace {
         gpu.set_tracer(tracer.clone(), scope, tid);
     }
-    app.run_shard(&mut gpu, index, count)
+    let before = bvf_workloads::input_generations();
+    let shard = app.run_shard(&mut gpu, index, count);
+    (shard, bvf_workloads::input_generations() - before)
 }
 
 /// What a store hit gives: a unit its launch shard, an app's whole-app
@@ -910,14 +921,14 @@ fn traced<R>(
     out
 }
 
-/// Indices into [`Fanout::store_counts`].
+/// Indices into [`Member::store_counts`].
 const HIT: usize = 0;
 const MISS: usize = 1;
 const VERIFY: usize = 2;
 
-/// The shared state of one campaign fan-out: what every work item reads,
-/// the per-app slot tables units deliver into, and the counters they bump.
-struct Fanout<'a> {
+/// One campaign of a fan-out: what its work items read, the per-app slot
+/// tables its units deliver into, and the counters they bump.
+struct Member<'a> {
     config: &'a GpuConfig,
     views: Vec<CodingView>,
     apps: &'a [Application],
@@ -928,14 +939,118 @@ struct Fanout<'a> {
     /// Which apps re-simulate their store hits, by registry index.
     verify: Vec<bool>,
     slots: Vec<Mutex<AppSlot>>,
-    /// Progress of the units; set once the consults have picked them.
-    progress: Progress,
     trace_root: String,
     /// Store hits, misses and verifications: campaign total, sink counter.
     store_counts: [(AtomicUsize, CounterId); 3],
+    /// Input images this member's simulations generated.
+    generations: AtomicU64,
 }
 
-impl Fanout<'_> {
+impl<'a> Member<'a> {
+    fn new(
+        config: &'a GpuConfig,
+        apps: &'a [Application],
+        isa_mask: u64,
+        opts: &'a CampaignOptions,
+    ) -> Self {
+        Self {
+            config,
+            views: opts.collect.views(isa_mask),
+            apps,
+            opts,
+            isa_mask,
+            // Resolve the shard count against the pool the parallelism
+            // knob *would* deliver with no item cap (the item count depends
+            // on the shard count, so the cap cannot be applied first).
+            n: opts.shards.count(opts.par.workers(usize::MAX), config.sms),
+            verify: opts
+                .store
+                .as_deref()
+                .map(|s| s.verify_selection(apps.len()))
+                .unwrap_or_default(),
+            slots: apps.iter().map(|_| Mutex::default()).collect(),
+            trace_root: format!("campaign:{}", opts.trace_label),
+            store_counts: ["store.hit", "store.miss", "store.verify"]
+                .map(|name| (AtomicUsize::new(0), opts.sink.counter(name))),
+            generations: AtomicU64::new(0),
+        }
+    }
+
+    /// Assemble this member's campaign from its consult outcomes (app
+    /// index order) and unit outcomes, emitting its logical spans on
+    /// `main_trace`; the fan-out gives its wall, worker count and set
+    /// size.
+    ///
+    /// Assembly only regroups. Results and failures go out in registry
+    /// order, so neither depends on the queue permutation or on completion
+    /// order, with one failure per application: its consult's, or its
+    /// lowest-indexed failing unit's error.
+    fn assemble(
+        self,
+        consulted: Vec<(usize, Result<Duration, String>)>,
+        mut by_unit: Vec<((usize, u32), Result<Duration, String>)>,
+        main_trace: Option<&mut (TraceRecorder, u64)>,
+        (wall, workers, set_size): (Duration, usize, usize),
+    ) -> Campaign {
+        let apps = self.apps;
+        let [hits, misses, verified] = self.store_counts.map(|(total, _)| total.into_inner());
+        by_unit.sort_unstable_by_key(|&(unit, _)| unit);
+        let mut failed: Vec<Option<String>> = vec![None; apps.len()];
+        let mut item_wall = vec![Duration::ZERO; apps.len()];
+        for (i, outcome) in consulted
+            .into_iter()
+            .chain(by_unit.into_iter().map(|((i, _), o)| (i, o)))
+        {
+            match outcome {
+                Ok(wall) => item_wall[i] = item_wall[i].max(wall),
+                Err(error) => {
+                    failed[i].get_or_insert(error);
+                }
+            }
+        }
+        let mut results = Vec::with_capacity(apps.len());
+        let mut failures = Vec::new();
+        let mut max_item_wall = Duration::ZERO;
+        for (((app, slot), failed), item_wall) in
+            apps.iter().zip(self.slots).zip(failed).zip(item_wall)
+        {
+            if let Some(error) = failed {
+                failures.push(AppFailure {
+                    app: app.code,
+                    error,
+                });
+                continue;
+            }
+            max_item_wall = max_item_wall.max(item_wall);
+            let slot = slot.into_inner().expect("no unit panics holding a slot");
+            results.push(
+                slot.result
+                    .expect("a hit or the unit that filled the last slot published"),
+            );
+        }
+        if let Some((rec, t0_ns)) = main_trace {
+            Campaign::emit_logical_spans(rec, &self.trace_root, *t0_ns, &results, &failures);
+        }
+        let index = Campaign::build_index(&results);
+        Campaign {
+            config: self.config.clone(),
+            arch: self.opts.arch,
+            isa_mask: self.isa_mask,
+            results,
+            failures,
+            cache_hits: hits,
+            cache_misses: misses,
+            cache_verified: verified,
+            input_generations: self.generations.into_inner(),
+            wall,
+            workers,
+            set_size,
+            shards: self.n,
+            max_item_wall,
+            index,
+        }
+    }
+
     fn count(&self, which: usize) {
         let (total, counter) = &self.store_counts[which];
         total.fetch_add(1, Ordering::Relaxed);
@@ -968,7 +1083,7 @@ impl Fanout<'_> {
                 t.rec.tid(),
             )
         });
-        simulate_shard(
+        let (shard, generated) = simulate_shard(
             self.config,
             &self.views,
             self.opts.collect == Collection::Full,
@@ -978,7 +1093,9 @@ impl Fanout<'_> {
             s,
             count,
             scope,
-        )
+        );
+        self.generations.fetch_add(generated, Ordering::Relaxed);
+        shard
     }
 
     /// Run `body` as one work item, traced as `<root>/app:<code>/<name>`
@@ -1045,11 +1162,11 @@ impl Fanout<'_> {
 
     /// Run unit (app `i`, shard `s`) and return its wall time, or the
     /// panic message that failed it.
-    fn run_unit(&self, i: usize, s: u32) -> Result<Duration, String> {
+    fn run_unit(&self, i: usize, s: u32, progress: &Progress) -> Result<Duration, String> {
         let app = &self.apps[i];
         let unit = i * self.n as usize + s as usize;
-        self.progress.started.fetch_add(1, Ordering::Relaxed);
-        self.progress.busy.fetch_add(1, Ordering::Relaxed);
+        progress.started.fetch_add(1, Ordering::Relaxed);
+        progress.busy.fetch_add(1, Ordering::Relaxed);
         let t_item = Instant::now();
         let outcome = self.item(
             i,
@@ -1059,14 +1176,14 @@ impl Fanout<'_> {
                 if self.opts.fault.as_deref() == Some(app.code) {
                     panic!("injected fault: worker asked to fail on {}", app.code);
                 }
-                self.unit_body(i, s, trace)
+                self.unit_body(i, s, trace, progress)
             },
         );
-        self.progress
+        progress
             .item_wall_nanos
             .fetch_add(t_item.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        self.progress.busy.fetch_sub(1, Ordering::Relaxed);
-        self.progress.done.fetch_add(1, Ordering::Relaxed);
+        progress.busy.fetch_sub(1, Ordering::Relaxed);
+        progress.done.fetch_add(1, Ordering::Relaxed);
         outcome
     }
 
@@ -1076,7 +1193,13 @@ impl Fanout<'_> {
     /// whole-app summary. Returns the unit's wall time: the consult of a
     /// hit or the simulation of a miss, plus the merge when this unit
     /// performed it (store writes excluded).
-    fn unit_body(&self, i: usize, s: u32, trace: &mut Option<ItemTrace>) -> Duration {
+    fn unit_body(
+        &self,
+        i: usize,
+        s: u32,
+        trace: &mut Option<ItemTrace>,
+        progress: &Progress,
+    ) -> Duration {
         let app = &self.apps[i];
         let store = self.opts.store.as_deref();
         let key = self.key(app);
@@ -1094,7 +1217,7 @@ impl Fanout<'_> {
             }
         };
         let mut wall = t_unit.elapsed();
-        self.progress
+        progress
             .instructions
             .fetch_add(shard.dynamic_instructions, Ordering::Relaxed);
         // A sharded miss streams its shard into the store at once, so an
@@ -1247,8 +1370,14 @@ pub struct RunReport {
     pub total_instructions: u64,
     /// Applications simulated rather than served from the store.
     pub simulated: usize,
+    /// Input images the campaign's simulations generated.
+    pub input_generations: u64,
+    /// Campaigns in the set this one ran in (1 when it ran alone); `wall`
+    /// is the set's.
+    pub set_size: usize,
     /// Aggregate simulator throughput: the simulated applications'
     /// instructions over the campaign wall time (0 when none simulated).
+    /// Under a campaign set the wall is the set's, so this undercounts.
     pub instructions_per_second: f64,
     /// Per-worker simulator throughput: the simulated applications'
     /// instructions over their summed wall times (0 when none simulated).
@@ -1260,7 +1389,8 @@ pub struct RunReport {
 
 impl core::fmt::Display for RunReport {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        // A campaign that simulated nothing has no throughput to show.
+        // A campaign that simulated nothing has no throughput to show, and
+        // a set member's wall is not its own.
         write!(
             f,
             "campaign: {} apps on {} worker{} in {:.3?}",
@@ -1269,7 +1399,9 @@ impl core::fmt::Display for RunReport {
             if self.workers == 1 { "" } else { "s" },
             self.wall,
         )?;
-        if self.simulated > 0 {
+        if self.set_size > 1 {
+            write!(f, ", the wall of its set of {} campaigns", self.set_size)?;
+        } else if self.simulated > 0 {
             write!(f, " ({:.1} M instr/s)", self.instructions_per_second / 1e6)?;
         }
         writeln!(f)?;
@@ -1283,8 +1415,10 @@ impl core::fmt::Display for RunReport {
         if self.simulated > 0 {
             writeln!(
                 f,
-                "  {:.1} M instr/s per worker",
-                self.serial_instructions_per_second / 1e6
+                "  {:.1} M instr/s per worker, {} input image{} generated",
+                self.serial_instructions_per_second / 1e6,
+                self.input_generations,
+                if self.input_generations == 1 { "" } else { "s" },
             )?;
         }
         write!(
@@ -1564,13 +1698,7 @@ mod tests {
         Campaign::smoke(&CampaignOptions::default()).result("nope");
     }
 
-    /// A scratch store directory, wiped before use.
-    fn temp_store(tag: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("bvf_campaign_store_{}_{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
+    use crate::store::testing::TempDir;
 
     fn store_opts(store: &Arc<ResultStore>) -> CampaignOptions {
         CampaignOptions {
@@ -1581,7 +1709,7 @@ mod tests {
 
     #[test]
     fn cached_campaign_is_bit_identical_to_fresh() {
-        let dir = temp_store("roundtrip");
+        let dir = TempDir::new("roundtrip");
         let store = Arc::new(ResultStore::open(&dir).expect("open store"));
         let cold = Campaign::smoke(&store_opts(&store));
         assert_eq!((cold.cache_hits, cold.cache_misses), (0, 6));
@@ -1597,43 +1725,45 @@ mod tests {
         let report = warm.run_report();
         assert_eq!((report.cache_hits, report.cache_misses), (6, 0));
         assert!(format!("{report}").contains("cache: 6 hits, 0 misses"));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
-    proptest! {
-        /// Cached and fresh campaigns agree for any worker count — the
-        /// store must not interact with the fan-out's scheduling. One
-        /// store serves every case (the entries do not depend on the
-        /// worker count), so all but the first case run fully warm and
-        /// both the miss and the hit path face every parallelism.
-        #[test]
-        fn cached_campaigns_match_fresh_for_any_parallelism(workers in 1usize..5) {
-            let mut config = GpuConfig::baseline();
-            config.sms = 1;
-            let apps: Vec<Application> = ["VAD", "SGE"]
-                .iter()
-                .map(|c| Application::by_code(c).expect("app"))
-                .collect();
-            let dir = std::env::temp_dir()
-                .join(format!("bvf_campaign_store_{}_prop", std::process::id()));
+    /// Cached and fresh campaigns agree at every worker count — the store
+    /// must not interact with the fan-out's scheduling. Each count runs
+    /// cold into a fresh store and then warm from it, so both the miss and
+    /// the hit path face every parallelism.
+    #[test]
+    fn cached_campaigns_match_fresh_for_any_parallelism() {
+        let mut config = GpuConfig::baseline();
+        config.sms = 1;
+        let apps: Vec<Application> = ["VAD", "SGE"]
+            .iter()
+            .map(|c| Application::by_code(c).expect("app"))
+            .collect();
+        for workers in 1usize..5 {
+            let dir = TempDir::new("any_parallelism");
             let store = Arc::new(ResultStore::open(&dir).expect("open store"));
             let opts = |store| CampaignOptions {
                 par: Parallelism::Fixed(workers),
                 store,
                 ..CampaignOptions::default()
             };
-            let cached =
-                Campaign::run_with_options(config.clone(), &apps, &opts(Some(store)));
-            let fresh = Campaign::run_with_options(config, &apps, &opts(None));
-            prop_assert_eq!(&cached, &fresh);
-            prop_assert_eq!(cached.cache_hits + cached.cache_misses, 2);
-            prop_assert!(cached.failures.is_empty());
+            let fresh = Campaign::run_with_options(config.clone(), &apps, &opts(None));
+            for hits in [0, 2] {
+                let cached = Campaign::run_with_options(
+                    config.clone(),
+                    &apps,
+                    &opts(Some(Arc::clone(&store))),
+                );
+                assert_eq!(cached, fresh, "{workers} workers, {hits} hits");
+                assert_eq!((cached.cache_hits, cached.cache_misses), (hits, 2 - hits));
+                assert!(cached.failures.is_empty());
+            }
         }
     }
 
     #[test]
     fn corrupted_cache_entries_fall_back_to_simulation() {
-        let dir = temp_store("corrupt");
+        let dir = TempDir::new("corrupt");
         let store = Arc::new(ResultStore::open(&dir).expect("open store"));
         let cold = Campaign::smoke(&store_opts(&store));
         // Vandalize every record on disk: one bad payload byte each.
@@ -1645,7 +1775,6 @@ mod tests {
         assert_eq!((warm.cache_hits, warm.cache_misses), (0, 6));
         assert_eq!(cold, warm, "corruption must never change results");
         assert_eq!(store.stats().corrupt, 6);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1668,7 +1797,7 @@ mod tests {
 
     #[test]
     fn cache_verification_resimulates_a_sample_and_counts_it() {
-        let dir = temp_store("verify");
+        let dir = TempDir::new("verify");
         let store = Arc::new(
             ResultStore::open(&dir)
                 .expect("open store")
@@ -1688,7 +1817,6 @@ mod tests {
         assert_eq!(sink.counter_value(sink.counter("store.hit")), 6);
         assert_eq!(sink.counter_value(sink.counter("store.miss")), 6);
         assert_eq!(sink.counter_value(sink.counter("store.verify")), 2);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1729,7 +1857,7 @@ mod tests {
 
     #[test]
     fn sharded_campaign_streams_shards_into_the_store_and_resumes_mid_app() {
-        let dir = temp_store("shard_resume");
+        let dir = TempDir::new("shard_resume");
         let store = Arc::new(ResultStore::open(&dir).expect("open store"));
         let opts = |store| CampaignOptions {
             par: Parallelism::Fixed(2),
@@ -1800,12 +1928,11 @@ mod tests {
         assert_eq!((warm.cache_hits, warm.cache_misses), (6, 0));
         assert!(warm.results.iter().all(|r| r.cached));
         assert_eq!(cold, warm);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn a_planted_shard_that_does_not_fit_is_a_miss() {
-        let dir = temp_store("shard_misfit");
+        let dir = TempDir::new("shard_misfit");
         let store = Arc::new(ResultStore::open(&dir).expect("open store"));
         let opts = |store| CampaignOptions {
             par: Parallelism::Fixed(2),
@@ -1843,12 +1970,11 @@ mod tests {
         assert_eq!((warm.cache_hits, warm.cache_misses), (10, 2));
         assert_eq!(warm, cold);
         assert_eq!(warm, Campaign::smoke(&CampaignOptions::default()));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn sharded_campaign_saves_the_merged_summary_for_unsharded_runs() {
-        let dir = temp_store("shard_to_whole");
+        let dir = TempDir::new("shard_to_whole");
         let store = Arc::new(ResultStore::open(&dir).expect("open store"));
         let sharded = Campaign::smoke(&CampaignOptions {
             shards: ShardMode::Fixed(2),
@@ -1860,12 +1986,11 @@ mod tests {
         let unsharded = Campaign::smoke(&store_opts(&store));
         assert_eq!((unsharded.cache_hits, unsharded.cache_misses), (6, 0));
         assert_eq!(sharded, unsharded);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn a_differently_sharded_run_hits_every_whole_app_entry() {
-        let dir = temp_store("reshard");
+        let dir = TempDir::new("reshard");
         let store = Arc::new(ResultStore::open(&dir).expect("open store"));
         let mut config = GpuConfig::baseline();
         config.sms = 4;
@@ -1895,7 +2020,6 @@ mod tests {
             (3, 0)
         );
         assert_eq!(four, two);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1996,7 +2120,7 @@ mod tests {
             }
         }
 
-        let dir = temp_store("collections");
+        let dir = TempDir::new("collections");
         let disk = Arc::new(ResultStore::open(&dir).expect("open store"));
         for (store, n) in [(Arc::new(ResultStore::in_memory()), 1), (disk, 2)] {
             let opts = |collect| CampaignOptions {
@@ -2032,7 +2156,6 @@ mod tests {
         for (e, f) in energy.results.iter().zip(&full.results) {
             assert_eq!(*e.summary, energy_part(&f.summary));
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -2077,6 +2200,140 @@ mod tests {
         let text = format!("{report}");
         assert!(!text.contains("instr/s"), "{text}");
         assert!(text.contains("cache: 2 hits, 0 misses"), "{text}");
+    }
+
+    /// Four members on 2-SM configurations: energy LRR, P100 and K80 and
+    /// a full GTO, with `collect` and `trace_label` set per member.
+    fn set_members(base: &CampaignOptions) -> Vec<(GpuConfig, CampaignOptions)> {
+        let mut lrr = GpuConfig::baseline();
+        lrr.scheduler = bvf_gpu::SchedulerKind::Lrr;
+        [
+            ("lrr", lrr, Collection::Energy),
+            ("p100", GpuConfig::tesla_p100(), Collection::Energy),
+            ("k80", GpuConfig::tesla_k80(), Collection::Energy),
+            ("gto", GpuConfig::baseline(), Collection::Full),
+        ]
+        .into_iter()
+        .map(|(label, mut config, collect)| {
+            config.sms = 2;
+            let opts = CampaignOptions {
+                trace_label: label.to_string(),
+                collect,
+                ..base.clone()
+            };
+            (config, opts)
+        })
+        .collect()
+    }
+
+    #[test]
+    fn a_set_equals_its_members_run_alone() {
+        let apps: Vec<Application> = ["VAD", "BFS", "SGE"]
+            .iter()
+            .map(|c| Application::by_code(c).expect("app"))
+            .collect();
+        // Every combination of shards, workers and store, half of them
+        // with a fault: each of the three settings meets the fault both
+        // ways.
+        for (shards, workers, stored, fault) in (0..8usize).map(|k| {
+            let fault = (k.count_ones() % 2 == 1).then(|| "BFS".to_string());
+            ([1, 4][k & 1], [1, 3][(k >> 1) & 1], k & 4 != 0, fault)
+        }) {
+            let base = |store: Option<Arc<ResultStore>>| CampaignOptions {
+                par: Parallelism::Fixed(workers),
+                shards: ShardMode::Fixed(shards),
+                store,
+                fault: fault.clone(),
+                ..CampaignOptions::default()
+            };
+            let new_store = || stored.then(|| Arc::new(ResultStore::in_memory()));
+            let (set_store, alone_store) = (new_store(), new_store());
+            // Cold, then warm from the same stores when there are stores.
+            for pass in 0..if stored { 2 } else { 1 } {
+                let case = format!(
+                    "{shards} shards, {workers} workers, store {stored}, fault {fault:?}, pass {pass}"
+                );
+                let set = Campaign::run_set(&apps, &set_members(&base(set_store.clone())));
+                assert_eq!(set.len(), 4);
+                for (c, (config, opts)) in set.iter().zip(set_members(&base(alone_store.clone()))) {
+                    let alone = Campaign::run_with_options(config, &apps, &opts);
+                    assert_eq!(*c, alone, "{case}: {}", c.config.name);
+                    assert_eq!(
+                        (c.cache_hits, c.cache_misses, c.cache_verified, c.shards),
+                        (
+                            alone.cache_hits,
+                            alone.cache_misses,
+                            alone.cache_verified,
+                            alone.shards
+                        ),
+                        "{case}: {}",
+                        c.config.name
+                    );
+                    assert_eq!((c.set_size, alone.set_size), (4, 1));
+                    assert_eq!(c.wall, set[0].wall, "members share the set's wall");
+                }
+                if let (Some(a), Some(b)) = (&set_store, &alone_store) {
+                    let (a, b) = (a.stats(), b.stats());
+                    assert_eq!(
+                        (a.hits, a.misses, a.writes),
+                        (b.hits, b.misses, b.writes),
+                        "{case}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_set_prepares_each_apps_inputs_once_per_worker() {
+        let apps: Vec<Application> = ["VAD", "BFS", "SGE"]
+            .iter()
+            .map(|c| Application::by_code(c).expect("app"))
+            .collect();
+        // The four members, all collecting the energy pair.
+        let members: Vec<_> = set_members(&with_par(Parallelism::Sequential))
+            .into_iter()
+            .map(|(config, opts)| {
+                let opts = CampaignOptions {
+                    collect: Collection::Energy,
+                    ..opts
+                };
+                (config, opts)
+            })
+            .collect();
+        // Each arm on a fresh thread: the image memo starts empty.
+        let on_fresh_thread = |f: &(dyn Fn() -> Vec<Campaign> + Sync)| {
+            std::thread::scope(|s| s.spawn(f).join()).expect("campaign thread")
+        };
+        let set = on_fresh_thread(&|| Campaign::run_set(&apps, &members));
+        let alone = on_fresh_thread(&|| {
+            members
+                .iter()
+                .map(|(config, opts)| Campaign::run_with_options(config.clone(), &apps, opts))
+                .collect()
+        });
+        let generations =
+            |cs: &[Campaign]| cs.iter().map(|c| c.input_generations).collect::<Vec<_>>();
+        // The first member's unit of each app generates its image; every
+        // later member's unit of it reuses the image.
+        assert_eq!(generations(&set), [3, 0, 0, 0]);
+        assert_eq!(generations(&alone), [3, 3, 3, 3]);
+        assert_eq!(set, alone);
+        let report = format!("{}", set[1].run_report());
+        assert!(
+            report.contains("the wall of its set of 4 campaigns"),
+            "{report}"
+        );
+        assert!(report.contains(", 0 input images generated"), "{report}");
+    }
+
+    #[test]
+    #[should_panic(expected = "campaign set members may differ only in")]
+    fn a_set_rejects_members_whose_shared_options_differ() {
+        let apps = vec![Application::by_code("VAD").expect("app")];
+        let mut members = set_members(&CampaignOptions::default());
+        members[1].1.shards = ShardMode::Fixed(2);
+        Campaign::run_set(&apps, &members);
     }
 
     #[test]
@@ -2140,7 +2397,7 @@ mod tests {
 
     #[test]
     fn cache_verification_catches_a_stale_entry() {
-        let dir = temp_store("verify_stale");
+        let dir = TempDir::new("verify_stale");
         let store = Arc::new(
             ResultStore::open(&dir)
                 .expect("open store")
@@ -2157,7 +2414,6 @@ mod tests {
         assert_eq!(warm.failures[0].app, "VAD");
         assert!(warm.failures[0].error.contains("cache verification failed"));
         assert_eq!(warm.results.len(), 5, "other apps are unaffected");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -21,29 +21,29 @@ use bvf_workloads::{Application, DataProfile};
 use crate::campaign::{parallel_map, simulate_shard, Campaign, Parallelism};
 use crate::table::Table;
 
-/// Pivot-lane ablation: run `apps` once per candidate pivot and report the
-/// encoded register-read 1-fraction (the quantity the BVF cell charges).
-/// Candidates: lane 0 (prior work's default), lane 21 (the paper), lane 16
-/// (naive middle). The (app × pivot) simulations are independent, so they
-/// fan out on the campaign worker pool.
+/// Pivot-lane ablation: run `apps` with one VS coding view per candidate
+/// pivot and report the encoded register-read 1-fraction (the quantity the
+/// BVF cell charges). Candidates: lane 0 (prior work's default), lane 16
+/// (naive middle), lane 21 (the paper). The views record independently, so
+/// one launch per app serves all three; the apps fan out on the campaign
+/// worker pool.
 pub fn pivot_ablation(config: &GpuConfig, apps: &[Application], par: Parallelism) -> Table {
     const PIVOTS: [usize; 3] = [0, 16, 21];
-    let jobs: Vec<(&Application, usize)> = apps
+    let views: Vec<CodingView> = PIVOTS
         .iter()
-        .flat_map(|app| PIVOTS.iter().map(move |&p| (app, p)))
-        .collect();
-    let fractions = parallel_map(&jobs, par, |&(app, pivot)| {
-        let view = CodingView {
-            name: "vs".into(),
+        .map(|&pivot| CodingView {
+            name: format!("vs{pivot}"),
             nv: false,
             vs: true,
             isa: false,
             vs_reg_pivot: pivot,
             isa_mask: 0,
-        };
-        let shard = simulate_shard(
+        })
+        .collect();
+    let rows = parallel_map(apps, par, |app| {
+        let (shard, _) = simulate_shard(
             config,
-            &[view],
+            &views,
             false,
             Architecture::Pascal,
             &MetricsSink::disabled(),
@@ -53,16 +53,21 @@ pub fn pivot_ablation(config: &GpuConfig, apps: &[Application], par: Parallelism
             None,
         );
         let summary = merge_shards(config, &[shard]);
-        let u = summary.view("vs").unit(bvf_core::Unit::Reg);
-        u.read_bits.one_fraction() * 100.0
+        views
+            .iter()
+            .map(|v| {
+                let u = summary.view(&v.name).unit(bvf_core::Unit::Reg);
+                u.read_bits.one_fraction() * 100.0
+            })
+            .collect::<Vec<f64>>()
     });
     let mut t = Table::new(
         "ablation-pivot",
         "encoded register 1-fraction (%) per VS pivot choice",
         vec!["pivot 0".into(), "pivot 16".into(), "pivot 21".into()],
     );
-    for (app, row) in apps.iter().zip(fractions.chunks(PIVOTS.len())) {
-        t.push(app.code, row.to_vec());
+    for (app, row) in apps.iter().zip(rows) {
+        t.push(app.code, row);
     }
     t
 }

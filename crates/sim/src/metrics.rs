@@ -78,6 +78,8 @@ pub fn campaign_record(label: &str, c: &Campaign) -> String {
         .u64("cache_hits", report.cache_hits as u64)
         .u64("cache_misses", report.cache_misses as u64)
         .u64("cache_verified", report.cache_verified as u64)
+        .u64("input_generations", report.input_generations)
+        .u64("set_size", report.set_size as u64)
         .u64("min_app_wall_ns", report.min_app_wall.as_nanos() as u64)
         .u64("mean_app_wall_ns", report.mean_app_wall.as_nanos() as u64)
         .u64("max_app_wall_ns", report.max_app_wall.as_nanos() as u64)

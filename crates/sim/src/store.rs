@@ -338,6 +338,44 @@ fn encode_config(w: &mut Writer, c: &GpuConfig) {
 pub(crate) mod testing {
     use std::ops::Range;
     use std::path::{Path, PathBuf};
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// A temporary directory under the system temp dir, unique to the
+    /// process and the call, and removed on drop — a failing test's too.
+    pub struct TempDir(PathBuf);
+
+    impl TempDir {
+        /// A fresh path (not yet created) named after `tag`.
+        pub fn new(tag: &str) -> Self {
+            static DIRS: AtomicU64 = AtomicU64::new(0);
+            let dir = std::env::temp_dir().join(format!(
+                "bvf_sim_test_{}_{tag}_{}",
+                std::process::id(),
+                DIRS.fetch_add(1, Ordering::Relaxed),
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            Self(dir)
+        }
+    }
+
+    impl std::ops::Deref for TempDir {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl AsRef<Path> for TempDir {
+        fn as_ref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
 
     /// The segment files in a store directory, in name order.
     pub fn segments(dir: &Path) -> Vec<PathBuf> {
@@ -389,12 +427,7 @@ pub(crate) mod testing {
 mod tests {
     use super::*;
 
-    fn temp_dir(tag: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("bvf_result_store_{}_{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
+    use testing::TempDir;
 
     #[test]
     fn keys_separate_every_configuration_axis() {
@@ -429,9 +462,8 @@ mod tests {
 
     #[test]
     fn verify_selection_is_deterministic_and_sized() {
-        let store = ResultStore::open(temp_dir("verify"))
-            .expect("open")
-            .with_verify_sample(3);
+        let dir = TempDir::new("verify");
+        let store = ResultStore::open(&dir).expect("open").with_verify_sample(3);
         let a = store.verify_selection(10);
         let b = store.verify_selection(10);
         assert_eq!(a, b);
@@ -439,13 +471,15 @@ mod tests {
         // More samples than apps: everything is verified, nothing panics.
         assert_eq!(store.verify_selection(2), vec![true, true]);
         // No sampling configured: nothing is selected.
-        let none = ResultStore::open(temp_dir("verify_none")).expect("open");
+        let dir = TempDir::new("verify_none");
+        let none = ResultStore::open(&dir).expect("open");
         assert_eq!(none.verify_selection(5), vec![false; 5]);
     }
 
     #[test]
     fn shard_entries_round_trip_and_guard_their_coordinates() {
-        let store = ResultStore::open(temp_dir("shard")).expect("open");
+        let dir = TempDir::new("shard");
+        let store = ResultStore::open(&dir).expect("open");
         let app = bvf_workloads::Application::by_code("VAD").expect("app");
         let mut config = GpuConfig::baseline();
         config.sms = 2;
@@ -469,7 +503,7 @@ mod tests {
     fn valid_entries() -> &'static [(u64, Vec<u8>); 2] {
         static ENTRIES: std::sync::OnceLock<[(u64, Vec<u8>); 2]> = std::sync::OnceLock::new();
         ENTRIES.get_or_init(|| {
-            let dir = temp_dir("valid_entries");
+            let dir = TempDir::new("valid_entries");
             let store = ResultStore::open(&dir).expect("open");
             let app = bvf_workloads::Application::by_code("VAD").expect("app");
             let mut config = GpuConfig::baseline();
@@ -497,7 +531,7 @@ mod tests {
     /// load entry `which` of [`valid_entries`] (0 = whole app, 1 = shard)
     /// back through the matching method.
     fn load_planted(tag: &str, which: usize, bytes: &[u8]) -> bool {
-        let dir = temp_dir(tag);
+        let dir = TempDir::new(tag);
         std::fs::create_dir_all(&dir).expect("mkdir");
         std::fs::write(dir.join("planted.bvfl"), bytes).expect("plant segment");
         let store = ResultStore::open(&dir).expect("open");
@@ -566,7 +600,8 @@ mod tests {
 
     #[test]
     fn app_code_echo_guards_collisions() {
-        let store = ResultStore::open(temp_dir("echo")).expect("open");
+        let dir = TempDir::new("echo");
+        let store = ResultStore::open(&dir).expect("open");
         // Craft a payload for "VAD" and try to read it back as "BFS" under
         // the same (hypothetically colliding) key.
         let mut w = Writer::new();

@@ -6,7 +6,9 @@
 //! started, queue time until the *blocking* item (the one that finished
 //! last) began, the blocking item itself decomposed into store consult,
 //! simulation, store save, and the shard merge / DRAM replay it performed
-//! as its application's last unit, and the assembly tail after it.
+//! as its application's last unit, and the assembly tail after it. A
+//! member of a campaign set shares its span with its siblings: their
+//! items end its setup and count as its queue wait.
 //!
 //! The rows are a *partition* of the campaign span: they are computed as
 //! differences of the span's own boundary timestamps, so by construction
@@ -80,8 +82,16 @@ impl TraceReport {
             .copied();
         let blocking_item = blocking.map(|e| (e.path.clone(), e.dur_ns));
 
+        // Items of other campaigns that ran inside this campaign's span —
+        // a campaign set's sibling members — held it up as queued work
+        // does: they end the setup and extend the queue wait.
+        let siblings: Vec<&TraceEvent> = events
+            .iter()
+            .filter(|e| is_item(e) && e.t0_ns >= c0 && e.t0_ns + e.dur_ns <= c1)
+            .collect();
         let first_start = items
             .iter()
+            .chain(&siblings)
             .map(|e| e.t0_ns)
             .min()
             .unwrap_or(c1)
@@ -131,8 +141,12 @@ impl TraceReport {
         save = save.min(block_dur - consult - simulate);
         merge = merge.min(block_dur - consult - simulate - save);
         let item_overhead = block_dur - consult - simulate - save - merge;
-        // Tail: blocking item end → campaign end, on the main thread.
-        let assembly = c1 - block_end;
+        let tail_start = siblings
+            .iter()
+            .map(|e| e.t0_ns + e.dur_ns)
+            .fold(block_end, u64::max);
+        // Tail: last item end → campaign end, on the main thread.
+        let assembly = c1 - tail_start;
 
         let rows = vec![
             TraceRow {
@@ -141,7 +155,7 @@ impl TraceReport {
             },
             TraceRow {
                 label: "queue wait",
-                nanos: block_start - first_start,
+                nanos: (block_start - first_start) + (tail_start - block_end),
             },
             TraceRow {
                 label: "store consult",
@@ -278,6 +292,36 @@ mod tests {
         fn as_deref_path(&self) -> Option<(&str, u64)> {
             self.as_ref().map(|(p, n)| (p.as_str(), *n))
         }
+    }
+
+    #[test]
+    fn sibling_items_after_the_blocking_item_are_queue_wait() {
+        // Two members of one set: both roots span the set, and B's last
+        // unit runs after A's.
+        let events = vec![
+            ev("campaign:a", "campaign", 0, 1000),
+            ev("campaign:a/app:AAA/shard:0", "sched", 10, 200),
+            ev("campaign:b", "campaign", 0, 1010),
+            ev("campaign:b/app:AAA/shard:0", "sched", 210, 300),
+            ev("campaign:b/app:BBB/shard:0", "sched", 510, 400),
+            // A later campaign's item ends outside both spans.
+            ev("campaign:c", "campaign", 1100, 100),
+            ev("campaign:c/app:AAA/shard:0", "sched", 1110, 50),
+        ];
+        let reports = TraceReport::from_events(&events);
+        let row =
+            |r: &TraceReport, label: &str| r.rows.iter().find(|x| x.label == label).unwrap().nanos;
+        let a = &reports[0];
+        assert_eq!(a.rows_total_ns(), a.wall_ns);
+        assert_eq!(row(a, "queue wait"), 700); // B's units, 210 → 910
+        assert_eq!(row(a, "assembly"), 90);
+        let b = &reports[1];
+        assert_eq!(b.rows_total_ns(), b.wall_ns);
+        assert_eq!(row(b, "setup"), 10); // A's unit started first
+        assert_eq!(row(b, "queue wait"), 500);
+        assert_eq!(row(b, "assembly"), 100);
+        let c = &reports[2];
+        assert_eq!(row(c, "queue wait"), 0);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Application descriptors: kernel template + data profiles + launch shape.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use bvf_gpu::{GlobalMemory, Gpu, LaunchShard, TraceSummary};
 use bvf_isa::ir::{BufferId, Kernel, LaunchConfig};
@@ -170,7 +171,8 @@ impl Application {
     /// copy-on-write clone of that image instead of regenerating the data.
     /// Launches never write through to the kept image, since each store
     /// copies the buffer it hits. A GPU whose memory already holds buffers
-    /// bypasses the memo.
+    /// bypasses the memo. Every generation, and no memo hit, counts in
+    /// [`input_generations`].
     ///
     /// # Panics
     ///
@@ -179,7 +181,7 @@ impl Application {
     pub fn prepare(&self, gpu: &mut Gpu) {
         let mem = gpu.memory_mut();
         if *mem != GlobalMemory::new() {
-            self.add_buffers(mem);
+            self.generate(mem);
             return;
         }
         *mem = LAST_IMAGE.with(|last| {
@@ -188,12 +190,19 @@ impl Application {
                 Some((app, image)) if app == self => image.clone(),
                 _ => {
                     let mut image = GlobalMemory::new();
-                    self.add_buffers(&mut image);
+                    self.generate(&mut image);
                     *last = Some((self.clone(), image.clone()));
                     image
                 }
             }
         });
+    }
+
+    /// [`Application::add_buffers`], counted in [`input_generations`].
+    fn generate(&self, mem: &mut GlobalMemory) {
+        GENERATED_HERE.set(GENERATED_HERE.get() + 1);
+        GENERATED.fetch_add(1, Ordering::Relaxed);
+        self.add_buffers(mem);
     }
 
     /// Generate this application's input buffers into `mem`.
@@ -272,9 +281,27 @@ impl Application {
 thread_local! {
     /// The last prepared image on this thread, keyed by its application
     /// (see [`Application::prepare`]). One entry bounds the memory it keeps
-    /// to one image per thread, and suffices because a sharded campaign
-    /// queues an application's shards back to back.
+    /// to one image per thread, and suffices because a campaign queues an
+    /// application's units back to back: its shards, and under a campaign
+    /// set every member's units of it.
     static LAST_IMAGE: RefCell<Option<(Application, GlobalMemory)>> = const { RefCell::new(None) };
+    /// Images [`Application::prepare`] generated on this thread.
+    static GENERATED_HERE: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Images [`Application::prepare`] generated in this process.
+static GENERATED: AtomicU64 = AtomicU64::new(0);
+
+/// How many input images [`Application::prepare`] has generated on the
+/// calling thread: a preparation that installs the memoized image does not
+/// count. Read it before and after a unit of work for that unit's share.
+pub fn input_generations() -> u64 {
+    GENERATED_HERE.get()
+}
+
+/// [`input_generations`] summed over every thread of the process.
+pub fn input_generations_total() -> u64 {
+    GENERATED.load(Ordering::Relaxed)
 }
 
 impl core::fmt::Display for Application {
@@ -402,6 +429,36 @@ mod tests {
         expected.add_buffer(BufferId(7), vec![1; 4]);
         app.add_buffers(&mut expected);
         assert_eq!(gpu.memory(), &expected);
+    }
+
+    #[test]
+    fn only_generations_count_not_memo_hits() {
+        let vad = Application::by_code("VAD").expect("VAD");
+        let sge = Application::by_code("SGE").expect("SGE");
+        let fresh = || Gpu::new(GpuConfig::baseline(), vec![CodingView::baseline()]);
+        // A fresh thread starts with an empty memo and a zero count.
+        let counts = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut counts = vec![input_generations()];
+                for app in [&vad, &vad, &sge, &sge, &vad] {
+                    app.prepare(&mut fresh());
+                    counts.push(input_generations());
+                }
+                // A used memory bypasses the memo and generates.
+                let mut gpu = fresh();
+                gpu.memory_mut().add_buffer(BufferId(7), vec![1; 4]);
+                vad.prepare(&mut gpu);
+                counts.push(input_generations());
+                counts
+            })
+            .join()
+            .expect("counting thread")
+        });
+        assert_eq!(counts, [0, 1, 1, 2, 2, 3, 4]);
+        assert!(
+            input_generations_total() >= 4,
+            "the process total sums threads"
+        );
     }
 
     /// Per-thread reuse (the prepared-image memo and the collector's memo

@@ -39,5 +39,5 @@ pub mod data;
 pub mod kernels;
 pub mod suite;
 
-pub use app::{AppClass, Application, Suite};
+pub use app::{input_generations, input_generations_total, AppClass, Application, Suite};
 pub use data::DataProfile;
