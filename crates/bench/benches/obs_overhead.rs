@@ -7,13 +7,11 @@
 //! collector hot path. This bench holds that contract: it measures the
 //! bare collector call against the counted one (enabled sink) with a
 //! min-of-reps comparison and asserts the overhead stays under ~5%. The
-//! span-wrapped line-granular path and the no-op disabled-sink probes are
-//! benched alongside for the report.
+//! no-op disabled-sink probes are benched alongside for the report.
 
 use std::time::Duration;
 
 use bvf_bench::min_of_paired_reps;
-use bvf_core::Unit;
 use bvf_gpu::stats::{AccessKind, StatsCollector};
 use bvf_gpu::CodingView;
 use bvf_obs::MetricsSink;
@@ -107,28 +105,6 @@ fn bench_counter_on_hot_path(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_span_on_line_path(c: &mut Criterion) {
-    let mut g = c.benchmark_group("obs_overhead_line");
-    let line: [u8; 128] = core::array::from_fn(|i| (i as u8).wrapping_mul(0x9d) ^ 0x5a);
-    g.throughput(Throughput::Bytes(line.len() as u64));
-    g.bench_function("bare_collector", |b| {
-        let mut col = collector();
-        b.iter(|| col.record_line(Unit::L1d, AccessKind::Read, black_box(&line)))
-    });
-    g.bench_function("span_enabled_sink", |b| {
-        let sink = MetricsSink::enabled();
-        let timer = sink.timer("bench.stats_data");
-        let mut rec = sink.recorder();
-        let mut col = collector();
-        b.iter(|| {
-            let span = rec.begin(timer);
-            col.record_line(Unit::L1d, AccessKind::Read, black_box(&line));
-            rec.end(span);
-        })
-    });
-    g.finish();
-}
-
 fn bench_raw_probes(c: &mut Criterion) {
     let mut g = c.benchmark_group("obs_probes");
     g.bench_function("counter_add_enabled", |b| {
@@ -143,31 +119,8 @@ fn bench_raw_probes(c: &mut Criterion) {
         let mut rec = sink.recorder();
         b.iter(|| rec.add(black_box(id), 1))
     });
-    g.bench_function("span_enabled", |b| {
-        let sink = MetricsSink::enabled();
-        let id = sink.timer("bench.span");
-        let mut rec = sink.recorder();
-        b.iter(|| {
-            let span = rec.begin(black_box(id));
-            rec.end(span);
-        })
-    });
-    g.bench_function("span_disabled", |b| {
-        let sink = MetricsSink::disabled();
-        let id = sink.timer("bench.span");
-        let mut rec = sink.recorder();
-        b.iter(|| {
-            let span = rec.begin(black_box(id));
-            rec.end(span);
-        })
-    });
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_counter_on_hot_path,
-    bench_span_on_line_path,
-    bench_raw_probes
-);
+criterion_group!(benches, bench_counter_on_hot_path, bench_raw_probes);
 criterion_main!(benches);

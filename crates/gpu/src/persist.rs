@@ -125,7 +125,7 @@ impl Persist for TraceSummary {
             utilization: BTreeMap::restore(r)?,
             smem_conflict_cycles: r.u64()?,
             dram: Persist::restore(r)?,
-            profile: PhaseProfile::empty(),
+            profile: PhaseProfile::default(),
         })
     }
 }
@@ -200,7 +200,7 @@ impl Persist for LaunchShard {
             dram_log,
             reg_utilization: r.f64()?,
             sme_utilization: r.f64()?,
-            profile: PhaseProfile::empty(),
+            profile: PhaseProfile::default(),
         })
     }
 }

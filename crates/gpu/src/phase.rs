@@ -1,30 +1,25 @@
 //! Per-phase wall-time attribution for a kernel launch.
 //!
 //! When a [`bvf_obs::MetricsSink`] is installed on the [`crate::Gpu`]
-//! (see [`crate::Gpu::set_metrics`]), the simulator opens cheap spans
-//! around its phases — warp stepping, the instruction-fetch path, the
-//! data-memory path, statistics collection, the end-of-launch DRAM drain,
-//! launch setup and teardown — and folds them into a [`PhaseProfile`] on
-//! the returned [`crate::TraceSummary`]. The raw spans nest (statistics
-//! collection runs *inside* the fetch and memory paths, which run inside a
-//! warp step), so the profile reports **self time**: the slices are
-//! disjoint and sum to the launch wall time. Profiling never changes
-//! simulation results — it only measures where the simulator's own time
-//! goes.
+//! (see [`crate::Gpu::set_metrics`]), every launch runs one
+//! [`PhaseClock`], which the simulator switches as it moves between
+//! phases, and returns its [`PhaseProfile`] on the
+//! [`crate::TraceSummary`]. Profiling never changes simulation results.
 
-use bvf_obs::{CounterId, MetricsSink, Recorder, TimerId};
+use std::time::Instant;
+
+use bvf_obs::{CounterId, MetricsSink, TimerId};
 
 /// A disjoint slice of a launch's wall time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Phase {
-    /// Warp decode/execute/scheduling — step time minus the fetch and
-    /// memory callbacks.
+    /// Warp decode and execute, outside the fetch and memory callbacks.
     Exec,
-    /// Instruction fetch: L1I/L2 probes and NoC traffic, minus the
-    /// collector time spent on that path.
+    /// Instruction fetch: L1I/L2 probes and NoC traffic, outside the
+    /// collector calls on that path.
     Ifetch,
     /// Data memory: global/shared accesses, coalescing, L1/L2 probes and
-    /// DRAM enqueues, minus the collector time spent on that path.
+    /// DRAM enqueues, outside the collector calls on that path.
     DataMemory,
     /// Multi-view statistics collection on the instruction path.
     StatsInstr,
@@ -38,29 +33,47 @@ pub enum Phase {
     /// collector. Events count the SMs set up, a total every shard split
     /// of a launch agrees on.
     Setup,
-    /// The residual of launch wall time no phase above attributes.
+    /// Warp scheduling: dispatching a wave's CTAs, picking the next warp
+    /// and releasing barriers. Events count picks, summed over SMs, so
+    /// every shard split of a launch agrees on them.
+    Sched,
+    /// The launch loop's own work between the phases above (per-SM
+    /// bookkeeping and result assembly).
     Other,
 }
 
 impl Phase {
+    /// Every phase, in profile order (`phase as usize` is the index).
+    pub const ALL: [Phase; 9] = [
+        Phase::Exec,
+        Phase::Ifetch,
+        Phase::DataMemory,
+        Phase::StatsInstr,
+        Phase::StatsData,
+        Phase::DramDrain,
+        Phase::Setup,
+        Phase::Sched,
+        Phase::Other,
+    ];
+
     /// Stable lowercase name (used in tables and telemetry records).
     pub fn name(self) -> &'static str {
-        match self {
-            Phase::Exec => "exec",
-            Phase::Ifetch => "ifetch",
-            Phase::DataMemory => "data_memory",
-            Phase::StatsInstr => "stats_instr",
-            Phase::StatsData => "stats_data",
-            Phase::DramDrain => "dram_drain",
-            Phase::Setup => "setup",
-            Phase::Other => "other",
-        }
+        self.names().0
     }
-}
 
-impl core::fmt::Display for Phase {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str(self.name())
+    /// The name and the metrics-sink timer each launch adds the phase to.
+    fn names(self) -> (&'static str, &'static str) {
+        match self {
+            Phase::Exec => ("exec", "phase.exec"),
+            Phase::Ifetch => ("ifetch", "phase.ifetch"),
+            Phase::DataMemory => ("data_memory", "phase.data_memory"),
+            Phase::StatsInstr => ("stats_instr", "phase.stats_instr"),
+            Phase::StatsData => ("stats_data", "phase.stats_data"),
+            Phase::DramDrain => ("dram_drain", "phase.dram_drain"),
+            Phase::Setup => ("setup", "phase.setup"),
+            Phase::Sched => ("sched", "phase.sched"),
+            Phase::Other => ("other", "phase.other"),
+        }
     }
 }
 
@@ -74,7 +87,7 @@ pub struct PhaseSlice {
     /// Number of events attributed to the phase (instructions for `exec`,
     /// fetches for `ifetch`, accesses for `data_memory`, collector calls
     /// for the stats phases, DRAM requests for `dram_drain`, SMs set up for
-    /// `setup`).
+    /// `setup`, picks for `sched`).
     pub events: u64,
 }
 
@@ -88,17 +101,12 @@ pub struct PhaseSlice {
 pub struct PhaseProfile {
     /// Total launch wall time in nanoseconds (0 when disabled).
     pub launch_nanos: u64,
-    /// Disjoint self-time slices, in fixed [`Phase`] order; they sum to
-    /// `launch_nanos` (modulo clock granularity).
+    /// Disjoint self-time slices, in [`Phase::ALL`] order; they sum
+    /// exactly to `launch_nanos`.
     pub slices: Vec<PhaseSlice>,
 }
 
 impl PhaseProfile {
-    /// The disabled (un-profiled) profile.
-    pub fn empty() -> Self {
-        Self::default()
-    }
-
     /// Was this launch profiled?
     pub fn is_enabled(&self) -> bool {
         !self.slices.is_empty()
@@ -127,67 +135,79 @@ impl PhaseProfile {
             a.events += b.events;
         }
     }
+}
 
-    /// Build the disjoint profile from a launch recorder's local values
-    /// (must be called before the recorder flushes).
-    pub(crate) fn from_recorder(rec: &Recorder, m: &SimMetrics) -> Self {
-        if !rec.is_enabled() {
-            return Self::empty();
-        }
-        let launch = rec.timer_nanos(m.launch);
-        let step = rec.timer_nanos(m.step);
-        let ifetch = rec.timer_nanos(m.ifetch);
-        let gmem = rec.timer_nanos(m.gmem);
-        let smem = rec.timer_nanos(m.smem);
-        let stats_instr = rec.timer_nanos(m.stats_instr);
-        let stats_data = rec.timer_nanos(m.stats_data);
-        let dram = rec.timer_nanos(m.dram);
-        let setup = rec.timer_nanos(m.setup);
-        let slices = vec![
-            PhaseSlice {
-                phase: Phase::Exec,
-                nanos: step.saturating_sub(ifetch + gmem + smem),
-                events: rec.timer_count(m.step),
-            },
-            PhaseSlice {
-                phase: Phase::Ifetch,
-                nanos: ifetch.saturating_sub(stats_instr),
-                events: rec.timer_count(m.ifetch),
-            },
-            PhaseSlice {
-                phase: Phase::DataMemory,
-                nanos: (gmem + smem).saturating_sub(stats_data),
-                events: rec.timer_count(m.gmem) + rec.timer_count(m.smem),
-            },
-            PhaseSlice {
-                phase: Phase::StatsInstr,
-                nanos: stats_instr,
-                events: rec.timer_count(m.stats_instr),
-            },
-            PhaseSlice {
-                phase: Phase::StatsData,
-                nanos: stats_data,
-                events: rec.timer_count(m.stats_data),
-            },
-            PhaseSlice {
-                phase: Phase::DramDrain,
-                nanos: dram,
-                events: rec.counter_value(m.dram_requests),
-            },
-            PhaseSlice {
-                phase: Phase::Setup,
-                nanos: setup,
-                events: rec.timer_count(m.setup),
-            },
-            PhaseSlice {
-                phase: Phase::Other,
-                nanos: launch.saturating_sub(step + dram + setup),
-                events: 0,
-            },
-        ];
+/// The one clock read behind every [`PhaseClock`] switch.
+fn now() -> Instant {
+    #[cfg(test)]
+    tests::CLOCK_READS.with(|n| n.set(n.get() + 1));
+    Instant::now()
+}
+
+/// One launch's phase clock: the phase the simulator is in, when it
+/// entered it, and the time and events charged to each phase so far.
+///
+/// [`PhaseClock::switch`] reads the clock once and charges the time since
+/// the previous switch to the phase being left, so every nanosecond of the
+/// clock's life lands in exactly one slice. A disabled clock never reads
+/// the clock and finishes as an empty profile.
+pub(crate) struct PhaseClock {
+    current: Phase,
+    /// When `current` was entered; `None` on a disabled clock.
+    since: Option<Instant>,
+    nanos: [u64; Phase::ALL.len()],
+    events: [u64; Phase::ALL.len()],
+}
+
+impl PhaseClock {
+    /// A clock running in `phase` from now on, or a disabled one.
+    pub fn start(enabled: bool, phase: Phase) -> Self {
         Self {
-            launch_nanos: launch,
-            slices,
+            current: phase,
+            since: enabled.then(now),
+            nanos: [0; Phase::ALL.len()],
+            events: [0; Phase::ALL.len()],
+        }
+    }
+
+    /// Enter `phase`, charging the time since the last switch to the phase
+    /// being left. Returns the phase left, so a nested callee switches
+    /// back to its caller's phase when it is done.
+    #[inline]
+    pub fn switch(&mut self, phase: Phase) -> Phase {
+        let left = self.current;
+        if let Some(since) = &mut self.since {
+            let t = now();
+            self.nanos[left as usize] += t.duration_since(*since).as_nanos() as u64;
+            *since = t;
+        }
+        self.current = phase;
+        left
+    }
+
+    /// Attribute `n` events to `phase`.
+    #[inline]
+    pub fn count(&mut self, phase: Phase, n: u64) {
+        self.events[phase as usize] += n;
+    }
+
+    /// Close the current slice and fold the clock into a profile (empty
+    /// when disabled).
+    pub fn finish(mut self) -> PhaseProfile {
+        if self.since.is_none() {
+            return PhaseProfile::default();
+        }
+        self.switch(self.current);
+        PhaseProfile {
+            launch_nanos: self.nanos.iter().sum(),
+            slices: Phase::ALL
+                .iter()
+                .map(|&phase| PhaseSlice {
+                    phase,
+                    nanos: self.nanos[phase as usize],
+                    events: self.events[phase as usize],
+                })
+                .collect(),
         }
     }
 }
@@ -197,15 +217,9 @@ impl PhaseProfile {
 /// is a dummy and every use a no-op.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SimMetrics {
-    pub launch: TimerId,
-    pub step: TimerId,
-    pub ifetch: TimerId,
-    pub gmem: TimerId,
-    pub smem: TimerId,
-    pub stats_instr: TimerId,
-    pub stats_data: TimerId,
-    pub dram: TimerId,
-    pub setup: TimerId,
+    /// One timer per phase, indexed by `phase as usize`: each launch adds
+    /// its slice as one span.
+    pub phases: [TimerId; Phase::ALL.len()],
     pub reg_events: CounterId,
     pub smem_events: CounterId,
     pub instr_events: CounterId,
@@ -218,15 +232,7 @@ pub(crate) struct SimMetrics {
 impl SimMetrics {
     pub fn register(sink: &MetricsSink) -> Self {
         Self {
-            launch: sink.timer("sim.launch"),
-            step: sink.timer("sim.step"),
-            ifetch: sink.timer("sim.ifetch"),
-            gmem: sink.timer("sim.global_mem"),
-            smem: sink.timer("sim.shared_mem"),
-            stats_instr: sink.timer("stats.instr_path"),
-            stats_data: sink.timer("stats.data_path"),
-            dram: sink.timer("dram.drain"),
-            setup: sink.timer("sim.setup"),
+            phases: Phase::ALL.map(|p| sink.timer(p.names().1)),
             reg_events: sink.counter("stats.reg_events"),
             smem_events: sink.counter("stats.smem_events"),
             instr_events: sink.counter("stats.instr_events"),
@@ -241,10 +247,20 @@ impl SimMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Clock reads on this thread, counted by [`now`].
+        pub(super) static CLOCK_READS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn clock_reads() -> u64 {
+        CLOCK_READS.with(Cell::get)
+    }
 
     #[test]
     fn empty_profile_is_disabled() {
-        let p = PhaseProfile::empty();
+        let p = PhaseProfile::default();
         assert!(!p.is_enabled());
         assert_eq!(p.slice(Phase::Exec), None);
     }
@@ -266,10 +282,10 @@ mod tests {
                 },
             ],
         };
-        let mut a = PhaseProfile::empty();
+        let mut a = PhaseProfile::default();
         a.merge(&mk(4)); // adopt
         a.merge(&mk(6)); // accumulate
-        a.merge(&PhaseProfile::empty()); // no-op
+        a.merge(&PhaseProfile::default()); // no-op
         assert_eq!(a.launch_nanos, 100);
         let exec = a.slice(Phase::Exec).unwrap();
         assert_eq!(exec.nanos, 10);
@@ -279,54 +295,62 @@ mod tests {
 
     #[test]
     fn disabled_sink_yields_empty_profile() {
+        let before = clock_reads();
         let sink = MetricsSink::disabled();
-        let m = SimMetrics::register(&sink);
-        let rec = sink.recorder();
-        assert!(!PhaseProfile::from_recorder(&rec, &m).is_enabled());
+        let mut clock = PhaseClock::start(sink.is_enabled(), Phase::Setup);
+        assert_eq!(clock.switch(Phase::Exec), Phase::Setup);
+        assert_eq!(clock.switch(Phase::Ifetch), Phase::Exec);
+        clock.count(Phase::Exec, 3);
+        let p = clock.finish();
+        assert_eq!(clock_reads(), before, "a disabled clock read the clock");
+        assert!(!p.is_enabled());
+        assert_eq!(p, PhaseProfile::default());
     }
 
     #[test]
-    fn slices_are_disjoint_and_sum_to_launch() {
-        let sink = MetricsSink::enabled();
-        let m = SimMetrics::register(&sink);
-        let mut rec = sink.recorder();
-        // Simulate a nested launch: launch ⊃ step ⊃ ifetch ⊃ stats_instr.
-        let launch = rec.begin(m.launch);
-        let step = rec.begin(m.step);
-        let ifetch = rec.begin(m.ifetch);
-        let si = rec.begin(m.stats_instr);
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        rec.end(si);
-        rec.end(ifetch);
-        rec.end(step);
-        rec.end(launch);
-        let p = PhaseProfile::from_recorder(&rec, &m);
-        assert!(p.is_enabled());
+    fn slices_sum_exactly_to_the_launch() {
+        let before = clock_reads();
+        let mut clock = PhaseClock::start(true, Phase::Setup);
+        clock.switch(Phase::Exec);
+        clock.count(Phase::Exec, 7);
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        clock.switch(Phase::Sched);
+        clock.switch(Phase::Other);
+        let p = clock.finish();
+        // One read to start, one per switch, one to close the last slice.
+        assert_eq!(clock_reads() - before, 5);
+        assert_eq!(p.slices.len(), Phase::ALL.len());
         let total: u64 = p.slices.iter().map(|s| s.nanos).sum();
-        // Disjoint slices reassemble the launch (clock reads are ordered,
-        // so saturating subtraction never clips here).
-        assert!(
-            total <= p.launch_nanos,
-            "slices ({total}) exceed launch ({})",
-            p.launch_nanos
-        );
-        assert!(p.slice(Phase::StatsInstr).unwrap().nanos >= 2_000_000);
-        assert_eq!(p.slice(Phase::Exec).unwrap().events, 1);
+        assert_eq!(total, p.launch_nanos);
+        assert!(p.slice(Phase::Exec).unwrap().nanos >= 1_000_000);
+        assert_eq!(p.slice(Phase::Exec).unwrap().events, 7);
+        for (i, s) in p.slices.iter().enumerate() {
+            assert_eq!(s.phase, Phase::ALL[i], "slices in phase order");
+        }
+    }
+
+    #[test]
+    fn a_nested_switch_restores_the_callers_phase() {
+        let mut clock = PhaseClock::start(true, Phase::Exec);
+        // exec ⊃ data_memory ⊃ stats_data, each callee switching back.
+        let exec = clock.switch(Phase::DataMemory);
+        let data = clock.switch(Phase::StatsData);
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        assert_eq!(clock.switch(data), Phase::StatsData);
+        assert_eq!(clock.switch(exec), Phase::DataMemory);
+        assert_eq!(exec, Phase::Exec);
+        assert_eq!(clock.current, Phase::Exec);
+        let p = clock.finish();
+        // The nested slice is charged to the innermost phase only.
+        assert!(p.slice(Phase::StatsData).unwrap().nanos >= 2_000_000);
+        assert!(p.slice(Phase::DataMemory).unwrap().nanos < 2_000_000);
+        let total: u64 = p.slices.iter().map(|s| s.nanos).sum();
+        assert_eq!(total, p.launch_nanos);
     }
 
     #[test]
     fn phase_names_are_stable() {
-        let all = [
-            Phase::Exec,
-            Phase::Ifetch,
-            Phase::DataMemory,
-            Phase::StatsInstr,
-            Phase::StatsData,
-            Phase::DramDrain,
-            Phase::Setup,
-            Phase::Other,
-        ];
-        let names: Vec<_> = all.iter().map(|p| p.name()).collect();
+        let names: Vec<_> = Phase::ALL.iter().map(|p| p.name()).collect();
         assert_eq!(
             names,
             [
@@ -337,8 +361,13 @@ mod tests {
                 "stats_data",
                 "dram_drain",
                 "setup",
+                "sched",
                 "other"
             ]
         );
+        for (i, p) in Phase::ALL.iter().enumerate() {
+            assert_eq!(*p as usize, i, "ALL is in declaration order");
+            assert_eq!(p.names().1, format!("phase.{}", p.name()));
+        }
     }
 }

@@ -8,6 +8,7 @@
 
 use std::collections::{BTreeMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::time::{Duration, Instant};
 
 use bvf_bits::{BitCounts, NarrowValueProfile};
 use bvf_core::Unit;
@@ -21,7 +22,7 @@ use crate::dram::{DramChannel, DramConfig, DramRequest, DramStats};
 use crate::exec::{AddrPattern, FlatProgram, StepResult, Warp, WarpEnv};
 use crate::memory::GlobalMemory;
 use crate::noc::{channel_id, cmd, flits_for, header, Direction};
-use crate::phase::{Phase, PhaseProfile, SimMetrics};
+use crate::phase::{Phase, PhaseClock, PhaseProfile, SimMetrics};
 use crate::sched::Scheduler;
 use crate::stats::{AccessKind, CodingView, StatsCollector, ViewStats};
 
@@ -260,7 +261,7 @@ pub fn merge_shards(config: &GpuConfig, shards: &[LaunchShard]) -> TraceSummary 
     let mut lane_sums = [0u64; 32];
     let mut lane_samples = 0u64;
     let mut smem_conflict_cycles = 0u64;
-    let mut profile = PhaseProfile::empty();
+    let mut profile = PhaseProfile::default();
     for s in shards {
         max_core_cycles = max_core_cycles.max(s.max_core_cycles);
         dynamic_instructions += s.dynamic_instructions;
@@ -283,7 +284,7 @@ pub fn merge_shards(config: &GpuConfig, shards: &[LaunchShard]) -> TraceSummary 
     // sequential run over the whole SM range would build — row hits
     // between requests from different SMs (a streaming kernel's bread and
     // butter) are preserved bit-for-bit under any contiguous partition.
-    let drain_started = std::time::Instant::now();
+    let drain_started = Instant::now();
     let mut channels: Vec<DramChannel> = (0..config.l2_banks)
         .map(|_| DramChannel::new(DramConfig::default()))
         .collect();
@@ -300,19 +301,13 @@ pub fn merge_shards(config: &GpuConfig, shards: &[LaunchShard]) -> TraceSummary 
         dram.merge(&s);
         dram_max_busy = dram_max_busy.max(s.busy_cycles);
     }
-    // The replay is simulator self-time that used to run inside the
-    // launch span; attribute it to the `dram_drain` phase so profiled
-    // breakdowns keep telling the truth. (The profile is excluded from
-    // summary equality, so this cannot perturb bit-identity checks.)
+    // The replay is simulator self-time outside any shard's phase clock;
+    // attribute it to the `dram_drain` phase so profiled breakdowns keep
+    // telling the truth. (The profile is excluded from summary equality,
+    // so this cannot perturb bit-identity checks.)
     if profile.is_enabled() {
         let drain_nanos = drain_started.elapsed().as_nanos() as u64;
-        if let Some(s) = profile
-            .slices
-            .iter_mut()
-            .find(|s| s.phase == Phase::DramDrain)
-        {
-            s.nanos += drain_nanos;
-        }
+        profile.slices[Phase::DramDrain as usize].nanos += drain_nanos;
         profile.launch_nanos += drain_nanos;
     }
     let dram_exposed = (dram_max_busy as f64 * (1.0 - config.scheduler.latency_hiding())) as u64;
@@ -419,10 +414,11 @@ struct SharedState {
     /// Sample the value profiles of Figs. 8/9/11/12 (see
     /// [`Gpu::set_value_profiles`]).
     value_profiles: bool,
-    /// Per-launch metrics recorder (no-op without a sink) and the ids it
-    /// records under.
+    /// Per-launch metrics recorder (no-op without a sink), the ids it
+    /// records under, and the launch's phase clock.
     rec: Recorder,
     m: SimMetrics,
+    clock: PhaseClock,
     narrow: NarrowValueProfile,
     data_bits: BitCounts,
     lane_sums: [u64; 32],
@@ -460,10 +456,17 @@ impl SharedState {
     }
 
     // Collector calls routed through the metrics recorder. Word-granular
-    // events (per-issue, per-register) only bump counters — a span's two
-    // clock reads would be measurable against their nanosecond bodies —
-    // while line-granular events (cache lines, NoC packets) are timed as
-    // the `stats_instr`/`stats_data` phases.
+    // events (per-instruction, per-register) only bump counters — two clock
+    // reads would be measurable against their nanosecond bodies — while
+    // line-granular events (cache lines, NoC packets) run in their stats
+    // phase, switching back to the caller's phase after.
+    #[inline]
+    fn collect(&mut self, phase: Phase, record: impl FnOnce(&mut StatsCollector)) {
+        let caller = self.clock.switch(phase);
+        record(&mut self.collector);
+        self.clock.switch(caller);
+        self.clock.count(phase, 1);
+    }
 
     #[inline]
     fn record_instruction(&mut self, unit: Unit, kind: AccessKind, word: u64) {
@@ -479,25 +482,21 @@ impl SharedState {
 
     #[inline]
     fn record_instruction_line(&mut self, unit: Unit, kind: AccessKind, words: &[u64]) {
-        let span = self.rec.begin(self.m.stats_instr);
-        self.collector.record_instruction_line(unit, kind, words);
-        self.rec.end(span);
+        self.collect(Phase::StatsInstr, |c| {
+            c.record_instruction_line(unit, kind, words)
+        });
         self.rec.add(self.m.line_events, 1);
     }
 
     #[inline]
     fn record_line(&mut self, unit: Unit, kind: AccessKind, line: &[u8]) {
-        let span = self.rec.begin(self.m.stats_data);
-        self.collector.record_line(unit, kind, line);
-        self.rec.end(span);
+        self.collect(Phase::StatsData, |c| c.record_line(unit, kind, line));
         self.rec.add(self.m.line_events, 1);
     }
 
     #[inline]
     fn record_line_kinds(&mut self, unit: Unit, kinds: &[AccessKind], line: &[u8]) {
-        let span = self.rec.begin(self.m.stats_data);
-        self.collector.record_line_kinds(unit, kinds, line);
-        self.rec.end(span);
+        self.collect(Phase::StatsData, |c| c.record_line_kinds(unit, kinds, line));
         self.rec.add(self.m.line_events, kinds.len() as u64);
     }
 
@@ -509,15 +508,14 @@ impl SharedState {
         payload: &[u8],
         instruction_payload: bool,
     ) {
-        let timer = if instruction_payload {
-            self.m.stats_instr
+        let phase = if instruction_payload {
+            Phase::StatsInstr
         } else {
-            self.m.stats_data
+            Phase::StatsData
         };
-        let span = self.rec.begin(timer);
-        self.collector
-            .record_noc_packet(channel, header, payload, instruction_payload);
-        self.rec.end(span);
+        self.collect(phase, |c| {
+            c.record_noc_packet(channel, header, payload, instruction_payload)
+        });
         self.rec.add(self.m.noc_packets, 1);
         self.rec.add(
             self.m.noc_flits,
@@ -789,8 +787,6 @@ impl WarpEnv for SmEnv<'_> {
     }
 
     fn on_reg_read(&mut self, reg_lanes: &[u32; 32], active: u32) {
-        // Counter only: a span's two clock reads would dominate this
-        // word-granular hot path.
         self.shared.rec.add(self.shared.m.reg_events, 1);
         self.shared
             .collector
@@ -821,7 +817,8 @@ impl WarpEnv for SmEnv<'_> {
     }
 
     fn on_ifetch(&mut self, pc: usize, word: u64) {
-        let span = self.shared.rec.begin(self.shared.m.ifetch);
+        let caller = self.shared.clock.switch(Phase::Ifetch);
+        self.shared.clock.count(Phase::Ifetch, 1);
         let addr = INSTR_BASE + pc as u64 * 8;
         self.shared.touch(Unit::L1i, addr & !127);
         match self.sm.l1i.access_allocate(addr) {
@@ -885,7 +882,7 @@ impl WarpEnv for SmEnv<'_> {
                     .record_instruction(Unit::L1i, AccessKind::Read, word);
             }
         }
-        self.shared.rec.end(span);
+        self.shared.clock.switch(caller);
     }
 
     fn global_access(
@@ -904,7 +901,8 @@ impl WarpEnv for SmEnv<'_> {
         };
         let line_bytes = u64::from(self.shared.l2_line_bytes);
         let mut out = [0u32; 32];
-        let span = self.shared.rec.begin(self.shared.m.gmem);
+        let caller = self.shared.clock.switch(Phase::DataMemory);
+        self.shared.clock.count(Phase::DataMemory, 1);
 
         if let Some(values) = data {
             // Store: update (this SM's image of) memory first, then
@@ -975,7 +973,7 @@ impl WarpEnv for SmEnv<'_> {
                 self.data_line_load(l1_unit, line);
             }
         }
-        self.shared.rec.end(span);
+        self.shared.clock.switch(caller);
         out
     }
 
@@ -989,7 +987,8 @@ impl WarpEnv for SmEnv<'_> {
     ) -> [u32; 32] {
         let n = self.smem.len().max(1);
         let mut out = [0u32; 32];
-        let span = self.shared.rec.begin(self.shared.m.smem);
+        let caller = self.shared.clock.switch(Phase::DataMemory);
+        self.shared.clock.count(Phase::DataMemory, 1);
         // Bank-conflict serialization estimate. Uniform and unit-stride
         // accesses (the common cases) resolve in O(1); only scatters pay
         // the 32-lane histogram. The model has no broadcast path, so a
@@ -1065,7 +1064,7 @@ impl WarpEnv for SmEnv<'_> {
                 .collector
                 .record_shared(AccessKind::Read, &out, active);
         }
-        self.shared.rec.end(span);
+        self.shared.clock.switch(caller);
         out
     }
 }
@@ -1209,6 +1208,13 @@ impl Gpu {
         shard_index: u32,
         shard_count: u32,
     ) -> LaunchShard {
+        let m = SimMetrics::register(&self.metrics);
+        let rec = self.metrics.recorder();
+        // Setup: compiling the kernel, the collector (warm memo tables from
+        // this thread's last launch over the same coders), one set of L2
+        // banks and L1s reset per SM below, and the prepared image, shared
+        // copy-on-write.
+        let clock = PhaseClock::start(rec.is_enabled(), Phase::Setup);
         let prog = FlatProgram::compile(kernel, self.arch);
         let cfg = &self.config;
         let (sm_start, sm_end) = shard_sm_range(cfg.sms, shard_index, shard_count);
@@ -1224,13 +1230,6 @@ impl Gpu {
             "register demand grossly exceeds the register file"
         );
 
-        let m = SimMetrics::register(&self.metrics);
-        let rec = self.metrics.recorder();
-        let launch_span = rec.begin(m.launch);
-        // Setup: the collector (warm memo tables from this thread's last
-        // launch over the same coders), one set of L2 banks and L1s reset
-        // per SM below, and the prepared image, shared copy-on-write.
-        let setup_span = rec.begin(m.setup);
         let mut collector = StatsCollector::new(self.views.clone(), cfg.noc_flit_bytes);
         if self.trace_logging {
             collector = collector.with_trace_log();
@@ -1258,6 +1257,7 @@ impl Gpu {
             value_profiles: self.value_profiles,
             rec,
             m,
+            clock,
             narrow: NarrowValueProfile::new(),
             data_bits: BitCounts::default(),
             lane_sums: [0; 32],
@@ -1272,7 +1272,7 @@ impl Gpu {
             bank_buf: Vec::new(),
         };
         let mut sm = SmState::new(cfg);
-        shared.rec.end_n(setup_span, 0);
+        shared.clock.switch(Phase::Other);
         let concurrent_ctas = (cfg.warps_per_sm / warps_per_cta).max(1);
         let mut max_core_cycles = 0u64;
         let mut total_issues = 0u64;
@@ -1298,12 +1298,13 @@ impl Gpu {
             // here — misses append to the shard's request log, and the
             // channels themselves exist only during the launch-global
             // replay in `merge_shards`.
-            let sm_setup = shared.rec.begin(shared.m.setup);
+            shared.clock.switch(Phase::Setup);
+            shared.clock.count(Phase::Setup, 1);
             shared.l2.iter_mut().for_each(Cache::reset);
             shared.memory = pristine.clone();
             shared.reg_write_counter = 0;
             sm.reset(sm_id, cfg);
-            shared.rec.end_n(sm_setup, 1);
+            shared.clock.switch(Phase::Other);
 
             for wave in my_ctas.chunks(concurrent_ctas as usize) {
                 self.run_wave(&prog, lc, wave, &mut sm, &mut shared, cfg.smem_banks);
@@ -1333,7 +1334,7 @@ impl Gpu {
         // the replay write in place into buffers nobody else shares; a
         // buffer the caller still shares (a memoized prepared image) is
         // copied on its first store and the shared original stays intact.
-        let teardown = shared.rec.begin(shared.m.setup);
+        shared.clock.switch(Phase::Setup);
         shared.memory = GlobalMemory::new();
         let mut memory = pristine;
         for &(buf, idx, value) in &shared.store_log {
@@ -1355,10 +1356,13 @@ impl Gpu {
         });
         self.last_log = shared.collector.take_log();
         let views = shared.collector.finish();
-        shared.rec.end_n(teardown, 0);
-
-        shared.rec.end(launch_span);
-        let profile = PhaseProfile::from_recorder(&shared.rec, &shared.m);
+        shared
+            .clock
+            .count(Phase::DramDrain, shared.dram_log.len() as u64);
+        let profile = shared.clock.finish();
+        for (s, &timer) in profile.slices.iter().zip(&shared.m.phases) {
+            shared.rec.add_span(timer, Duration::from_nanos(s.nanos));
+        }
         shared.rec.flush();
 
         if let Some(trec) = trace_rec.as_mut() {
@@ -1429,61 +1433,44 @@ impl Gpu {
         shared: &mut SharedState,
         smem_banks: u32,
     ) {
-        let warps_per_cta = lc.warps_per_cta();
-        // Resident warps, grouped per CTA slot.
-        let mut warps: Vec<Warp> = Vec::new();
-        let mut warp_cta_slot: Vec<usize> = Vec::new();
-        for (slot, &cta) in ctas.iter().enumerate() {
-            for w in 0..warps_per_cta {
-                warps.push(Warp::new(prog.regs_per_thread, cta, w, lc.cta_threads));
-                warp_cta_slot.push(slot);
-            }
-        }
+        let caller = shared.clock.switch(Phase::Sched);
+        // Resident warps, CTA slot by CTA slot: slot k owns the contiguous
+        // range k·n .. (k+1)·n, n = warps per CTA.
+        let (n, regs) = (lc.warps_per_cta() as usize, prog.regs_per_thread);
+        let mut warps: Vec<Warp> = (0..ctas.len() * n)
+            .map(|i| Warp::new(regs, ctas[i / n], (i % n) as u32, lc.cta_threads))
+            .collect();
         let mut smem: Vec<Vec<u32>> =
             vec![vec![0u32; prog.shared_words.max(1) as usize]; ctas.len()];
-        let mut at_barrier = vec![false; warps.len()];
-        let mut ready = vec![false; warps.len()];
+        // A warp is ready until it arrives at a barrier or exits; `arrived`
+        // counts each slot's warps waiting at its barrier.
+        let mut ready = vec![true; warps.len()];
+        let mut arrived = vec![0u32; ctas.len()];
 
         loop {
-            for (r, (w, &b)) in ready.iter_mut().zip(warps.iter().zip(&at_barrier)) {
-                *r = !w.is_done() && !b;
-            }
             let Some(wi) = sm.scheduler.pick(&ready) else {
-                // Everyone is done or at a barrier.
-                if warps.iter().all(|w| w.is_done()) {
+                // Every warp has exited or waits at its CTA's barrier:
+                // release them all, or stop if none waits.
+                if arrived.iter().all(|&a| a == 0) {
                     break;
                 }
-                // Release barriers whose CTA has fully arrived.
-                let mut released = false;
-                for slot in 0..ctas.len() {
-                    let members = |i: &usize| warp_cta_slot[*i] == slot;
-                    if (0..warps.len())
-                        .filter(members)
-                        .all(|i| at_barrier[i] || warps[i].is_done())
-                        && (0..warps.len()).filter(members).any(|i| at_barrier[i])
-                    {
-                        for i in (0..warps.len()).filter(members) {
-                            at_barrier[i] = false;
-                        }
-                        released = true;
-                    }
+                for (r, w) in ready.iter_mut().zip(&warps) {
+                    *r = !w.is_done();
                 }
-                assert!(
-                    released,
-                    "deadlock: no warp ready and no barrier releasable"
-                );
+                arrived.fill(0);
                 continue;
             };
+            shared.clock.count(Phase::Sched, 1);
 
-            let slot = warp_cta_slot[wi];
+            let slot = wi / n;
             // Scheduler-aware batching: GTO would re-pick the greedy warp
             // after every Ok step anyway, so a whole straight-line run may
             // issue under one slot; rotating policies (LRR, two-level)
             // change warp on every pick, so their quantum is 1. Every
             // per-instruction event still fires in the same order — only
-            // the pick/span overhead is amortized.
+            // the pick and clock overhead is amortized.
             let quantum = sm.scheduler.max_consecutive();
-            let step_span = shared.rec.begin(shared.m.step);
+            shared.clock.switch(Phase::Exec);
             let (result, issued) = {
                 let mut env = SmEnv {
                     shared,
@@ -1495,28 +1482,29 @@ impl Gpu {
                 };
                 warps[wi].step_run(prog, &mut env, quantum)
             };
-            shared.rec.end_n(step_span, issued);
+            shared.clock.switch(Phase::Sched);
+            shared.clock.count(Phase::Exec, issued);
             sm.issues += issued;
+            ready[wi] = matches!(result, StepResult::Ok | StepResult::Memory);
             match result {
                 StepResult::Ok => {}
                 StepResult::Memory => sm.scheduler.on_stall(wi),
                 StepResult::Barrier => {
-                    at_barrier[wi] = true;
+                    arrived[slot] += 1;
                     sm.scheduler.on_stall(wi);
-                    // Release immediately if the whole CTA has arrived.
-                    let members = |i: &usize| warp_cta_slot[*i] == slot;
-                    if (0..warps.len())
-                        .filter(members)
-                        .all(|i| at_barrier[i] || warps[i].is_done())
-                    {
-                        for i in (0..warps.len()).filter(members) {
-                            at_barrier[i] = false;
+                    // Release at once if the whole CTA has arrived or exited.
+                    let cta = slot * n..(slot + 1) * n;
+                    if !ready[cta.clone()].contains(&true) {
+                        for (r, w) in ready[cta.clone()].iter_mut().zip(&warps[cta]) {
+                            *r = !w.is_done();
                         }
+                        arrived[slot] = 0;
                     }
                 }
                 StepResult::Exited => sm.scheduler.on_finish(wi),
             }
         }
+        shared.clock.switch(caller);
     }
 }
 
@@ -1850,6 +1838,67 @@ mod tests {
         assert!(base.unit(Unit::Sme).writes > 0);
     }
 
+    /// Warp 0 of each CTA skips the barrier its other warps wait at and
+    /// exits, and two CTAs share each SM. The exit must not release the
+    /// barrier: that waits until no warp on the SM is ready, and the warp
+    /// order it leaves shows in the NoC toggles. The pinned counts are
+    /// those of the per-pick ready-set rebuild the barrier bookkeeping
+    /// replaced; releasing at the exit moves LRR's and two-level's.
+    #[test]
+    fn an_exit_alone_never_releases_a_barrier() {
+        use crate::config::SchedulerKind;
+        let ld = |dst, idx| {
+            Stmt::op3(
+                Op::LdGlobal(BufferId(0)),
+                dst,
+                Operand::Reg(idx),
+                Operand::Imm(0),
+            )
+        };
+        let mut k = Kernel::new("skipbar", 6);
+        k.body.push(Stmt::op3(
+            Op::Mov,
+            0,
+            Operand::Special(Special::GlobalTid),
+            Operand::Imm(0),
+        ));
+        k.body.push(ld(1, 0));
+        k.body.push(Stmt::If {
+            cond: Cond {
+                a: Operand::Special(Special::WarpId),
+                op: CmpOp::Ge,
+                b: Operand::Imm(1),
+            },
+            then: vec![Stmt::I(bvf_isa::ir::Instr::new(
+                Op::Bar,
+                0,
+                Operand::Imm(0),
+                Operand::Imm(0),
+            ))],
+            els: vec![],
+        });
+        k.body
+            .push(Stmt::op3(Op::IMul, 2, Operand::Reg(0), Operand::Imm(7)));
+        k.body.push(ld(3, 2));
+        k.body
+            .push(Stmt::op3(Op::IAdd, 4, Operand::Reg(2), Operand::Imm(4096)));
+        k.body.push(ld(5, 4));
+        for (kind, toggles) in [
+            (SchedulerKind::Gto, 255_624),
+            (SchedulerKind::Lrr, 249_417),
+            (SchedulerKind::TwoLevel, 249_471),
+        ] {
+            let mut cfg = GpuConfig::baseline();
+            cfg.sms = 2;
+            cfg.scheduler = kind;
+            let mut gpu = Gpu::new(cfg, CodingView::standard_set(0));
+            let words = (0..16384u32).map(|i| i.wrapping_mul(2_654_435_761));
+            gpu.memory_mut().add_buffer(BufferId(0), words.collect());
+            let s = gpu.launch(&k, LaunchConfig::new(8, 128));
+            assert_eq!(s.view("baseline").noc.bit_toggles, toggles, "{kind:?}");
+        }
+    }
+
     #[test]
     fn divergent_kernel_counts_dummy_movs() {
         let mut k = Kernel::new("div", 4);
@@ -1990,7 +2039,7 @@ mod tests {
         gpu.memory_mut().add_buffer(BufferId(2), vec![0; 64]);
         let summary = gpu.launch(&vecadd_kernel(), LaunchConfig::new(2, 32));
         assert!(!summary.profile.is_enabled());
-        assert_eq!(summary.profile, PhaseProfile::empty());
+        assert_eq!(summary.profile, PhaseProfile::default());
     }
 
     #[test]
@@ -2013,15 +2062,19 @@ mod tests {
         assert_eq!(plain, profiled);
         assert!(profiled.profile.is_enabled());
         assert!(!plain.profile.is_enabled());
-        assert_eq!(profiled.profile.slices.len(), 8);
+        assert_eq!(profiled.profile.slices.len(), 9);
         let total: u64 = profiled.profile.slices.iter().map(|s| s.nanos).sum();
-        assert!(total <= profiled.profile.launch_nanos);
+        assert_eq!(total, profiled.profile.launch_nanos);
         assert_eq!(
             profiled.profile.slice(Phase::Exec).unwrap().events,
             profiled.dynamic_instructions
         );
         // Both SMs of the small GPU run CTAs, so both are set up.
         assert_eq!(profiled.profile.slice(Phase::Setup).unwrap().events, 2);
+        // GTO runs a straight-line run per pick: at least one pick, at
+        // most one per instruction.
+        let picks = profiled.profile.slice(Phase::Sched).unwrap().events;
+        assert!(picks > 0 && picks <= profiled.dynamic_instructions);
     }
 
     #[test]
@@ -2035,9 +2088,10 @@ mod tests {
         gpu.memory_mut().add_buffer(BufferId(2), vec![0; 128]);
         let summary = gpu.launch(&vecadd_kernel(), LaunchConfig::new(4, 32));
         // The recorder flushed at end of launch: cross-launch aggregates on
-        // the sink match the summary.
-        let step = sink.timer("sim.step");
-        assert_eq!(sink.timer_value(step).1, summary.dynamic_instructions);
+        // the sink match the summary, one span per phase and launch.
+        let exec = sink.timer("phase.exec");
+        let exec_nanos = |s: &TraceSummary| s.profile.slice(Phase::Exec).unwrap().nanos;
+        assert_eq!(sink.timer_value(exec), (exec_nanos(&summary), 1));
         let dram_reqs = sink.counter("dram.requests");
         assert_eq!(sink.counter_value(dram_reqs), summary.dram.requests);
         assert!(!sink.snapshot().is_empty());
@@ -2050,8 +2104,8 @@ mod tests {
         gpu2.memory_mut().add_buffer(BufferId(2), vec![0; 128]);
         let again = gpu2.launch(&vecadd_kernel(), LaunchConfig::new(4, 32));
         assert_eq!(
-            sink.timer_value(step).1,
-            summary.dynamic_instructions + again.dynamic_instructions
+            sink.timer_value(exec),
+            (exec_nanos(&summary) + exec_nanos(&again), 2)
         );
     }
 

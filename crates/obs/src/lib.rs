@@ -5,7 +5,7 @@
 //! unreachable, so this crate hand-rolls the three pieces a metrics stack
 //! normally imports:
 //!
-//! * [`metrics`] — span timers, counters, and log2 histograms behind a
+//! * [`metrics`] — timers, counters, and log2 histograms behind a
 //!   [`MetricsSink`] handle. A *disabled* sink turns every record call into
 //!   a branch on a `None` — the instrumented hot paths stay allocation-free
 //!   and effectively free. An *enabled* sink hands out per-thread
@@ -39,6 +39,6 @@ pub mod trace;
 pub use jsonl::Record;
 pub use metrics::{
     validate_exposition, CounterId, HistogramId, MetricSnapshot, MetricValue, MetricsSink,
-    Recorder, Span, TimerId,
+    Recorder, TimerId,
 };
 pub use trace::{SpanGuard, TraceEvent, TraceRecorder, TraceSink};

@@ -1,4 +1,4 @@
-//! Span timers, counters, and log2 histograms.
+//! Timers, counters, and log2 histograms.
 //!
 //! Metrics are identified by `&'static str` names and registered against a
 //! [`MetricsSink`]. Registration (rare, setup-time) takes a mutex;
@@ -15,7 +15,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Buckets per histogram: bucket `b` counts values in `[2^(b-1), 2^b)`
 /// (bucket 0 counts zeros), which covers `u64` values up to `2^31`-ish
@@ -33,7 +33,7 @@ const SLOT_CAPACITY: usize = 4096;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterId(u32);
 
-/// Handle to a registered span timer (accumulated nanoseconds + count).
+/// Handle to a registered timer (accumulated nanoseconds + span count).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimerId(u32);
 
@@ -208,7 +208,7 @@ impl MetricsSink {
         })
     }
 
-    /// Register (or look up) a span timer by name.
+    /// Register (or look up) a timer by name.
     pub fn timer(&self, name: &'static str) -> TimerId {
         TimerId(match &self.shared {
             Some(s) => s.register(name, Kind::Timer),
@@ -478,16 +478,6 @@ pub fn validate_exposition(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// An open span handle: holds the start instant (or nothing, when the sink
-/// is disabled). `Copy`, so it can be parked in a local while the recorder
-/// is borrowed by nested work, then closed with [`Recorder::end`].
-#[derive(Debug, Clone, Copy)]
-#[must_use = "a span only records when closed with Recorder::end"]
-pub struct Span {
-    timer: TimerId,
-    start: Option<Instant>,
-}
-
 /// Per-thread metric accumulator (see module docs). Dropping a recorder
 /// flushes it.
 pub struct Recorder {
@@ -511,39 +501,6 @@ impl Recorder {
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.shared.is_some()
-    }
-
-    /// Open a span on `timer`. Reads the monotonic clock once iff enabled.
-    #[inline]
-    pub fn begin(&self, timer: TimerId) -> Span {
-        Span {
-            timer,
-            start: if self.shared.is_some() {
-                Some(Instant::now())
-            } else {
-                None
-            },
-        }
-    }
-
-    /// Close `span`, accumulating its elapsed time locally.
-    #[inline]
-    pub fn end(&mut self, span: Span) {
-        self.end_n(span, 1);
-    }
-
-    /// Close `span`, accumulating its elapsed time locally while counting
-    /// it as `n` events — for batched work where one span covers `n`
-    /// logical occurrences (e.g. a scheduler slot that issued a whole
-    /// straight-line instruction run).
-    #[inline]
-    pub fn end_n(&mut self, span: Span, n: u64) {
-        if let Some(t0) = span.start {
-            let ns = t0.elapsed().as_nanos() as u64;
-            let base = span.timer.0 as usize;
-            *self.slot(base) += ns;
-            *self.slot(base + 1) += n;
-        }
     }
 
     /// Count one span of `elapsed` on `timer`, measured by the caller —
@@ -572,33 +529,6 @@ impl Recorder {
             *self.slot(base) += 1;
             *self.slot(base + 1) += v;
             *self.slot(base + 2 + bucket_of(v)) += 1;
-        }
-    }
-
-    /// This recorder's unflushed nanoseconds on `timer`.
-    pub fn timer_nanos(&self, t: TimerId) -> u64 {
-        if self.shared.is_some() {
-            self.local.get(t.0 as usize).copied().unwrap_or(0)
-        } else {
-            0
-        }
-    }
-
-    /// This recorder's unflushed span count on `timer`.
-    pub fn timer_count(&self, t: TimerId) -> u64 {
-        if self.shared.is_some() {
-            self.local.get(t.0 as usize + 1).copied().unwrap_or(0)
-        } else {
-            0
-        }
-    }
-
-    /// This recorder's unflushed value of a counter.
-    pub fn counter_value(&self, c: CounterId) -> u64 {
-        if self.shared.is_some() {
-            self.local.get(c.0 as usize).copied().unwrap_or(0)
-        } else {
-            0
         }
     }
 
@@ -634,19 +564,13 @@ mod tests {
         let mut rec = sink.recorder();
         rec.add(c, 3);
         rec.add(c, 4);
-        let span = rec.begin(t);
-        std::thread::sleep(std::time::Duration::from_micros(50));
-        rec.end(span);
-        assert_eq!(rec.counter_value(c), 7);
-        assert_eq!(rec.timer_count(t), 1);
-        assert!(rec.timer_nanos(t) > 0);
+        rec.add_span(t, Duration::from_micros(50));
         // Nothing shared until flush.
         assert_eq!(sink.counter_value(c), 0);
+        assert_eq!(sink.timer_value(t), (0, 0));
         rec.flush();
         assert_eq!(sink.counter_value(c), 7);
-        let (ns, n) = sink.timer_value(t);
-        assert_eq!(n, 1);
-        assert!(ns >= 50_000, "span under-measured: {ns}ns");
+        assert_eq!(sink.timer_value(t), (50_000, 1));
         // Locals reset by flush; a second flush adds nothing.
         rec.flush();
         assert_eq!(sink.counter_value(c), 7);
@@ -661,9 +585,11 @@ mod tests {
         rec.add_span(t, Duration::from_nanos(5));
         rec.flush();
         assert_eq!(sink.timer_value(t), (3_005, 2));
-        let mut off = MetricsSink::disabled().recorder();
-        off.add_span(t, Duration::from_secs(1));
-        assert_eq!(off.timer_count(t), 0);
+        let off = MetricsSink::disabled();
+        let mut rec = off.recorder();
+        rec.add_span(off.timer("work"), Duration::from_secs(1));
+        rec.flush();
+        assert!(off.snapshot().is_empty());
     }
 
     #[test]
@@ -693,16 +619,17 @@ mod tests {
                     for i in 0..PER_THREAD {
                         rec.add(c, 1);
                         rec.observe(h, k * PER_THREAD + i);
-                        let span = rec.begin(t);
-                        rec.end(span);
+                        rec.add_span(t, Duration::from_nanos(1));
                     }
                     // rec drops → flush
                 });
             }
         });
         assert_eq!(sink.counter_value(c), THREADS * PER_THREAD);
-        let (_, spans) = sink.timer_value(t);
-        assert_eq!(spans, THREADS * PER_THREAD);
+        assert_eq!(
+            sink.timer_value(t),
+            (THREADS * PER_THREAD, THREADS * PER_THREAD)
+        );
         let snap = sink.snapshot();
         let hist = snap.iter().find(|m| m.name == "values").expect("hist");
         match &hist.value {
@@ -731,12 +658,9 @@ mod tests {
         assert!(!rec.is_enabled());
         rec.add(c, 5);
         rec.observe(h, 123);
-        let span = rec.begin(t);
-        rec.end(span);
+        rec.add_span(t, Duration::from_nanos(7));
         rec.flush();
         sink.add(c, 9);
-        assert_eq!(rec.counter_value(c), 0);
-        assert_eq!(rec.timer_nanos(t), 0);
         assert_eq!(sink.counter_value(c), 0);
         assert_eq!(sink.timer_value(t), (0, 0));
         assert!(sink.snapshot().is_empty(), "disabled sink must stay empty");
@@ -824,20 +748,20 @@ mod tests {
     fn expose_text_renders_all_kinds_deterministically() {
         let sink = MetricsSink::enabled();
         let c = sink.counter("store.hit");
-        let t = sink.timer("sim.step");
+        let t = sink.timer("phase.exec");
         let h = sink.histogram("item.bytes");
         sink.add(c, 6);
         let mut rec = sink.recorder();
-        let span = rec.begin(t);
-        rec.end(span);
+        rec.add_span(t, Duration::from_nanos(40));
         rec.observe(h, 0);
         rec.observe(h, 1);
         rec.observe(h, 5);
         rec.flush();
         let text = sink.expose_text();
         assert!(text.contains("# TYPE bvf_store_hit counter\nbvf_store_hit 6\n"));
-        assert!(text.contains("# TYPE bvf_sim_step_nanos_total counter\n"));
-        assert!(text.contains("bvf_sim_step_count 1\n"));
+        assert!(text.contains("# TYPE bvf_phase_exec_nanos_total counter\n"));
+        assert!(text.contains("bvf_phase_exec_nanos_total 40\n"));
+        assert!(text.contains("bvf_phase_exec_count 1\n"));
         assert!(text.contains("# TYPE bvf_item_bytes histogram\n"));
         // Cumulative buckets: le="0" counts the zero, le="1" adds the 1,
         // le="7" includes the 5; +Inf carries the total.
@@ -850,11 +774,9 @@ mod tests {
         // Registration order is exposition order, and the text is a pure
         // function of the aggregate.
         let hit = text.find("bvf_store_hit ").unwrap();
-        let step = text.find("bvf_sim_step_nanos_total ").unwrap();
+        let step = text.find("bvf_phase_exec_nanos_total ").unwrap();
         assert!(hit < step);
         let text2 = sink.expose_text();
-        // Timer nanos vary per run but not between two snapshots of the
-        // same aggregate.
         assert_eq!(text, text2);
         // And the whole payload is a valid exposition: unique names, one
         // `# TYPE` per family, declared before its samples.

@@ -347,7 +347,7 @@ fn main() {
     // Run one campaign: print its run report (and, under --profile, its
     // phase breakdown) to stderr, append its telemetry records.
     let finish_campaign = |label: &str, c: &Campaign, telemetry: &mut Telemetry| {
-        eprintln!("{}", c.run_report());
+        eprintln!("[{label}] {}", c.run_report());
         if let Some(t) = c.phase_table() {
             eprintln!("[{label}] {t}");
         }

@@ -499,9 +499,16 @@ impl Campaign {
     /// disagree beyond those settings.
     pub fn run_set(apps: &[Application], members: &[(GpuConfig, CampaignOptions)]) -> Vec<Self> {
         assert!(!apps.is_empty(), "campaign needs at least one application");
+        // Each derivation assembles every kernel: once per architecture.
+        let mut masks = HashMap::new();
+        for (_, opts) in members {
+            masks
+                .entry(opts.arch)
+                .or_insert_with(|| Self::derive_isa_mask(opts.arch, apps));
+        }
         let members: Vec<(&GpuConfig, u64, &CampaignOptions)> = members
             .iter()
-            .map(|(config, opts)| (config, Self::derive_isa_mask(opts.arch, apps), opts))
+            .map(|(config, opts)| (config, masks[&opts.arch], opts))
             .collect();
         Self::fan_out(apps, &members)
     }
@@ -791,7 +798,7 @@ impl Campaign {
     /// left out: their profile, if any, timed another campaign. Empty
     /// unless the campaign ran with an enabled [`CampaignOptions::sink`].
     pub fn merged_profile(&self) -> PhaseProfile {
-        let mut merged = PhaseProfile::empty();
+        let mut merged = PhaseProfile::default();
         for r in self.results.iter().filter(|r| !r.cached) {
             merged.merge(&r.summary.profile);
         }
@@ -1453,6 +1460,7 @@ impl core::fmt::Display for RunReport {
 mod tests {
     use super::*;
     use bvf_core::Unit;
+    use bvf_gpu::Phase;
     use proptest::prelude::*;
 
     fn with_par(par: Parallelism) -> CampaignOptions {
@@ -1611,41 +1619,65 @@ mod tests {
     #[test]
     fn profiled_campaign_matches_unprofiled_and_merges_phases() {
         let mut config = GpuConfig::baseline();
-        config.sms = 1;
+        config.sms = 4;
         let apps: Vec<Application> = ["VAD", "SGE"]
             .iter()
             .map(|c| Application::by_code(c).expect("app"))
             .collect();
         let plain =
             Campaign::run_with_options(config.clone(), &apps, &with_par(Parallelism::Sequential));
-        let sink = MetricsSink::enabled();
-        let profiled = Campaign::run_with_options(
-            config,
-            &apps,
-            &CampaignOptions {
-                par: Parallelism::Fixed(2),
-                sink: sink.clone(),
-                ..CampaignOptions::default()
-            },
-        );
-        // Profiling and worker count change nothing the equality sees.
-        assert_eq!(plain, profiled);
+        let profiled = |shards: u32| {
+            let sink = MetricsSink::enabled();
+            let c = Campaign::run_with_options(
+                config.clone(),
+                &apps,
+                &CampaignOptions {
+                    par: Parallelism::Fixed(2),
+                    sink: sink.clone(),
+                    shards: ShardMode::Fixed(shards),
+                    ..CampaignOptions::default()
+                },
+            );
+            (c, sink)
+        };
+        let (whole, sink) = profiled(1);
+        let (sharded, _) = profiled(4);
+        // Profiling, worker count and shard count change nothing the
+        // equality sees.
+        assert_eq!(plain, whole);
+        assert_eq!(plain, sharded);
         assert!(plain.merged_profile().slices.is_empty());
         assert!(plain.phase_table().is_none());
-        let merged = profiled.merged_profile();
+        let merged = whole.merged_profile();
         assert!(merged.is_enabled());
-        assert_eq!(merged.slices.len(), 8);
-        let table = profiled.phase_table().expect("profiled");
-        assert_eq!(table.rows.len(), 8);
+        assert_eq!(merged.slices.len(), 9);
+        let table = whole.phase_table().expect("profiled");
+        assert_eq!(table.rows.len(), 9);
         assert!(table.get("exec", "events").expect("exec row") > 0.0);
-        // Worker recorders flushed into the shared sink across threads.
-        let step = sink.timer("sim.step");
-        let total: u64 = profiled
+        assert!(table.get("sched", "events").expect("sched row") > 0.0);
+        // Every app's slices partition its launch time exactly, and every
+        // phase counts the same events whatever the shard split.
+        for (a, b) in whole.results.iter().zip(&sharded.results) {
+            for r in [a, b] {
+                let p = &r.summary.profile;
+                let sum: u64 = p.slices.iter().map(|s| s.nanos).sum();
+                assert_eq!(sum, p.launch_nanos, "{}", r.app.code);
+            }
+            let events = |r: &AppResult| -> Vec<(Phase, u64)> {
+                let slices = &r.summary.profile.slices;
+                slices.iter().map(|s| (s.phase, s.events)).collect()
+            };
+            assert_eq!(events(a), events(b), "{}", a.app.code);
+        }
+        // Worker recorders flushed into the shared sink across threads:
+        // one `phase.exec` span per launch, holding the launches' exec time.
+        let exec = sink.timer("phase.exec");
+        let nanos: u64 = whole
             .results
             .iter()
-            .map(|r| r.summary.dynamic_instructions)
+            .map(|r| r.summary.profile.slice(Phase::Exec).expect("exec").nanos)
             .sum();
-        assert_eq!(sink.timer_value(step).1, total);
+        assert_eq!(sink.timer_value(exec), (nanos, apps.len() as u64));
     }
 
     #[test]

@@ -216,7 +216,7 @@ mod tests {
         let json::Value::Array(phases) = timing.get("phases").expect("phases") else {
             panic!("phases must be an array");
         };
-        assert_eq!(phases.len(), 8);
+        assert_eq!(phases.len(), 9);
         assert_eq!(
             phases[0].get("phase").and_then(json::Value::as_str),
             Some("exec")
