@@ -2,12 +2,11 @@
 //!
 //! The span pipeline is designed so that tracing never touches the
 //! simulator's per-instruction hot path: workers emit a handful of
-//! synthetic events per item from counters they already computed, and the
-//! logical tree is written once at assembly. This bench holds that
-//! contract the same way `obs_overhead` does for the metrics sink: a
-//! min-of-reps comparison of the sequential smoke campaign with and
-//! without an enabled [`bvf_obs::TraceSink`], asserting the traced run
-//! stays within ~5% of the untraced one.
+//! synthetic events per item from counters and profiles they already
+//! computed, and the logical tree is written once at assembly. This bench
+//! holds that contract with a min-of-reps comparison of the sequential
+//! smoke campaign with and without an enabled [`bvf_obs::TraceSink`],
+//! asserting the traced run stays within ~5% of the untraced one.
 
 use std::time::Duration;
 

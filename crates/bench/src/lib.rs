@@ -4,9 +4,8 @@
 //!
 //! * `benches/collector.rs` and `benches/exec_step.rs` — the collector and
 //!   execute-loop hot paths.
-//! * `benches/obs_overhead.rs` and `benches/trace_overhead.rs` — the <5%
-//!   instrumentation and tracing overhead gates, both timed with
-//!   [`min_of_paired_reps`].
+//! * `benches/trace_overhead.rs` — the <5% tracing overhead gate, timed
+//!   with [`min_of_paired_reps`].
 //!
 //! Run with `cargo bench --workspace` (results land in `target/criterion`).
 

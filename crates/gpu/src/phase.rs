@@ -1,14 +1,15 @@
 //! Per-phase wall-time attribution for a kernel launch.
 //!
-//! When a [`bvf_obs::MetricsSink`] is installed on the [`crate::Gpu`]
-//! (see [`crate::Gpu::set_metrics`]), every launch runs one
-//! [`PhaseClock`], which the simulator switches as it moves between
-//! phases, and returns its [`PhaseProfile`] on the
-//! [`crate::TraceSummary`]. Profiling never changes simulation results.
+//! When profiling is on (an enabled sink passed to
+//! [`crate::Gpu::set_metrics`]), every launch runs one [`PhaseClock`],
+//! which the simulator switches as it moves between phases, and returns
+//! its [`PhaseProfile`] on the [`crate::LaunchShard`]; [`crate::merge_shards`]
+//! adds the DRAM drain to the merged [`crate::TraceSummary`]'s profile. The
+//! profile is the simulator's only report of its own time: callers turn it
+//! into metrics timers or trace spans. Profiling never changes simulation
+//! results.
 
 use std::time::Instant;
-
-use bvf_obs::{CounterId, MetricsSink, TimerId};
 
 /// A disjoint slice of a launch's wall time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -58,21 +59,16 @@ impl Phase {
 
     /// Stable lowercase name (used in tables and telemetry records).
     pub fn name(self) -> &'static str {
-        self.names().0
-    }
-
-    /// The name and the metrics-sink timer each launch adds the phase to.
-    fn names(self) -> (&'static str, &'static str) {
         match self {
-            Phase::Exec => ("exec", "phase.exec"),
-            Phase::Ifetch => ("ifetch", "phase.ifetch"),
-            Phase::DataMemory => ("data_memory", "phase.data_memory"),
-            Phase::StatsInstr => ("stats_instr", "phase.stats_instr"),
-            Phase::StatsData => ("stats_data", "phase.stats_data"),
-            Phase::DramDrain => ("dram_drain", "phase.dram_drain"),
-            Phase::Setup => ("setup", "phase.setup"),
-            Phase::Sched => ("sched", "phase.sched"),
-            Phase::Other => ("other", "phase.other"),
+            Phase::Exec => "exec",
+            Phase::Ifetch => "ifetch",
+            Phase::DataMemory => "data_memory",
+            Phase::StatsInstr => "stats_instr",
+            Phase::StatsData => "stats_data",
+            Phase::DramDrain => "dram_drain",
+            Phase::Setup => "setup",
+            Phase::Sched => "sched",
+            Phase::Other => "other",
         }
     }
 }
@@ -212,38 +208,6 @@ impl PhaseClock {
     }
 }
 
-/// The simulator's registered metric ids. Registration is idempotent per
-/// sink, so building this per launch is cheap; on a disabled sink every id
-/// is a dummy and every use a no-op.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SimMetrics {
-    /// One timer per phase, indexed by `phase as usize`: each launch adds
-    /// its slice as one span.
-    pub phases: [TimerId; Phase::ALL.len()],
-    pub reg_events: CounterId,
-    pub smem_events: CounterId,
-    pub instr_events: CounterId,
-    pub line_events: CounterId,
-    pub noc_packets: CounterId,
-    pub noc_flits: CounterId,
-    pub dram_requests: CounterId,
-}
-
-impl SimMetrics {
-    pub fn register(sink: &MetricsSink) -> Self {
-        Self {
-            phases: Phase::ALL.map(|p| sink.timer(p.names().1)),
-            reg_events: sink.counter("stats.reg_events"),
-            smem_events: sink.counter("stats.smem_events"),
-            instr_events: sink.counter("stats.instr_events"),
-            line_events: sink.counter("stats.line_events"),
-            noc_packets: sink.counter("noc.packets"),
-            noc_flits: sink.counter("noc.flits"),
-            dram_requests: sink.counter("dram.requests"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,7 +260,7 @@ mod tests {
     #[test]
     fn disabled_sink_yields_empty_profile() {
         let before = clock_reads();
-        let sink = MetricsSink::disabled();
+        let sink = bvf_obs::MetricsSink::disabled();
         let mut clock = PhaseClock::start(sink.is_enabled(), Phase::Setup);
         assert_eq!(clock.switch(Phase::Exec), Phase::Setup);
         assert_eq!(clock.switch(Phase::Ifetch), Phase::Exec);
@@ -367,7 +331,6 @@ mod tests {
         );
         for (i, p) in Phase::ALL.iter().enumerate() {
             assert_eq!(*p as usize, i, "ALL is in declaration order");
-            assert_eq!(p.names().1, format!("phase.{}", p.name()));
         }
     }
 }

@@ -5,24 +5,29 @@
 //! [`StatsCollector`]), NoC toggle statistics, the raw data profiles of
 //! Figs. 8/9/11/12, cache hit rates, a runtime estimate, and per-unit
 //! capacity utilization (the input of the leakage model).
+//!
+//! The simulator returns its observations and reports nothing itself: it
+//! holds no metrics or trace sink, and its own time comes back only as
+//! the phase profile on the result. Callers turn that profile into
+//! timers and spans.
 
 use std::collections::{BTreeMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use bvf_bits::{BitCounts, NarrowValueProfile};
 use bvf_core::Unit;
 use bvf_isa::ir::{BufferId, Kernel, LaunchConfig, Op};
 use bvf_isa::Architecture;
-use bvf_obs::{MetricsSink, Recorder, TraceSink};
+use bvf_obs::MetricsSink;
 
 use crate::cache::{Access, Cache};
 use crate::config::GpuConfig;
 use crate::dram::{DramChannel, DramConfig, DramRequest, DramStats};
 use crate::exec::{AddrPattern, FlatProgram, StepResult, Warp, WarpEnv};
 use crate::memory::GlobalMemory;
-use crate::noc::{channel_id, cmd, flits_for, header, Direction};
-use crate::phase::{Phase, PhaseClock, PhaseProfile, SimMetrics};
+use crate::noc::{channel_id, cmd, header, Direction};
+use crate::phase::{Phase, PhaseClock, PhaseProfile};
 use crate::sched::Scheduler;
 use crate::stats::{AccessKind, CodingView, StatsCollector, ViewStats};
 
@@ -65,8 +70,8 @@ pub struct TraceSummary {
     pub smem_conflict_cycles: u64,
     /// Aggregate DRAM-channel statistics (FR-FCFS model).
     pub dram: DramStats,
-    /// Where the simulator's own wall time went (empty unless a metrics
-    /// sink was installed via [`Gpu::set_metrics`]).
+    /// Where the simulator's own wall time went (empty unless profiling
+    /// was switched on via [`Gpu::set_metrics`]).
     pub profile: PhaseProfile,
 }
 
@@ -410,14 +415,10 @@ struct SharedState {
     /// concatenated logs of all shards.
     dram_log: Vec<(u32, DramRequest)>,
     l2_line_bytes: u32,
-    flit_bytes: usize,
     /// Sample the value profiles of Figs. 8/9/11/12 (see
     /// [`Gpu::set_value_profiles`]).
     value_profiles: bool,
-    /// Per-launch metrics recorder (no-op without a sink), the ids it
-    /// records under, and the launch's phase clock.
-    rec: Recorder,
-    m: SimMetrics,
+    /// The launch's phase clock (disabled unless profiling).
     clock: PhaseClock,
     narrow: NarrowValueProfile,
     data_bits: BitCounts,
@@ -455,11 +456,11 @@ impl SharedState {
         }
     }
 
-    // Collector calls routed through the metrics recorder. Word-granular
-    // events (per-instruction, per-register) only bump counters — two clock
-    // reads would be measurable against their nanosecond bodies — while
-    // line-granular events (cache lines, NoC packets) run in their stats
-    // phase, switching back to the caller's phase after.
+    // Collector calls routed through the phase clock. Word-granular events
+    // (per-instruction, per-register) stay in the caller's phase — two
+    // clock reads would be measurable against their nanosecond bodies —
+    // while line-granular events (cache lines, NoC packets) run in their
+    // stats phase, switching back to the caller's phase after.
     #[inline]
     fn collect(&mut self, phase: Phase, record: impl FnOnce(&mut StatsCollector)) {
         let caller = self.clock.switch(phase);
@@ -470,13 +471,11 @@ impl SharedState {
 
     #[inline]
     fn record_instruction(&mut self, unit: Unit, kind: AccessKind, word: u64) {
-        self.rec.add(self.m.instr_events, 1);
         self.collector.record_instruction(unit, kind, word);
     }
 
     #[inline]
     fn record_instruction_units(&mut self, units: &[Unit], kind: AccessKind, word: u64) {
-        self.rec.add(self.m.instr_events, units.len() as u64);
         self.collector.record_instruction_units(units, kind, word);
     }
 
@@ -485,19 +484,16 @@ impl SharedState {
         self.collect(Phase::StatsInstr, |c| {
             c.record_instruction_line(unit, kind, words)
         });
-        self.rec.add(self.m.line_events, 1);
     }
 
     #[inline]
     fn record_line(&mut self, unit: Unit, kind: AccessKind, line: &[u8]) {
         self.collect(Phase::StatsData, |c| c.record_line(unit, kind, line));
-        self.rec.add(self.m.line_events, 1);
     }
 
     #[inline]
     fn record_line_kinds(&mut self, unit: Unit, kinds: &[AccessKind], line: &[u8]) {
         self.collect(Phase::StatsData, |c| c.record_line_kinds(unit, kinds, line));
-        self.rec.add(self.m.line_events, kinds.len() as u64);
     }
 
     #[inline]
@@ -516,11 +512,6 @@ impl SharedState {
         self.collect(phase, |c| {
             c.record_noc_packet(channel, header, payload, instruction_payload)
         });
-        self.rec.add(self.m.noc_packets, 1);
-        self.rec.add(
-            self.m.noc_flits,
-            flits_for(payload.len(), self.flit_bytes) as u64,
-        );
     }
 
     /// Log one L2 miss (or writeback) bound for the DRAM channel behind
@@ -528,7 +519,6 @@ impl SharedState {
     /// [`SharedState::dram_log`].
     #[inline]
     fn dram_enqueue(&mut self, bank: u32, req: DramRequest) {
-        self.rec.add(self.m.dram_requests, 1);
         self.dram_log.push((bank, req));
     }
 }
@@ -787,14 +777,12 @@ impl WarpEnv for SmEnv<'_> {
     }
 
     fn on_reg_read(&mut self, reg_lanes: &[u32; 32], active: u32) {
-        self.shared.rec.add(self.shared.m.reg_events, 1);
         self.shared
             .collector
             .record_register(AccessKind::Read, reg_lanes, active);
     }
 
     fn on_reg_write(&mut self, reg_lanes: &[u32; 32], active: u32, pivot_divergent: bool) {
-        self.shared.rec.add(self.shared.m.reg_events, 1);
         self.shared
             .collector
             .record_register(AccessKind::Write, reg_lanes, active);
@@ -1043,7 +1031,6 @@ impl WarpEnv for SmEnv<'_> {
                     self.smem[if i < n { i } else { i % n }] = values[lane];
                 }
             }
-            self.shared.rec.add(self.shared.m.smem_events, 1);
             self.shared
                 .collector
                 .record_shared(AccessKind::Write, values, active);
@@ -1059,7 +1046,6 @@ impl WarpEnv for SmEnv<'_> {
                     }
                 }
             }
-            self.shared.rec.add(self.shared.m.smem_events, 1);
             self.shared
                 .collector
                 .record_shared(AccessKind::Read, &out, active);
@@ -1079,11 +1065,7 @@ pub struct Gpu {
     value_profiles: bool,
     trace_logging: bool,
     last_log: Option<crate::trace::TraceLog>,
-    metrics: MetricsSink,
-    tracer: TraceSink,
-    trace_scope: String,
-    trace_tid: u32,
-    launch_seq: u32,
+    profiling: bool,
 }
 
 impl Gpu {
@@ -1102,33 +1084,17 @@ impl Gpu {
             value_profiles: true,
             trace_logging: false,
             last_log: None,
-            metrics: MetricsSink::disabled(),
-            tracer: TraceSink::disabled(),
-            trace_scope: String::new(),
-            trace_tid: 0,
-            launch_seq: 0,
+            profiling: false,
         }
     }
 
-    /// Install a metrics sink: subsequent launches time their phases
-    /// (reported as [`TraceSummary::profile`]) and aggregate counters into
-    /// `sink`. The default sink is disabled and every probe is a no-op;
-    /// profiling never changes simulation results.
+    /// Switch profiling on for an enabled `sink`: subsequent launches time
+    /// their phases and return them as [`LaunchShard::profile`]. The GPU
+    /// keeps only whether the sink is enabled and records nothing into
+    /// it; the caller reports the profile. Off by default; profiling never
+    /// changes simulation results.
     pub fn set_metrics(&mut self, sink: MetricsSink) {
-        self.metrics = sink;
-    }
-
-    /// Install a trace sink and the causal scope subsequent launches
-    /// record under. Each launch closes a `launch:<n>` span (numbered
-    /// from 0 within the scope, so ids stay a pure function of the work
-    /// graph) with its phase self-times as child spans, on display lane
-    /// `tid`. The default sink is disabled: no clock reads, no
-    /// allocation, no events.
-    pub fn set_tracer(&mut self, sink: TraceSink, scope: String, tid: u32) {
-        self.tracer = sink;
-        self.trace_scope = scope;
-        self.trace_tid = tid;
-        self.launch_seq = 0;
+        self.profiling = sink.is_enabled();
     }
 
     /// Record the full raw event stream of subsequent launches (the
@@ -1208,13 +1174,11 @@ impl Gpu {
         shard_index: u32,
         shard_count: u32,
     ) -> LaunchShard {
-        let m = SimMetrics::register(&self.metrics);
-        let rec = self.metrics.recorder();
         // Setup: compiling the kernel, the collector (warm memo tables from
         // this thread's last launch over the same coders), one set of L2
         // banks and L1s reset per SM below, and the prepared image, shared
         // copy-on-write.
-        let clock = PhaseClock::start(rec.is_enabled(), Phase::Setup);
+        let clock = PhaseClock::start(self.profiling, Phase::Setup);
         let prog = FlatProgram::compile(kernel, self.arch);
         let cfg = &self.config;
         let (sm_start, sm_end) = shard_sm_range(cfg.sms, shard_index, shard_count);
@@ -1234,13 +1198,6 @@ impl Gpu {
         if self.trace_logging {
             collector = collector.with_trace_log();
         }
-        // Trace recorder for this launch, created up front so its Drop
-        // flushes whatever was recorded even if the simulation panics.
-        let mut trace_rec = self
-            .tracer
-            .is_enabled()
-            .then(|| self.tracer.recorder(self.trace_tid));
-        let trace_t0 = trace_rec.as_ref().map_or(0, |t| t.now_ns());
         // The prepared memory image. Every SM simulates against its own
         // copy-on-write clone: line images and load values must not
         // observe another SM's stores, or a shard boundary between two SMs
@@ -1253,10 +1210,7 @@ impl Gpu {
             l2: (0..cfg.l2_banks).map(|_| Cache::new(cfg.l2_bank)).collect(),
             dram_log: Vec::new(),
             l2_line_bytes: cfg.l2_bank.line_bytes(),
-            flit_bytes: cfg.noc_flit_bytes,
             value_profiles: self.value_profiles,
-            rec,
-            m,
             clock,
             narrow: NarrowValueProfile::new(),
             data_bits: BitCounts::default(),
@@ -1360,48 +1314,6 @@ impl Gpu {
             .clock
             .count(Phase::DramDrain, shared.dram_log.len() as u64);
         let profile = shared.clock.finish();
-        for (s, &timer) in profile.slices.iter().zip(&shared.m.phases) {
-            shared.rec.add_span(timer, Duration::from_nanos(s.nanos));
-        }
-        shared.rec.flush();
-
-        if let Some(trec) = trace_rec.as_mut() {
-            let n = self.launch_seq;
-            self.launch_seq += 1;
-            let base = if self.trace_scope.is_empty() {
-                format!("launch:{n}")
-            } else {
-                format!("{}/launch:{n}", self.trace_scope)
-            };
-            let dur = trec.now_ns().saturating_sub(trace_t0);
-            trec.emit(
-                base.clone(),
-                "gpu",
-                0,
-                trace_t0,
-                dur,
-                vec![("instructions", total_issues), ("cycles", max_core_cycles)],
-            );
-            // Phase self-times as children, laid out sequentially: the
-            // slices are disjoint by construction, so a back-to-back
-            // layout inside the launch span is the faithful picture.
-            let mut t = trace_t0;
-            for (i, s) in profile.slices.iter().enumerate() {
-                if s.nanos == 0 && s.events == 0 {
-                    continue;
-                }
-                trec.emit(
-                    format!("{base}/phase:{}", s.phase.name()),
-                    "gpu",
-                    i as u32,
-                    t,
-                    s.nanos,
-                    vec![("events", s.events)],
-                );
-                t += s.nanos;
-            }
-        }
-        drop(trace_rec); // flush the launch's trace batch
 
         LaunchShard {
             views,
@@ -2075,38 +1987,6 @@ mod tests {
         // most one per instruction.
         let picks = profiled.profile.slice(Phase::Sched).unwrap().events;
         assert!(picks > 0 && picks <= profiled.dynamic_instructions);
-    }
-
-    #[test]
-    fn sink_aggregates_launch_metrics() {
-        let sink = MetricsSink::enabled();
-        let mut gpu = small_gpu();
-        gpu.set_metrics(sink.clone());
-        gpu.memory_mut()
-            .add_buffer(BufferId(0), (0..128u32).collect());
-        gpu.memory_mut().add_buffer(BufferId(1), vec![3; 128]);
-        gpu.memory_mut().add_buffer(BufferId(2), vec![0; 128]);
-        let summary = gpu.launch(&vecadd_kernel(), LaunchConfig::new(4, 32));
-        // The recorder flushed at end of launch: cross-launch aggregates on
-        // the sink match the summary, one span per phase and launch.
-        let exec = sink.timer("phase.exec");
-        let exec_nanos = |s: &TraceSummary| s.profile.slice(Phase::Exec).unwrap().nanos;
-        assert_eq!(sink.timer_value(exec), (exec_nanos(&summary), 1));
-        let dram_reqs = sink.counter("dram.requests");
-        assert_eq!(sink.counter_value(dram_reqs), summary.dram.requests);
-        assert!(!sink.snapshot().is_empty());
-        // A second simulator sharing the sink keeps accumulating into it —
-        // the campaign engine's per-worker `Gpu`s all feed one sink.
-        let mut gpu2 = small_gpu();
-        gpu2.set_metrics(sink.clone());
-        gpu2.memory_mut().add_buffer(BufferId(0), vec![1; 128]);
-        gpu2.memory_mut().add_buffer(BufferId(1), vec![1; 128]);
-        gpu2.memory_mut().add_buffer(BufferId(2), vec![0; 128]);
-        let again = gpu2.launch(&vecadd_kernel(), LaunchConfig::new(4, 32));
-        assert_eq!(
-            sink.timer_value(exec),
-            (exec_nanos(&summary) + exec_nanos(&again), 2)
-        );
     }
 
     /// A vecadd that also loads from a buffer nobody registered, so every

@@ -24,9 +24,12 @@
 //!   [`trace::scrub_chrome`] strips the run-dependent fields so traces
 //!   can be byte-compared across worker/shard configurations.
 //!
-//! The intended wiring: the campaign driver builds one enabled sink, every
-//! simulator worker instruments its phases through a recorder, and the
-//! driver snapshots the aggregate or emits JSON-lines records at the end.
+//! The intended wiring: the campaign driver builds one enabled sink of each
+//! kind and is their only writer. The simulator never holds a sink: it
+//! returns each launch's phase profile, and the campaign adds that profile
+//! to the sink's timers and writes the launch and phase spans from it. The
+//! driver then snapshots the aggregate or emits JSON-lines records at the
+//! end.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

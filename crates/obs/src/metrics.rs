@@ -386,22 +386,6 @@ pub enum MetricValue {
     },
 }
 
-impl MetricValue {
-    /// Mean observed value for histograms/timers, `None` for counters or
-    /// empty series.
-    pub fn mean(&self) -> Option<f64> {
-        match self {
-            MetricValue::Counter(_) => None,
-            MetricValue::Timer { nanos, count } => {
-                (*count > 0).then(|| *nanos as f64 / *count as f64)
-            }
-            MetricValue::Histogram { count, sum, .. } => {
-                (*count > 0).then(|| *sum as f64 / *count as f64)
-            }
-        }
-    }
-}
-
 /// Check that a Prometheus-style text exposition is well-formed enough for
 /// a scraper to accept it:
 ///
@@ -495,12 +479,6 @@ impl Recorder {
             self.local.resize(i + 1, 0);
         }
         &mut self.local[i]
-    }
-
-    /// Is the underlying sink live?
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.shared.is_some()
     }
 
     /// Count one span of `elapsed` on `timer`, measured by the caller —
@@ -655,7 +633,6 @@ mod tests {
         let t = sink.timer("b");
         let h = sink.histogram("c");
         let mut rec = sink.recorder();
-        assert!(!rec.is_enabled());
         rec.add(c, 5);
         rec.observe(h, 123);
         rec.add_span(t, Duration::from_nanos(7));
@@ -853,23 +830,5 @@ mod tests {
     #[test]
     fn expose_text_is_empty_when_disabled() {
         assert_eq!(MetricsSink::disabled().expose_text(), "");
-    }
-
-    #[test]
-    fn mean_helper() {
-        assert_eq!(MetricValue::Counter(3).mean(), None);
-        assert_eq!(
-            MetricValue::Timer {
-                nanos: 90,
-                count: 3
-            }
-            .mean(),
-            Some(30.0)
-        );
-        assert_eq!(
-            MetricValue::Timer { nanos: 0, count: 0 }.mean(),
-            None,
-            "empty timer has no mean"
-        );
     }
 }

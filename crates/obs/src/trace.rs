@@ -26,7 +26,7 @@
 //! execution-detail categories, leaving a byte-comparable span tree the
 //! same way record scrubbing drops `"timing"`.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -87,7 +87,6 @@ struct TraceShared {
     capacity: usize,
     events: Mutex<Vec<TraceEvent>>,
     dropped: AtomicU64,
-    next_tid: AtomicU32,
 }
 
 impl TraceShared {
@@ -140,7 +139,6 @@ impl TraceSink {
                 capacity,
                 events: Mutex::new(Vec::new()),
                 dropped: AtomicU64::new(0),
-                next_tid: AtomicU32::new(0),
             })),
         }
     }
@@ -174,16 +172,6 @@ impl TraceSink {
             shared: self.shared.clone(),
             tid,
         }
-    }
-
-    /// A recorder on a fresh auto-assigned lane (arrival-ordered — fine,
-    /// since `tid` is scrubbed).
-    pub fn lane_recorder(&self) -> TraceRecorder {
-        let tid = match &self.shared {
-            Some(s) => s.next_tid.fetch_add(1, Ordering::Relaxed),
-            None => 0,
-        };
-        self.recorder(tid)
     }
 
     /// Events counted out after [`SINK_CAPACITY`] was reached.
@@ -226,17 +214,6 @@ pub struct TraceRecorder {
 }
 
 impl TraceRecorder {
-    /// Is the underlying sink live?
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.shared.is_some()
-    }
-
-    /// The lane this recorder draws on.
-    pub fn tid(&self) -> u32 {
-        self.tid
-    }
-
     /// Nanoseconds since the sink epoch (0 when disabled). For callers
     /// that lay out synthetic events with [`TraceRecorder::emit`].
     pub fn now_ns(&self) -> u64 {
@@ -259,10 +236,9 @@ impl TraceRecorder {
         }
     }
 
-    /// Close `span` under the causal id `path`. `path` is built by the
-    /// caller only on enabled recorders (guard with
-    /// [`TraceRecorder::is_enabled`] to keep the disabled path
-    /// allocation-free).
+    /// Close `span` under the causal id `path`. A caller that keeps its
+    /// disabled path allocation-free builds `path` only when its sink is
+    /// enabled ([`TraceSink::is_enabled`]).
     #[inline]
     pub fn end(
         &mut self,
@@ -433,7 +409,6 @@ mod tests {
         let sink = TraceSink::disabled();
         assert!(!sink.is_enabled());
         let mut rec = sink.recorder(0);
-        assert!(!rec.is_enabled());
         let s = rec.begin();
         rec.end(s, String::new(), "sched", 0, Vec::new());
         rec.emit(String::new(), "sched", 0, 1, 2, Vec::new());
@@ -477,7 +452,7 @@ mod tests {
     fn drop_flushes_like_a_panicking_worker() {
         let sink = TraceSink::enabled();
         let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut rec = sink.lane_recorder();
+            let mut rec = sink.recorder(0);
             span(&mut rec, "c/app:X/shard:0", "sched", 0);
             panic!("worker dies mid-item");
         }));
@@ -552,8 +527,8 @@ mod tests {
     fn scrubbed_text_is_identical_across_interleavings() {
         let run = |swap: bool| {
             let sink = TraceSink::enabled();
-            let mut a = sink.lane_recorder();
-            let mut b = sink.lane_recorder();
+            let mut a = sink.recorder(0);
+            let mut b = sink.recorder(1);
             let (first, second) = if swap {
                 (&mut b, &mut a)
             } else {

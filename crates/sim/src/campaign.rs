@@ -19,9 +19,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use bvf_gpu::{merge_shards, CodingView, Gpu, GpuConfig, LaunchShard, PhaseProfile, TraceSummary};
+use bvf_gpu::{
+    merge_shards, CodingView, Gpu, GpuConfig, LaunchShard, Phase, PhaseProfile, TraceSummary,
+};
 use bvf_isa::{derive_mask_for, Architecture};
-use bvf_obs::{CounterId, MetricsSink, SpanGuard, TraceRecorder, TraceSink};
+use bvf_obs::{CounterId, MetricsSink, SpanGuard, TimerId, TraceRecorder, TraceSink};
 use bvf_workloads::Application;
 
 use crate::store::ResultStore;
@@ -173,10 +175,11 @@ pub struct CampaignOptions {
     /// runs: apps finished, instructions retired, throughput, busy
     /// workers, and queue depth.
     pub progress: bool,
-    /// Metrics sink shared by every worker's simulator. When enabled, each
-    /// [`AppResult`]'s summary carries a [`PhaseProfile`] and the sink
-    /// aggregates counters across the whole campaign; the default disabled
-    /// sink makes every probe a no-op.
+    /// Metrics sink. When enabled, every simulator profiles its launch, so
+    /// each simulated [`AppResult`]'s summary carries a [`PhaseProfile`];
+    /// the campaign adds each freshly simulated app's merged profile to
+    /// the sink's `phase.<name>` timers and counts store traffic into it.
+    /// The default disabled sink makes every probe a no-op.
     pub sink: MetricsSink,
     /// Result store, on disk or in memory. When set, the campaign consults
     /// every app's whole-app entry before scheduling its units (a hit
@@ -841,10 +844,13 @@ impl Campaign {
 /// Simulate shard `index` of `count` of `app` on a fresh [`Gpu`] — the one
 /// place in this crate that builds a simulator. A whole-app run is shard
 /// (0, 1) passed through [`merge_shards`]. `value_profiles` goes to
-/// [`Gpu::set_value_profiles`]. `trace` carries (sink, causal scope, lane
-/// id) so the GPU attributes its launch and phase spans to the caller's
-/// work item. Returns the shard and the input images its preparation
-/// generated (0 when this thread's memo held the app's image).
+/// [`Gpu::set_value_profiles`], and an enabled `sink` switches the
+/// launch's phase profile on. `trace` carries the work item's recorder
+/// and the causal path its launch is recorded under: a `launch:0` span
+/// (category `gpu`) that brackets the launch alone, not the input
+/// preparation, and one child per phase slice. Returns the shard and the
+/// input images its preparation generated (0 when this thread's memo held
+/// the app's image).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn simulate_shard(
     config: &GpuConfig,
@@ -855,18 +861,41 @@ pub(crate) fn simulate_shard(
     app: &Application,
     index: u32,
     count: u32,
-    trace: Option<(&TraceSink, String, u32)>,
+    trace: Option<(&mut TraceRecorder, String)>,
 ) -> (LaunchShard, u64) {
     let mut gpu = Gpu::new(config.clone(), views.to_vec());
     gpu.set_value_profiles(value_profiles);
     gpu.set_architecture(arch);
     gpu.set_metrics(sink.clone());
-    if let Some((tracer, scope, tid)) = trace {
-        gpu.set_tracer(tracer.clone(), scope, tid);
-    }
     let before = bvf_workloads::input_generations();
-    let shard = app.run_shard(&mut gpu, index, count);
-    (shard, bvf_workloads::input_generations() - before)
+    app.prepare(&mut gpu);
+    let generated = bvf_workloads::input_generations() - before;
+    let kernel = app.kernel();
+    let t0 = trace.as_ref().map_or(0, |(rec, _)| rec.now_ns());
+    let shard = gpu.launch_shard(&kernel, app.launch_config(), index, count);
+    if let Some((rec, path)) = trace {
+        // One launch per simulator, so always `launch:0`. Its phase slices
+        // are disjoint by construction, so a back-to-back layout inside the
+        // launch span is the faithful picture.
+        let base = format!("{path}/launch:0");
+        let dur = rec.now_ns().saturating_sub(t0);
+        let args = vec![
+            ("instructions", shard.dynamic_instructions),
+            ("cycles", shard.max_core_cycles),
+        ];
+        rec.emit(base.clone(), "gpu", 0, t0, dur, args);
+        let mut t = t0;
+        for (i, s) in shard.profile.slices.iter().enumerate() {
+            if s.nanos == 0 && s.events == 0 {
+                continue;
+            }
+            let phase = format!("{base}/phase:{}", s.phase.name());
+            let args = vec![("events", s.events)];
+            rec.emit(phase, "gpu", i as u32, t, s.nanos, args);
+            t += s.nanos;
+        }
+    }
+    (shard, generated)
 }
 
 /// What a store hit gives: a unit its launch shard, an app's whole-app
@@ -928,6 +957,21 @@ fn traced<R>(
     out
 }
 
+/// The metrics-sink timer of each launch phase, indexed by `phase as
+/// usize`. A unit that merges a freshly simulated app adds each slice of
+/// the merged profile to its timer as one span.
+const PHASE_TIMERS: [&str; Phase::ALL.len()] = [
+    "phase.exec",
+    "phase.ifetch",
+    "phase.data_memory",
+    "phase.stats_instr",
+    "phase.stats_data",
+    "phase.dram_drain",
+    "phase.setup",
+    "phase.sched",
+    "phase.other",
+];
+
 /// Indices into [`Member::store_counts`].
 const HIT: usize = 0;
 const MISS: usize = 1;
@@ -949,6 +993,8 @@ struct Member<'a> {
     trace_root: String,
     /// Store hits, misses and verifications: campaign total, sink counter.
     store_counts: [(AtomicUsize, CounterId); 3],
+    /// [`PHASE_TIMERS`], registered on the sink.
+    phase_timers: [TimerId; Phase::ALL.len()],
     /// Input images this member's simulations generated.
     generations: AtomicU64,
 }
@@ -979,6 +1025,7 @@ impl<'a> Member<'a> {
             trace_root: format!("campaign:{}", opts.trace_label),
             store_counts: ["store.hit", "store.miss", "store.verify"]
                 .map(|name| (AtomicUsize::new(0), opts.sink.counter(name))),
+            phase_timers: PHASE_TIMERS.map(|name| opts.sink.timer(name)),
             generations: AtomicU64::new(0),
         }
     }
@@ -1074,22 +1121,18 @@ impl<'a> Member<'a> {
         }
     }
 
-    /// Simulate shard `s` of `count` of `app`, its launches traced under
-    /// the item's path plus `suffix`.
+    /// Simulate shard `s` of `count` of `app`, its launch traced under the
+    /// item's path plus `suffix`.
     fn simulate(
         &self,
         app: &Application,
         (s, count): (u32, u32),
-        trace: &Option<ItemTrace>,
+        trace: &mut Option<ItemTrace>,
         suffix: &str,
     ) -> LaunchShard {
-        let scope = trace.as_ref().map(|t| {
-            (
-                &self.opts.tracer,
-                format!("{}{suffix}", t.path),
-                t.rec.tid(),
-            )
-        });
+        let scope = trace
+            .as_mut()
+            .map(|t| (&mut t.rec, format!("{}{suffix}", t.path)));
         let (shard, generated) = simulate_shard(
             self.config,
             &self.views,
@@ -1254,6 +1297,9 @@ impl<'a> Member<'a> {
         });
         let merge_wall = t_merge.elapsed();
         wall += merge_wall;
+        if fresh {
+            self.add_phase_timers(&summary.profile);
+        }
         // The whole-app entry, for later campaigns at any shard count.
         if let (Some(store), true) = (store, fresh) {
             let save = || store.save_shared(key, app.code, Arc::clone(&summary));
@@ -1261,6 +1307,17 @@ impl<'a> Member<'a> {
         }
         self.publish(i, summary, app_wall + merge_wall, !fresh);
         wall
+    }
+
+    /// Add each slice of a freshly simulated app's merged profile (the
+    /// DRAM drain included) to its phase timer as one span. A no-op when
+    /// the campaign is not profiled.
+    fn add_phase_timers(&self, profile: &PhaseProfile) {
+        let mut rec = self.opts.sink.recorder();
+        for (s, &timer) in profile.slices.iter().zip(&self.phase_timers) {
+            rec.add_span(timer, Duration::from_nanos(s.nanos));
+        }
+        // Dropping the recorder flushes it into the sink.
     }
 
     /// Set application `i`'s result in its slot table.
@@ -1460,7 +1517,6 @@ impl core::fmt::Display for RunReport {
 mod tests {
     use super::*;
     use bvf_core::Unit;
-    use bvf_gpu::Phase;
     use proptest::prelude::*;
 
     fn with_par(par: Parallelism) -> CampaignOptions {
@@ -1640,8 +1696,8 @@ mod tests {
             );
             (c, sink)
         };
-        let (whole, sink) = profiled(1);
-        let (sharded, _) = profiled(4);
+        let (whole, whole_sink) = profiled(1);
+        let (sharded, sharded_sink) = profiled(4);
         // Profiling, worker count and shard count change nothing the
         // equality sees.
         assert_eq!(plain, whole);
@@ -1669,15 +1725,20 @@ mod tests {
             };
             assert_eq!(events(a), events(b), "{}", a.app.code);
         }
-        // Worker recorders flushed into the shared sink across threads:
-        // one `phase.exec` span per launch, holding the launches' exec time.
-        let exec = sink.timer("phase.exec");
-        let nanos: u64 = whole
-            .results
-            .iter()
-            .map(|r| r.summary.profile.slice(Phase::Exec).expect("exec").nanos)
-            .sum();
-        assert_eq!(sink.timer_value(exec), (nanos, apps.len() as u64));
+        // Each run's sink holds its merged profile phase by phase, one span
+        // per simulated app, the DRAM drain of the merge included.
+        for (c, sink) in [(&whole, &whole_sink), (&sharded, &sharded_sink)] {
+            let merged = c.merged_profile();
+            let simulated = c.run_report().simulated as u64;
+            assert_eq!(simulated, apps.len() as u64);
+            for (s, name) in merged.slices.iter().zip(PHASE_TIMERS) {
+                assert_eq!(name, format!("phase.{}", s.phase.name()));
+                let timer = sink.timer(name);
+                assert_eq!(sink.timer_value(timer), (s.nanos, simulated), "{name}");
+            }
+            let drain = merged.slice(Phase::DramDrain).expect("dram_drain");
+            assert!(drain.nanos > 0, "the drain reaches the sink");
+        }
     }
 
     #[test]
@@ -2523,6 +2584,70 @@ mod tests {
         );
         let (other, _, _) = scrubbed_smoke(Parallelism::Sequential, ShardMode::Auto, Some("BFS"));
         assert_eq!(other, base, "panic runs must scrub identically too");
+    }
+
+    #[test]
+    fn each_unit_traces_one_launch_with_its_phases() {
+        for shards in [1u32, 2] {
+            let store = Arc::new(ResultStore::in_memory().with_verify_sample(1));
+            let tracer = TraceSink::enabled();
+            let run = |label: &str| {
+                Campaign::smoke(&CampaignOptions {
+                    par: Parallelism::Sequential,
+                    shards: ShardMode::Fixed(shards),
+                    store: Some(Arc::clone(&store)),
+                    sink: MetricsSink::enabled(),
+                    tracer: tracer.clone(),
+                    trace_label: label.to_string(),
+                    ..CampaignOptions::default()
+                })
+            };
+            let cold = run("cold");
+            let warm = run("warm");
+            assert_eq!((warm.cache_hits, warm.cache_verified), (6, 1));
+            let events = tracer.events();
+            let launches: Vec<&bvf_obs::TraceEvent> = events
+                .iter()
+                .filter(|e| e.name().starts_with("launch:"))
+                .collect();
+            assert!(launches
+                .iter()
+                .all(|e| e.cat == "gpu" && e.name() == "launch:0"));
+            for r in &cold.results {
+                // Exactly one launch per unit, and together they issued
+                // the app's instructions.
+                let mut instructions = 0;
+                for s in 0..shards {
+                    let path = format!("campaign:cold/app:{}/shard:{s}/launch:0", r.app.code);
+                    let mine: Vec<_> = launches.iter().filter(|e| e.path == path).collect();
+                    assert_eq!(mine.len(), 1, "{path}");
+                    let args: HashMap<_, _> = mine[0].args.iter().copied().collect();
+                    instructions += args["instructions"];
+                }
+                assert_eq!(
+                    instructions, r.summary.dynamic_instructions,
+                    "{}",
+                    r.app.code
+                );
+            }
+            // Each launch's phase children fit inside it.
+            for l in &launches {
+                let prefix = format!("{}/phase:", l.path);
+                let phases = events.iter().filter(|e| e.path.starts_with(&prefix));
+                let nanos: u64 = phases.map(|e| e.dur_ns).sum();
+                assert!(nanos > 0 && nanos <= l.dur_ns, "{}", l.path);
+            }
+            // The warm run simulated only its verification, under the
+            // consult item's `verify` scope.
+            let warm_launches: Vec<&str> = launches
+                .iter()
+                .map(|e| e.path.as_str())
+                .filter(|p| p.starts_with("campaign:warm/"))
+                .collect();
+            assert_eq!(warm_launches.len(), 1, "{warm_launches:?}");
+            assert!(warm_launches[0].ends_with("/consult/verify/launch:0"));
+            assert_eq!(launches.len(), cold.results.len() * shards as usize + 1);
+        }
     }
 
     #[test]
