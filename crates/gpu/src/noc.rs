@@ -19,12 +19,12 @@
 //!   coded per view; after the last payload flit the data wires return to
 //!   the precharged all-ones idle state.
 //!
-//! [`flits_for`] counts the *occupied* flits of a packet under this model:
-//! one sideband header flit plus the payload flits. (The idle return is a
-//! wire transition, not an occupied flit, so it counts toward toggle energy
-//! but not link utilization.) Within the collector each channel keeps its
-//! sideband toggle history apart from the data wires', whose packets are
-//! counted one at a time from the idle state.
+//! A packet thus occupies one sideband header flit plus its payload flits
+//! (a header-only request is one flit; a 128B line at 32B flits is five).
+//! The idle return is a wire transition, not an occupied flit, so it counts
+//! toward toggle energy but not link utilization. Within the collector each
+//! channel keeps its sideband toggle history apart from the data wires',
+//! whose packets are counted one at a time from the idle state.
 
 /// Bytes of header prepended to every NoC packet (command + address + ids).
 pub const HEADER_BYTES: usize = 16;
@@ -126,14 +126,6 @@ pub mod cmd {
     pub const IFETCH_REPLY: u8 = 0x83;
 }
 
-/// Occupied flits of one packet: the sideband header flit plus
-/// `ceil(payload / flit_bytes)` data flits — exactly the flits the
-/// collector's toggle model transmits (the idle-return transition after the
-/// payload is not an occupied flit).
-pub fn flits_for(payload_bytes: usize, flit_bytes: usize) -> usize {
-    1 + payload_bytes.div_ceil(flit_bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,14 +212,6 @@ mod tests {
     #[should_panic(expected = "out of 16-bit range")]
     fn oversized_header_id_rejected() {
         let _ = header(cmd::READ_REQ, 0x1_0000, 0, 0, 0);
-    }
-
-    #[test]
-    fn flit_counts() {
-        // Header flit + 128B line at 32B flits = 1 + 4 → 5 flits.
-        assert_eq!(flits_for(128, 32), 5);
-        // header-only request = 1 sideband flit.
-        assert_eq!(flits_for(0, 32), 1);
     }
 
     proptest! {

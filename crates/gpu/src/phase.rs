@@ -12,19 +12,30 @@
 use std::time::Instant;
 
 /// A disjoint slice of a launch's wall time.
+///
+/// The clock is read only around bodies that are long against one read
+/// of it (~45 ns): a line-granular body (a data line's cache and NoC
+/// work, an L1I miss, a wave's CTA dispatch) gets its own slice, while a
+/// word-granular one (an L1I hit, a register or shared-memory word, a
+/// warp pick) stays in its caller's phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Phase {
-    /// Warp decode and execute, outside the fetch and memory callbacks.
+    /// Warp decode and execute, outside the fetch-miss and memory
+    /// callbacks: L1I hits, register events, warp picks and barrier
+    /// releases included.
     Exec,
-    /// Instruction fetch: L1I/L2 probes and NoC traffic, outside the
-    /// collector calls on that path.
+    /// Instruction fetch on an L1I miss: the L2 probe, the DRAM enqueue
+    /// and the line's word events, outside its collector block. An L1I
+    /// hit stays in `exec`.
     Ifetch,
     /// Data memory: global/shared accesses, coalescing, L1/L2 probes and
-    /// DRAM enqueues, outside the collector calls on that path.
+    /// DRAM enqueues, outside each line's collector block.
     DataMemory,
-    /// Multi-view statistics collection on the instruction path.
+    /// Multi-view statistics collection on the instruction path: one
+    /// slice per L1I miss for its NoC packets and line records.
     StatsInstr,
-    /// Multi-view statistics collection on the data path.
+    /// Multi-view statistics collection on the data path: one slice per
+    /// data line for its NoC packets and line records.
     StatsData,
     /// End-of-launch FR-FCFS DRAM channel drain.
     DramDrain,
@@ -34,9 +45,9 @@ pub enum Phase {
     /// collector. Events count the SMs set up, a total every shard split
     /// of a launch agrees on.
     Setup,
-    /// Warp scheduling: dispatching a wave's CTAs, picking the next warp
-    /// and releasing barriers. Events count picks, summed over SMs, so
-    /// every shard split of a launch agrees on them.
+    /// CTA dispatch: building a wave's warps and shared memory. Events
+    /// count CTAs dispatched, summed over SMs, so every shard split of a
+    /// launch agrees on them. Picks and barrier releases run in `exec`.
     Sched,
     /// The launch loop's own work between the phases above (per-SM
     /// bookkeeping and result assembly).
@@ -81,9 +92,9 @@ pub struct PhaseSlice {
     /// Self time in nanoseconds (disjoint from every other slice).
     pub nanos: u64,
     /// Number of events attributed to the phase (instructions for `exec`,
-    /// fetches for `ifetch`, accesses for `data_memory`, collector calls
-    /// for the stats phases, DRAM requests for `dram_drain`, SMs set up for
-    /// `setup`, picks for `sched`).
+    /// L1I misses for `ifetch`, warp accesses for `data_memory`, collector
+    /// calls for the stats phases, DRAM requests for `dram_drain`, SMs set
+    /// up for `setup`, CTAs dispatched for `sched`).
     pub events: u64,
 }
 
@@ -133,10 +144,23 @@ impl PhaseProfile {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Clock reads on this thread, counted by [`now`].
+    static CLOCK_READS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Clock reads on this thread so far: a test counts a launch's reads as
+/// the difference across it.
+#[cfg(test)]
+pub(crate) fn clock_reads() -> u64 {
+    CLOCK_READS.with(std::cell::Cell::get)
+}
+
 /// The one clock read behind every [`PhaseClock`] switch.
 fn now() -> Instant {
     #[cfg(test)]
-    tests::CLOCK_READS.with(|n| n.set(n.get() + 1));
+    CLOCK_READS.with(|n| n.set(n.get() + 1));
     Instant::now()
 }
 
@@ -211,16 +235,6 @@ impl PhaseClock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::Cell;
-
-    thread_local! {
-        /// Clock reads on this thread, counted by [`now`].
-        pub(super) static CLOCK_READS: Cell<u64> = const { Cell::new(0) };
-    }
-
-    fn clock_reads() -> u64 {
-        CLOCK_READS.with(Cell::get)
-    }
 
     #[test]
     fn empty_profile_is_disabled() {
