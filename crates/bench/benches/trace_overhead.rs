@@ -3,10 +3,13 @@
 //! The span pipeline is designed so that tracing never touches the
 //! simulator's per-instruction hot path: workers emit a handful of
 //! synthetic events per item from counters and profiles they already
-//! computed, and the logical tree is written once at assembly. This bench
-//! holds that contract with a min-of-reps comparison of the sequential
-//! smoke campaign with and without an enabled [`bvf_obs::TraceSink`],
-//! asserting the traced run stays within ~5% of the untraced one.
+//! computed, each straight into the sink under its lock, and the logical
+//! tree is written once at assembly. This bench holds that contract with
+//! a min-of-reps comparison of the sequential smoke campaign with and
+//! without an enabled [`bvf_obs::TraceSink`], asserting the traced run
+//! stays within ~5% of the untraced one. Its deterministic half, a bound
+//! on spans (and so on sink lock acquisitions) per work item, is
+//! `bvf_sim`'s `trace_volume_is_bounded_by_work_items` test.
 
 use std::time::Duration;
 

@@ -5,7 +5,9 @@
 //! * `benches/collector.rs` and `benches/exec_step.rs` — the collector and
 //!   execute-loop hot paths.
 //! * `benches/trace_overhead.rs` — the <5% tracing overhead gate, timed
-//!   with [`min_of_paired_reps`].
+//!   with [`min_of_paired_reps`]. Every span goes straight into the trace
+//!   sink, so its cost scales with spans per work item, which a
+//!   count-based campaign test bounds.
 //!
 //! Run with `cargo bench --workspace` (results land in `target/criterion`).
 

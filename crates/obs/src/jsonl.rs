@@ -1,12 +1,12 @@
 //! JSON-lines record builder.
 //!
 //! Telemetry records are flat-ish JSON objects, one per line, appended to a
-//! file or stream. Serialization is hand-rolled (same convention as
-//! `Table::to_json` in `bvf-sim`): field order is exactly insertion order,
-//! strings are escaped per RFC 8259, and non-finite floats become `null` —
-//! so a record's text is a deterministic function of the values pushed into
-//! it, which is what lets tests diff two telemetry streams byte-wise after
-//! scrubbing the timing fields.
+//! file or stream. Serialization is hand-rolled, and it also writes
+//! `Table::to_json` in `bvf-sim` and the trace export's args: field order
+//! is exactly insertion order, strings are escaped per RFC 8259, and
+//! non-finite floats become `null` — so a record's text is a deterministic
+//! function of the values pushed into it, which is what lets tests diff
+//! two telemetry streams byte-wise after scrubbing the timing fields.
 
 /// Escape a string for embedding in a JSON string literal (no quotes).
 pub fn escape(s: &str) -> String {
@@ -70,13 +70,6 @@ impl Record {
 
     /// Append an unsigned integer field.
     pub fn u64(self, k: &str, v: u64) -> Self {
-        let mut r = self.key(k);
-        r.buf.push_str(&v.to_string());
-        r
-    }
-
-    /// Append a signed integer field.
-    pub fn i64(self, k: &str, v: i64) -> Self {
         let mut r = self.key(k);
         r.buf.push_str(&v.to_string());
         r

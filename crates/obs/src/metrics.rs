@@ -2,16 +2,16 @@
 //!
 //! Metrics are identified by `&'static str` names and registered against a
 //! [`MetricsSink`]. Registration (rare, setup-time) takes a mutex;
-//! recording (the hot path) touches only a per-thread [`Recorder`]'s plain
-//! integers; aggregation ([`Recorder::flush`], called at natural
-//! work-item boundaries and on drop) is a series of `fetch_add`s into a
-//! fixed slab of shared atomics — lock-free, so workers never block each
-//! other however often they flush.
+//! recording ([`MetricsSink::add`], [`MetricsSink::add_span`],
+//! [`MetricsSink::observe`]) goes straight into a fixed slab of shared
+//! atomics — one to three `fetch_add`s, lock-free, and visible to every
+//! reader at once. The writers record per work item, not per simulated
+//! event, so there is nothing to batch.
 //!
 //! A sink built with [`MetricsSink::disabled`] makes every operation a
-//! no-op behind a single branch: ids are dummies, recorders hold no
-//! storage, and snapshots are empty. Instrumented code therefore never
-//! needs its own `if profiling { … }` guards.
+//! no-op behind a single branch: ids are dummies and snapshots are empty.
+//! Instrumented code therefore never needs its own `if profiling { … }`
+//! guards.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -142,14 +142,6 @@ impl Shared {
         defs.push(MetricDef { name, kind, base });
         base
     }
-
-    /// Slots in use (defs lock held briefly; callers are setup paths).
-    fn used(&self) -> usize {
-        let defs = self.defs.lock().expect("metric registry poisoned");
-        defs.last()
-            .map(|d| (d.base + slot_width(d.kind)) as usize)
-            .unwrap_or(0)
-    }
 }
 
 /// A cloneable handle to a metrics aggregate — or to nothing at all.
@@ -224,25 +216,30 @@ impl MetricsSink {
         })
     }
 
-    /// A recorder for the calling thread. Register the metrics it will
-    /// touch *before* creating it, so its local storage is sized once and
-    /// the record path never grows it.
-    pub fn recorder(&self) -> Recorder {
-        Recorder {
-            local: match &self.shared {
-                Some(s) => vec![0; s.used()],
-                None => Vec::new(),
-            },
-            shared: self.shared.clone(),
-        }
-    }
-
-    /// Add to a counter directly in the shared aggregate (one `fetch_add`).
-    /// For cross-worker live values read while workers still run — per-event
-    /// hot paths should go through a [`Recorder`] instead.
+    /// Add `n` to a counter (one `fetch_add`).
     pub fn add(&self, c: CounterId, n: u64) {
         if let Some(s) = &self.shared {
             s.slots[c.0 as usize].fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    /// Count one span of `elapsed` on `timer`, measured by the caller —
+    /// for work timed elsewhere (e.g. a campaign result's wall time).
+    pub fn add_span(&self, timer: TimerId, elapsed: Duration) {
+        if let Some(s) = &self.shared {
+            let base = timer.0 as usize;
+            s.slots[base].fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+            s.slots[base + 1].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Record one observation into a histogram.
+    pub fn observe(&self, h: HistogramId, v: u64) {
+        if let Some(s) = &self.shared {
+            let base = h.0 as usize;
+            s.slots[base].fetch_add(1, Ordering::Relaxed);
+            s.slots[base + 1].fetch_add(v, Ordering::Relaxed);
+            s.slots[base + 2 + bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -462,123 +459,32 @@ pub fn validate_exposition(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Per-thread metric accumulator (see module docs). Dropping a recorder
-/// flushes it.
-pub struct Recorder {
-    shared: Option<Arc<Shared>>,
-    local: Vec<u64>,
-}
-
-impl Recorder {
-    #[inline]
-    fn slot(&mut self, i: usize) -> &mut u64 {
-        // Ids registered after this recorder was created land past the end;
-        // growing here keeps the common path (pre-registered ids) a plain
-        // index.
-        if i >= self.local.len() {
-            self.local.resize(i + 1, 0);
-        }
-        &mut self.local[i]
-    }
-
-    /// Count one span of `elapsed` on `timer`, measured by the caller —
-    /// for work timed elsewhere (e.g. a campaign result's wall time).
-    pub fn add_span(&mut self, timer: TimerId, elapsed: Duration) {
-        if self.shared.is_some() {
-            let base = timer.0 as usize;
-            *self.slot(base) += elapsed.as_nanos() as u64;
-            *self.slot(base + 1) += 1;
-        }
-    }
-
-    /// Add `n` to a counter (a plain local add when enabled).
-    #[inline]
-    pub fn add(&mut self, c: CounterId, n: u64) {
-        if self.shared.is_some() {
-            *self.slot(c.0 as usize) += n;
-        }
-    }
-
-    /// Record one observation into a histogram.
-    #[inline]
-    pub fn observe(&mut self, h: HistogramId, v: u64) {
-        if self.shared.is_some() {
-            let base = h.0 as usize;
-            *self.slot(base) += 1;
-            *self.slot(base + 1) += v;
-            *self.slot(base + 2 + bucket_of(v)) += 1;
-        }
-    }
-
-    /// Push every locally accumulated value into the shared aggregate
-    /// (lock-free: one `fetch_add` per touched slot) and reset the locals.
-    pub fn flush(&mut self) {
-        if let Some(s) = &self.shared {
-            for (i, v) in self.local.iter_mut().enumerate() {
-                if *v != 0 {
-                    s.slots[i].fetch_add(*v, Ordering::Relaxed);
-                    *v = 0;
-                }
-            }
-        }
-    }
-}
-
-impl Drop for Recorder {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn counters_and_timers_aggregate_through_flush() {
+    fn counters_and_timers_aggregate_in_the_sink() {
         let sink = MetricsSink::enabled();
         let c = sink.counter("events");
         let t = sink.timer("work");
-        let mut rec = sink.recorder();
-        rec.add(c, 3);
-        rec.add(c, 4);
-        rec.add_span(t, Duration::from_micros(50));
-        // Nothing shared until flush.
-        assert_eq!(sink.counter_value(c), 0);
-        assert_eq!(sink.timer_value(t), (0, 0));
-        rec.flush();
+        sink.add(c, 3);
+        sink.add(c, 4);
+        sink.add_span(t, Duration::from_micros(50));
         assert_eq!(sink.counter_value(c), 7);
         assert_eq!(sink.timer_value(t), (50_000, 1));
-        // Locals reset by flush; a second flush adds nothing.
-        rec.flush();
-        assert_eq!(sink.counter_value(c), 7);
     }
 
     #[test]
     fn add_span_counts_a_measured_duration() {
         let sink = MetricsSink::enabled();
         let t = sink.timer("work");
-        let mut rec = sink.recorder();
-        rec.add_span(t, Duration::from_micros(3));
-        rec.add_span(t, Duration::from_nanos(5));
-        rec.flush();
+        sink.add_span(t, Duration::from_micros(3));
+        sink.add_span(t, Duration::from_nanos(5));
         assert_eq!(sink.timer_value(t), (3_005, 2));
         let off = MetricsSink::disabled();
-        let mut rec = off.recorder();
-        rec.add_span(off.timer("work"), Duration::from_secs(1));
-        rec.flush();
+        off.add_span(off.timer("work"), Duration::from_secs(1));
         assert!(off.snapshot().is_empty());
-    }
-
-    #[test]
-    fn drop_flushes() {
-        let sink = MetricsSink::enabled();
-        let c = sink.counter("drops");
-        {
-            let mut rec = sink.recorder();
-            rec.add(c, 11);
-        }
-        assert_eq!(sink.counter_value(c), 11);
     }
 
     #[test]
@@ -593,13 +499,11 @@ mod tests {
             for k in 0..THREADS {
                 let sink = sink.clone();
                 scope.spawn(move || {
-                    let mut rec = sink.recorder();
                     for i in 0..PER_THREAD {
-                        rec.add(c, 1);
-                        rec.observe(h, k * PER_THREAD + i);
-                        rec.add_span(t, Duration::from_nanos(1));
+                        sink.add(c, 1);
+                        sink.observe(h, k * PER_THREAD + i);
+                        sink.add_span(t, Duration::from_nanos(1));
                     }
-                    // rec drops → flush
                 });
             }
         });
@@ -632,11 +536,9 @@ mod tests {
         let c = sink.counter("a");
         let t = sink.timer("b");
         let h = sink.histogram("c");
-        let mut rec = sink.recorder();
-        rec.add(c, 5);
-        rec.observe(h, 123);
-        rec.add_span(t, Duration::from_nanos(7));
-        rec.flush();
+        sink.add(c, 5);
+        sink.observe(h, 123);
+        sink.add_span(t, Duration::from_nanos(7));
         sink.add(c, 9);
         assert_eq!(sink.counter_value(c), 0);
         assert_eq!(sink.timer_value(t), (0, 0));
@@ -660,16 +562,6 @@ mod tests {
         let sink = MetricsSink::enabled();
         let _ = sink.counter("same");
         let _ = sink.timer("same");
-    }
-
-    #[test]
-    fn late_registration_still_records() {
-        let sink = MetricsSink::enabled();
-        let mut rec = sink.recorder(); // before any registration
-        let c = sink.counter("late");
-        rec.add(c, 2);
-        rec.flush();
-        assert_eq!(sink.counter_value(c), 2);
     }
 
     #[test]
@@ -702,38 +594,16 @@ mod tests {
     }
 
     #[test]
-    fn panicking_worker_still_flushes_via_drop_guard() {
-        // Regression lock for telemetry loss on worker panic: batched
-        // locals must reach the shared aggregate when the recorder
-        // unwinds through a catch_unwind, because Drop is the flush.
-        let sink = MetricsSink::enabled();
-        let c = sink.counter("pre_panic_events");
-        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut rec = sink.recorder();
-            rec.add(c, 17);
-            panic!("worker dies with unflushed locals");
-        }));
-        assert!(res.is_err());
-        assert_eq!(
-            sink.counter_value(c),
-            17,
-            "locals batched before the panic must survive the unwind"
-        );
-    }
-
-    #[test]
     fn expose_text_renders_all_kinds_deterministically() {
         let sink = MetricsSink::enabled();
         let c = sink.counter("store.hit");
         let t = sink.timer("phase.exec");
         let h = sink.histogram("item.bytes");
         sink.add(c, 6);
-        let mut rec = sink.recorder();
-        rec.add_span(t, Duration::from_nanos(40));
-        rec.observe(h, 0);
-        rec.observe(h, 1);
-        rec.observe(h, 5);
-        rec.flush();
+        sink.add_span(t, Duration::from_nanos(40));
+        sink.observe(h, 0);
+        sink.observe(h, 1);
+        sink.observe(h, 5);
         let text = sink.expose_text();
         assert!(text.contains("# TYPE bvf_store_hit counter\nbvf_store_hit 6\n"));
         assert!(text.contains("# TYPE bvf_phase_exec_nanos_total counter\n"));

@@ -11,12 +11,12 @@
 //! Recording follows the [`crate::metrics`] regime split: a
 //! [`TraceSink::disabled`] sink makes every probe a no-op behind one
 //! branch (no clock reads, no allocation); an enabled sink hands each
-//! worker a [`TraceRecorder`] that pushes events into a private
-//! fixed-capacity ring and spills to the shared sink only when the ring
-//! fills or the recorder is dropped (so a panicking worker still
-//! delivers what it recorded — the drop guard *is* the flush). The hot
-//! path never takes a lock; the spill takes one mutex per
-//! [`RING_CAPACITY`] events.
+//! work item a [`TraceRecorder`] lane handle whose
+//! [`TraceRecorder::emit`] pushes the event into the shared sink under
+//! its mutex. A span is in the sink once it is recorded, so a panicking
+//! worker still delivers every span it closed. The writers record a
+//! handful of spans per work item, never per simulated event, so one
+//! lock acquisition per span is all the recording costs.
 //!
 //! Merging is deterministic: [`TraceSink::events`] sorts by
 //! `(path, seq)` — causal id order, i.e. registry/(app, shard) order —
@@ -31,10 +31,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::json::{self, Value};
-
-/// Per-recorder ring capacity, in events, before a spill to the shared
-/// sink. Spills amortize the sink mutex to one lock per this many events.
-pub const RING_CAPACITY: usize = 1024;
+use crate::jsonl::Record;
 
 /// Hard cap on events retained by one sink. Beyond it, new events are
 /// counted in [`TraceSink::dropped`] and discarded — tracing degrades to
@@ -90,15 +87,13 @@ struct TraceShared {
 }
 
 impl TraceShared {
-    fn absorb(&self, batch: &mut Vec<TraceEvent>) {
+    fn absorb(&self, event: TraceEvent) {
         let mut events = self.events.lock().expect("trace sink poisoned");
-        let room = self.capacity.saturating_sub(events.len());
-        if batch.len() > room {
-            self.dropped
-                .fetch_add((batch.len() - room) as u64, Ordering::Relaxed);
-            batch.truncate(room);
+        if events.len() < self.capacity {
+            events.push(event);
+        } else {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        events.append(batch);
     }
 }
 
@@ -121,7 +116,7 @@ impl std::fmt::Debug for TraceSink {
 }
 
 impl TraceSink {
-    /// The no-op sink: recorders hold no storage, spans read no clock.
+    /// The no-op sink: emitting records nothing and reads no clock.
     pub fn disabled() -> Self {
         Self { shared: None }
     }
@@ -157,18 +152,9 @@ impl TraceSink {
         }
     }
 
-    /// A recorder for the calling thread/work-item, displayed on lane
-    /// `tid` in the Chrome export.
+    /// A recorder whose events show on lane `tid` in the Chrome export.
     pub fn recorder(&self, tid: u32) -> TraceRecorder {
         TraceRecorder {
-            epoch: match &self.shared {
-                Some(s) => s.epoch,
-                None => Instant::now(),
-            },
-            buf: match &self.shared {
-                Some(_) => Vec::with_capacity(RING_CAPACITY),
-                None => Vec::new(),
-            },
             shared: self.shared.clone(),
             tid,
         }
@@ -182,7 +168,7 @@ impl TraceSink {
         }
     }
 
-    /// All flushed events, merged deterministically: sorted by
+    /// All recorded events, merged deterministically: sorted by
     /// `(path, seq)` — causal-id order — with `t0_ns` as a final
     /// tiebreak. Empty for a disabled sink.
     pub fn events(&self) -> Vec<TraceEvent> {
@@ -195,77 +181,28 @@ impl TraceSink {
     }
 }
 
-/// An open span handle: the start instant, or nothing when the sink is
-/// disabled. `Copy`, closed with [`TraceRecorder::end`].
-#[derive(Debug, Clone, Copy)]
-#[must_use = "a span only records when closed with TraceRecorder::end"]
-pub struct SpanGuard {
-    start: Option<Instant>,
-}
-
-/// Per-thread (or per-work-item) span recorder. Dropping a recorder
-/// flushes it — this is the panic-safety guarantee: a worker unwinding
-/// through a `catch_unwind` still delivers every event it closed.
+/// A lane handle on a [`TraceSink`]: every event it emits goes straight
+/// into the sink, on lane `tid`.
 pub struct TraceRecorder {
     shared: Option<Arc<TraceShared>>,
-    epoch: Instant,
     tid: u32,
-    buf: Vec<TraceEvent>,
 }
 
 impl TraceRecorder {
-    /// Nanoseconds since the sink epoch (0 when disabled). For callers
-    /// that lay out synthetic events with [`TraceRecorder::emit`].
+    /// Nanoseconds since the sink epoch (0 when disabled). A span is timed
+    /// by reading this before and after its body.
     pub fn now_ns(&self) -> u64 {
-        if self.shared.is_some() {
-            self.epoch.elapsed().as_nanos() as u64
-        } else {
-            0
+        match &self.shared {
+            Some(s) => s.epoch.elapsed().as_nanos() as u64,
+            None => 0,
         }
     }
 
-    /// Open a span. Reads the monotonic clock once iff enabled.
-    #[inline]
-    pub fn begin(&self) -> SpanGuard {
-        SpanGuard {
-            start: if self.shared.is_some() {
-                Some(Instant::now())
-            } else {
-                None
-            },
-        }
-    }
-
-    /// Close `span` under the causal id `path`. A caller that keeps its
-    /// disabled path allocation-free builds `path` only when its sink is
-    /// enabled ([`TraceSink::is_enabled`]).
-    #[inline]
-    pub fn end(
-        &mut self,
-        span: SpanGuard,
-        path: String,
-        cat: &'static str,
-        seq: u32,
-        args: Vec<(&'static str, u64)>,
-    ) {
-        if let Some(t0) = span.start {
-            let dur_ns = t0.elapsed().as_nanos() as u64;
-            let t0_ns = t0.duration_since(self.epoch).as_nanos() as u64;
-            self.push(TraceEvent {
-                path,
-                cat,
-                seq,
-                tid: self.tid,
-                t0_ns,
-                dur_ns,
-                args,
-            });
-        }
-    }
-
-    /// Record a pre-timed (or synthetic) event. No-op when disabled.
+    /// Record one closed span into the sink. No-op when disabled. A caller
+    /// that keeps its disabled path allocation-free builds `path` only
+    /// when its sink is enabled ([`TraceSink::is_enabled`]).
     pub fn emit(
-        &mut self,
+        &self,
         path: String,
         cat: &'static str,
         seq: u32,
@@ -273,8 +210,8 @@ impl TraceRecorder {
         dur_ns: u64,
         args: Vec<(&'static str, u64)>,
     ) {
-        if self.shared.is_some() {
-            self.push(TraceEvent {
+        if let Some(s) = &self.shared {
+            s.absorb(TraceEvent {
                 path,
                 cat,
                 seq,
@@ -285,43 +222,11 @@ impl TraceRecorder {
             });
         }
     }
-
-    fn push(&mut self, e: TraceEvent) {
-        self.buf.push(e);
-        if self.buf.len() >= RING_CAPACITY {
-            self.flush();
-        }
-    }
-
-    /// Spill buffered events to the shared sink (one mutex acquisition).
-    pub fn flush(&mut self) {
-        if let Some(s) = &self.shared {
-            if !self.buf.is_empty() {
-                s.absorb(&mut self.buf);
-                self.buf.clear();
-            }
-        }
-    }
-}
-
-impl Drop for TraceRecorder {
-    fn drop(&mut self) {
-        self.flush();
-    }
 }
 
 fn push_args_json(out: &mut String, args: &[(&'static str, u64)]) {
-    out.push('{');
-    for (i, (k, v)) in args.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        out.push_str(&crate::jsonl::escape(k));
-        out.push_str("\":");
-        out.push_str(&v.to_string());
-    }
-    out.push('}');
+    let record = args.iter().fold(Record::object(), |r, &(k, v)| r.u64(k, v));
+    out.push_str(&record.finish());
 }
 
 /// Serialize events (already merged/ordered by [`TraceSink::events`]) as
@@ -399,20 +304,19 @@ pub fn scrub_chrome(text: &str) -> Result<String, json::ParseError> {
 mod tests {
     use super::*;
 
-    fn span(rec: &mut TraceRecorder, path: &str, cat: &'static str, seq: u32) {
-        let s = rec.begin();
-        rec.end(s, path.to_string(), cat, seq, Vec::new());
+    fn span(rec: &TraceRecorder, path: &str, cat: &'static str, seq: u32) {
+        let t0 = rec.now_ns();
+        let dur = rec.now_ns() - t0;
+        rec.emit(path.to_string(), cat, seq, t0, dur, Vec::new());
     }
 
     #[test]
     fn disabled_sink_records_nothing_and_reads_no_clock() {
         let sink = TraceSink::disabled();
         assert!(!sink.is_enabled());
-        let mut rec = sink.recorder(0);
-        let s = rec.begin();
-        rec.end(s, String::new(), "sched", 0, Vec::new());
+        let rec = sink.recorder(0);
+        span(&rec, "", "sched", 0);
         rec.emit(String::new(), "sched", 0, 1, 2, Vec::new());
-        rec.flush();
         assert!(sink.events().is_empty());
         assert_eq!(sink.dropped(), 0);
         assert_eq!(rec.now_ns(), 0);
@@ -421,14 +325,12 @@ mod tests {
     #[test]
     fn events_merge_in_causal_id_order_not_arrival_order() {
         let sink = TraceSink::enabled();
-        let mut a = sink.recorder(1);
-        let mut b = sink.recorder(2);
-        span(&mut b, "c:x/app:Z", "app", 0);
-        span(&mut a, "c:x/app:A/shard:1", "sched", 0);
-        span(&mut b, "c:x", "campaign", 0);
-        span(&mut a, "c:x/app:A/shard:0", "sched", 0);
-        drop(a);
-        drop(b);
+        let a = sink.recorder(1);
+        let b = sink.recorder(2);
+        span(&b, "c:x/app:Z", "app", 0);
+        span(&a, "c:x/app:A/shard:1", "sched", 0);
+        span(&b, "c:x", "campaign", 0);
+        span(&a, "c:x/app:A/shard:0", "sched", 0);
         let paths: Vec<String> = sink.events().into_iter().map(|e| e.path).collect();
         assert_eq!(
             paths,
@@ -439,40 +341,36 @@ mod tests {
     #[test]
     fn seq_breaks_ties_within_a_path() {
         let sink = TraceSink::enabled();
-        let mut rec = sink.recorder(0);
+        let rec = sink.recorder(0);
         rec.emit("p".into(), "phase", 2, 0, 0, vec![("n", 2)]);
         rec.emit("p".into(), "phase", 0, 9, 0, vec![("n", 0)]);
         rec.emit("p".into(), "phase", 1, 5, 0, vec![("n", 1)]);
-        drop(rec);
         let seqs: Vec<u32> = sink.events().iter().map(|e| e.seq).collect();
         assert_eq!(seqs, [0, 1, 2]);
     }
 
     #[test]
-    fn drop_flushes_like_a_panicking_worker() {
+    fn a_panicking_worker_keeps_the_spans_it_emitted() {
         let sink = TraceSink::enabled();
         let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut rec = sink.recorder(0);
-            span(&mut rec, "c/app:X/shard:0", "sched", 0);
+            let rec = sink.recorder(0);
+            span(&rec, "c/app:X/shard:0", "sched", 0);
             panic!("worker dies mid-item");
         }));
         assert!(res.is_err());
-        // The closed span survived the unwind: TraceRecorder's Drop is
-        // the flush guard.
+        // The closed span was in the sink before the unwind began.
         assert_eq!(sink.events().len(), 1);
         assert_eq!(sink.events()[0].path, "c/app:X/shard:0");
     }
 
     #[test]
-    fn ring_spills_at_capacity_and_sink_caps_with_drop_count() {
+    fn each_emitted_event_is_in_the_sink_at_once() {
         let sink = TraceSink::enabled();
-        let mut rec = sink.recorder(0);
-        for i in 0..RING_CAPACITY {
-            rec.emit(format!("e:{i:08}"), "sched", 0, i as u64, 0, Vec::new());
+        let rec = sink.recorder(0);
+        for i in 0..3 {
+            rec.emit(format!("e:{i}"), "sched", 0, i, 0, Vec::new());
+            assert_eq!(sink.events().len(), i as usize + 1);
         }
-        // The ring spilled without an explicit flush.
-        assert_eq!(sink.events().len(), RING_CAPACITY);
-        drop(rec);
         assert_eq!(sink.dropped(), 0);
     }
 
@@ -493,7 +391,7 @@ mod tests {
     #[test]
     fn export_is_valid_json_and_scrub_drops_run_detail() {
         let sink = TraceSink::enabled();
-        let mut rec = sink.recorder(7);
+        let rec = sink.recorder(7);
         rec.emit("c:q".into(), "campaign", 0, 100, 5000, vec![("apps", 2)]);
         rec.emit(
             "c:q/app:A".into(),
@@ -504,7 +402,6 @@ mod tests {
             vec![("instructions", 42)],
         );
         rec.emit("c:q/app:A/shard:0".into(), "sched", 0, 150, 900, Vec::new());
-        drop(rec);
         let text = export_chrome(&sink.events(), sink.dropped());
         let v = json::parse(&text).expect("export parses");
         let Some(Value::Array(items)) = v.get("traceEvents") else {
@@ -527,18 +424,12 @@ mod tests {
     fn scrubbed_text_is_identical_across_interleavings() {
         let run = |swap: bool| {
             let sink = TraceSink::enabled();
-            let mut a = sink.recorder(0);
-            let mut b = sink.recorder(1);
-            let (first, second) = if swap {
-                (&mut b, &mut a)
-            } else {
-                (&mut a, &mut b)
-            };
+            let a = sink.recorder(0);
+            let b = sink.recorder(1);
+            let (first, second) = if swap { (&b, &a) } else { (&a, &b) };
             first.emit("c/app:A".into(), "app", 0, 7, 3, vec![("instructions", 1)]);
             second.emit("c/app:B".into(), "app", 0, 2, 9, vec![("instructions", 2)]);
             second.emit("c/app:B/shard:0".into(), "sched", 0, 2, 9, Vec::new());
-            drop(a);
-            drop(b);
             scrub_chrome(&export_chrome(&sink.events(), sink.dropped())).unwrap()
         };
         assert_eq!(run(false), run(true));
@@ -547,16 +438,14 @@ mod tests {
     #[test]
     fn sink_capacity_overflow_counts_drops() {
         let sink = TraceSink::with_capacity(4);
-        let mut rec = sink.recorder(0);
+        let rec = sink.recorder(0);
         for i in 0..7 {
             rec.emit(format!("e:{i}"), "sched", 0, i, 0, Vec::new());
         }
-        rec.flush();
         assert_eq!(sink.events().len(), 4, "sink never exceeds capacity");
         assert_eq!(sink.dropped(), 3, "overflow is counted, not silent");
         // Further events keep counting.
         rec.emit("late".into(), "sched", 0, 0, 0, Vec::new());
-        rec.flush();
         assert_eq!(sink.dropped(), 4);
     }
 }

@@ -60,25 +60,13 @@ fn nested_arrays_and_objects_round_trip() {
 #[test]
 fn integer_boundary_values() {
     let line = Record::new("bounds")
-        .i64("i_min", i64::MIN)
-        .i64("i_max", i64::MAX)
-        .i64("zero", 0)
-        .i64("neg", -1)
+        .u64("zero", 0)
         .u64("u_max", u64::MAX)
         .finish();
     let v = json::parse(&line).expect("boundary record parses");
     // The parser reads numbers as f64, so boundary integers come back as
-    // their nearest-double values — exactly what `as i64 as f64` gives.
-    assert_eq!(
-        v.get("i_min").and_then(Value::as_f64),
-        Some(i64::MIN as f64)
-    );
-    assert_eq!(
-        v.get("i_max").and_then(Value::as_f64),
-        Some(i64::MAX as f64)
-    );
+    // their nearest-double values — exactly what `as f64` gives.
     assert_eq!(v.get("zero").and_then(Value::as_f64), Some(0.0));
-    assert_eq!(v.get("neg").and_then(Value::as_f64), Some(-1.0));
     assert_eq!(
         v.get("u_max").and_then(Value::as_f64),
         Some(u64::MAX as f64)
@@ -148,7 +136,6 @@ proptest! {
         keys in proptest::collection::vec(proptest::collection::vec(any::<u32>(), 1..8), 1..6),
         strs in proptest::collection::vec(proptest::collection::vec(any::<u32>(), 0..12), 1..6),
         ints in proptest::collection::vec(any::<u64>(), 1..6),
-        signed in proptest::collection::vec(any::<i64>(), 1..6),
         floats in proptest::collection::vec(any::<f64>(), 1..6),
         bools in proptest::collection::vec(any::<bool>(), 1..6),
     ) {
@@ -160,7 +147,7 @@ proptest! {
         let mut expect: Vec<(String, Value)> = Vec::new();
         for (i, name) in names.iter().enumerate() {
             prop_assume!(name != "record");
-            match i % 5 {
+            match i % 4 {
                 0 => {
                     let s = string_from(&strs[i % strs.len()]);
                     rec = rec.str(name, &s);
@@ -172,11 +159,6 @@ proptest! {
                     expect.push((name.clone(), Value::Number(v as f64)));
                 }
                 2 => {
-                    let v = signed[i % signed.len()];
-                    rec = rec.i64(name, v);
-                    expect.push((name.clone(), Value::Number(v as f64)));
-                }
-                3 => {
                     let v = floats[i % floats.len()];
                     rec = rec.f64(name, v);
                     expect.push((

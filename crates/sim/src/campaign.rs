@@ -23,7 +23,7 @@ use bvf_gpu::{
     merge_shards, CodingView, Gpu, GpuConfig, LaunchShard, Phase, PhaseProfile, TraceSummary,
 };
 use bvf_isa::{derive_mask_for, Architecture};
-use bvf_obs::{CounterId, MetricsSink, SpanGuard, TimerId, TraceRecorder, TraceSink};
+use bvf_obs::{CounterId, MetricsSink, TimerId, TraceRecorder, TraceSink};
 use bvf_workloads::Application;
 
 use crate::store::ResultStore;
@@ -542,7 +542,7 @@ impl Campaign {
             .iter()
             .map(|&(config, isa_mask, opts)| Member::new(config, apps, isa_mask, opts))
             .collect();
-        let mut main_trace = opts.tracer.is_enabled().then(|| {
+        let main_trace = opts.tracer.is_enabled().then(|| {
             let rec = opts.tracer.recorder(u32::MAX);
             let t0_ns = rec.now_ns();
             (rec, t0_ns)
@@ -601,7 +601,7 @@ impl Campaign {
         let set_size = members.len();
         let mut campaigns = Vec::with_capacity(set_size);
         for ((member, consulted), by_unit) in members.into_iter().zip(consulted).zip(by_unit) {
-            let trace = main_trace.as_mut();
+            let trace = main_trace.as_ref();
             campaigns.push(member.assemble(consulted, by_unit, trace, (wall, workers, set_size)));
         }
         campaigns
@@ -621,7 +621,7 @@ impl Campaign {
     /// nanos are not, so the *set* of emitted spans is stable too. A cached
     /// result emits none: this campaign ran none of its phases.
     fn emit_logical_spans(
-        rec: &mut TraceRecorder,
+        rec: &TraceRecorder,
         root: &str,
         campaign_t0: u64,
         results: &[AppResult],
@@ -861,7 +861,7 @@ pub(crate) fn simulate_shard(
     app: &Application,
     index: u32,
     count: u32,
-    trace: Option<(&mut TraceRecorder, String)>,
+    trace: Option<(&TraceRecorder, String)>,
 ) -> (LaunchShard, u64) {
     let mut gpu = Gpu::new(config.clone(), views.to_vec());
     gpu.set_value_profiles(value_profiles);
@@ -922,12 +922,10 @@ struct AppSlot {
 }
 
 /// One work item's trace context: its causal path and its own recorder
-/// on the item's lane. The recorder's Drop flushes, so a panic inside the
-/// item still delivers every span closed before the unwind.
+/// on the item's lane.
 struct ItemTrace {
     path: String,
     rec: TraceRecorder,
-    span: SpanGuard,
     store_ops: u32,
 }
 
@@ -944,16 +942,17 @@ fn traced<R>(
     let Some(t) = trace.as_mut() else {
         return f();
     };
-    let span = t.rec.begin();
+    let t0 = t.rec.now_ns();
     let out = f();
+    let dur = t.rec.now_ns().saturating_sub(t0);
     let seq = if cat == "store" {
         t.store_ops += 1;
         t.store_ops
     } else {
         0
     };
-    t.rec
-        .end(span, format!("{}/{name}", t.path), cat, seq, args(&out));
+    let path = format!("{}/{name}", t.path);
+    t.rec.emit(path, cat, seq, t0, dur, args(&out));
     out
 }
 
@@ -1043,7 +1042,7 @@ impl<'a> Member<'a> {
         self,
         consulted: Vec<(usize, Result<Duration, String>)>,
         mut by_unit: Vec<((usize, u32), Result<Duration, String>)>,
-        main_trace: Option<&mut (TraceRecorder, u64)>,
+        main_trace: Option<&(TraceRecorder, u64)>,
         (wall, workers, set_size): (Duration, usize, usize),
     ) -> Campaign {
         let apps = self.apps;
@@ -1131,8 +1130,8 @@ impl<'a> Member<'a> {
         suffix: &str,
     ) -> LaunchShard {
         let scope = trace
-            .as_mut()
-            .map(|t| (&mut t.rec, format!("{}{suffix}", t.path)));
+            .as_ref()
+            .map(|t| (&t.rec, format!("{}{suffix}", t.path)));
         let (shard, generated) = simulate_shard(
             self.config,
             &self.views,
@@ -1161,23 +1160,21 @@ impl<'a> Member<'a> {
         lane: usize,
         body: impl FnOnce(&mut Option<ItemTrace>) -> R,
     ) -> Result<R, String> {
-        let mut trace = self.opts.tracer.is_enabled().then(|| {
-            let rec = self.opts.tracer.recorder(lane as u32);
-            ItemTrace {
-                path: format!("{}/app:{}/{}", self.trace_root, self.apps[i].code, name()),
-                span: rec.begin(),
-                rec,
-                store_ops: 0,
-            }
+        let mut trace = self.opts.tracer.is_enabled().then(|| ItemTrace {
+            path: format!("{}/app:{}/{}", self.trace_root, self.apps[i].code, name()),
+            rec: self.opts.tracer.recorder(lane as u32),
+            store_ops: 0,
         });
+        let t0 = trace.as_ref().map_or(0, |t| t.rec.now_ns());
         let outcome = catch_unwind(AssertUnwindSafe(|| body(&mut trace)));
-        if let Some(mut t) = trace {
+        if let Some(t) = trace {
+            let dur = t.rec.now_ns().saturating_sub(t0);
             let args = if outcome.is_err() {
                 vec![("failed", 1)]
             } else {
                 Vec::new()
             };
-            t.rec.end(t.span, t.path, "sched", 0, args);
+            t.rec.emit(t.path, "sched", 0, t0, dur, args);
         }
         outcome.map_err(panic_message)
     }
@@ -1313,11 +1310,10 @@ impl<'a> Member<'a> {
     /// DRAM drain included) to its phase timer as one span. A no-op when
     /// the campaign is not profiled.
     fn add_phase_timers(&self, profile: &PhaseProfile) {
-        let mut rec = self.opts.sink.recorder();
+        let sink = &self.opts.sink;
         for (s, &timer) in profile.slices.iter().zip(&self.phase_timers) {
-            rec.add_span(timer, Duration::from_nanos(s.nanos));
+            sink.add_span(timer, Duration::from_nanos(s.nanos));
         }
-        // Dropping the recorder flushes it into the sink.
     }
 
     /// Set application `i`'s result in its slot table.
@@ -2647,6 +2643,63 @@ mod tests {
             assert_eq!(warm_launches.len(), 1, "{warm_launches:?}");
             assert!(warm_launches[0].ends_with("/consult/verify/launch:0"));
             assert_eq!(launches.len(), cold.results.len() * shards as usize + 1);
+        }
+    }
+
+    /// A deterministic stand-in for the tracing-overhead timing gate: a
+    /// traced campaign records a fixed handful of spans per work item —
+    /// the item itself, its launch and the launch's phases, at most three
+    /// store operations (the last unit of a cold sharded app loads and
+    /// saves its shard, then saves the whole app) and the merge — plus one
+    /// span per app and per campaign at assembly (an app's phase spans fit
+    /// in its items' slack). Every span takes the sink's lock once, so the
+    /// lock is taken a number of times bounded by work items, never by
+    /// simulated instructions: a span per CTA or per phase event exceeds
+    /// the bound.
+    #[test]
+    fn trace_volume_is_bounded_by_work_items() {
+        const PER_ITEM: usize = 1 + 1 + Phase::ALL.len() + 3 + 1;
+        for shards in [1u32, 2] {
+            let store = Arc::new(ResultStore::in_memory());
+            let tracer = TraceSink::enabled();
+            let run = |label: &str| {
+                Campaign::smoke(&CampaignOptions {
+                    par: Parallelism::Sequential,
+                    shards: ShardMode::Fixed(shards),
+                    store: Some(Arc::clone(&store)),
+                    sink: MetricsSink::enabled(),
+                    tracer: tracer.clone(),
+                    trace_label: label.to_string(),
+                    ..CampaignOptions::default()
+                })
+            };
+            let cold = run("cold");
+            let warm = run("warm");
+            assert_eq!(warm.cache_hits, cold.results.len());
+            let events = tracer.events();
+            // A work item's span is the `sched` child of its app's span.
+            let items: Vec<&bvf_obs::TraceEvent> = events
+                .iter()
+                .filter(|e| e.cat == "sched" && e.path.split('/').count() == 3)
+                .collect();
+            // A consult per app in both runs, and every shard of a cold app.
+            let apps = cold.results.len();
+            assert_eq!(items.len(), 2 * apps + apps * shards as usize);
+            for item in &items {
+                let prefix = format!("{}/", item.path);
+                let own = 1 + events
+                    .iter()
+                    .filter(|e| e.path.starts_with(&prefix))
+                    .count();
+                assert!(own <= PER_ITEM, "{}: {own} spans", item.path);
+            }
+            let bound = PER_ITEM * items.len() + (apps + warm.results.len()) + 2;
+            assert!(
+                events.len() <= bound,
+                "{} spans for {} work items at {shards} shards (bound {bound})",
+                events.len(),
+                items.len()
+            );
         }
     }
 

@@ -304,7 +304,6 @@ impl Shared {
     /// Worker body: drain the queue (highest priority first) until
     /// shutdown, publishing each job's outcome to its flight.
     fn worker_loop(&self) {
-        let mut rec = self.sink.recorder();
         loop {
             let job = {
                 let mut state = self.state.lock().expect("scheduler lock");
@@ -318,23 +317,23 @@ impl Shared {
                     state = self.work_ready.wait(state).expect("scheduler lock");
                 }
             };
-            rec.observe(
+            self.sink.observe(
                 self.ids.queue_wait,
                 job.enqueued.elapsed().as_nanos() as u64,
             );
-            self.run_job(&mut rec, job);
+            self.run_job(job);
         }
     }
 
     /// Run one job as a one-app campaign under its request's ISA mask,
-    /// then flush the worker's metrics, publish the outcome and retire the
-    /// flight. Flushing first means a client that reads the counters after
+    /// then count it in the sink, publish the outcome and retire the
+    /// flight. Counting first means a client that reads the counters after
     /// its response (`/metrics`, or the sink in tests) sees this job
     /// counted. Publishing before retiring means a handler that attaches
     /// between the two steps gets its result immediately; one that looks
     /// up after removal starts a fresh flight — never a deadlock, at worst
     /// a duplicate simulation.
-    fn run_job(&self, rec: &mut bvf_obs::Recorder, job: Job) {
+    fn run_job(&self, job: Job) {
         if !job.hold.is_zero() {
             std::thread::sleep(job.hold);
         }
@@ -352,22 +351,23 @@ impl Shared {
             job.isa_mask,
             &opts,
         );
-        rec.add(self.ids.store_hits, campaign.cache_hits as u64);
-        rec.add(self.ids.store_misses, campaign.cache_misses as u64);
+        self.sink
+            .add(self.ids.store_hits, campaign.cache_hits as u64);
+        self.sink
+            .add(self.ids.store_misses, campaign.cache_misses as u64);
         let outcome = match campaign.results.pop() {
             Some(result) => {
                 if !result.cached {
-                    rec.add(self.ids.simulations, 1);
-                    rec.add_span(self.ids.simulate, result.wall);
+                    self.sink.add(self.ids.simulations, 1);
+                    self.sink.add_span(self.ids.simulate, result.wall);
                 }
                 Ok(result.summary)
             }
             None => {
-                rec.add(self.ids.failures, 1);
+                self.sink.add(self.ids.failures, 1);
                 Err(campaign.failures.remove(0).error)
             }
         };
-        rec.flush();
         job.slot.publish(outcome);
         if job.registered {
             let mut state = self.state.lock().expect("scheduler lock");

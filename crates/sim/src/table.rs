@@ -1,5 +1,7 @@
 //! A small fixed-width table type shared by every experiment.
 
+use bvf_obs::jsonl::{escape, Record};
+
 /// One labelled row of numeric values.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Row {
@@ -90,51 +92,43 @@ impl Table {
     }
 
     /// Render as a JSON object (`{id, title, columns, rows: [{label,
-    /// values}]}`), with no external dependencies. Non-finite values are
-    /// emitted as `null` per JSON's number grammar.
+    /// values}]}`), written with `bvf_obs`'s [`Record`] and [`escape`].
+    /// Non-finite values are emitted as `null` per JSON's number grammar.
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.chars()
-                .flat_map(|c| match c {
-                    '"' => "\\\"".chars().collect::<Vec<_>>(),
-                    '\\' => "\\\\".chars().collect(),
-                    '\n' => "\\n".chars().collect(),
-                    c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-                    c => vec![c],
-                })
-                .collect()
-        }
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v}")
-            } else {
-                "null".to_string()
-            }
-        }
         let cols: Vec<String> = self
             .columns
             .iter()
-            .map(|c| format!("\"{}\"", esc(c)))
+            .map(|c| format!("\"{}\"", escape(c)))
             .collect();
         let rows: Vec<String> = self
             .rows
             .iter()
             .map(|r| {
-                let vals: Vec<String> = r.values.iter().map(|&v| num(v)).collect();
-                format!(
-                    "{{\"label\":\"{}\",\"values\":[{}]}}",
-                    esc(&r.label),
-                    vals.join(",")
-                )
+                // `Record` writes objects only; this array of numbers
+                // follows `Record::f64`'s grammar.
+                let vals: Vec<String> = r
+                    .values
+                    .iter()
+                    .map(|&v| {
+                        if v.is_finite() {
+                            format!("{v}")
+                        } else {
+                            "null".to_string()
+                        }
+                    })
+                    .collect();
+                Record::object()
+                    .str("label", &r.label)
+                    .raw("values", &format!("[{}]", vals.join(",")))
+                    .finish()
             })
             .collect();
-        format!(
-            "{{\"id\":\"{}\",\"title\":\"{}\",\"columns\":[{}],\"rows\":[{}]}}",
-            esc(&self.id),
-            esc(&self.title),
-            cols.join(","),
-            rows.join(",")
-        )
+        Record::object()
+            .str("id", &self.id)
+            .str("title", &self.title)
+            .raw("columns", &format!("[{}]", cols.join(",")))
+            .raw("rows", &format!("[{}]", rows.join(",")))
+            .finish()
     }
 
     /// Mean of one column over all rows; `None` for an unknown column or an

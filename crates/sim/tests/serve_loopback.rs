@@ -19,8 +19,9 @@
 //! clients connect — no scheduling luck required.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use bvf_obs::MetricValue;
 use bvf_sim::serve::{client, protocol, ServeOptions, Server};
 use bvf_sim::{Campaign, CampaignOptions, Parallelism};
 
@@ -245,6 +246,44 @@ fn metrics_scrape_is_a_valid_exposition() {
     ] {
         assert!(scrape.body.contains(needle), "missing {needle}");
     }
+    server.shutdown();
+}
+
+/// A job's queue wait reaches the sink when its worker picks the job up,
+/// not when the job ends: a scrape during a held job already counts it.
+#[test]
+fn queue_wait_is_visible_when_a_job_starts() {
+    let server = start(1, 4);
+    let addr = server.addr().to_string();
+    let queue_waits = || {
+        let snapshot = server.sink().snapshot();
+        let wait = snapshot
+            .iter()
+            .find(|m| m.name == "serve.queue_wait_ns")
+            .expect("the server registers its queue-wait histogram");
+        match wait.value {
+            MetricValue::Histogram { count, .. } => count,
+            ref v => panic!("serve.queue_wait_ns is not a histogram: {v:?}"),
+        }
+    };
+    let deadline = Duration::from_millis(1000);
+    let sent = Instant::now();
+    std::thread::scope(|scope| {
+        let client = scope.spawn(|| {
+            let body = r#"{"apps":["VAD"],"sms":1,"hold_ms":2000}"#;
+            client::post_run(&addr, body, TIMEOUT).expect("request succeeds")
+        });
+        while queue_waits() != 1 {
+            assert!(
+                sent.elapsed() < deadline,
+                "the queue wait was not counted within {deadline:?} of sending, \
+                 while the job was still held"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(client.join().expect("client thread").status, 200);
+    });
+    assert_eq!(queue_waits(), 1);
     server.shutdown();
 }
 
