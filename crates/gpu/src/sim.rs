@@ -405,7 +405,9 @@ type LineSet = HashSet<u64, BuildHasherDefault<LineHasher>>;
 
 /// Cross-SM shared state during a launch.
 struct SharedState {
-    collector: StatsCollector,
+    /// The statistics collector; `None` for a GPU with no coding views,
+    /// whose launches record no statistics and open no stats blocks.
+    collector: Option<StatsCollector>,
     memory: GlobalMemory,
     l2: Vec<Cache>,
     /// Every L2 miss and writeback of this shard, tagged with its channel
@@ -463,23 +465,36 @@ impl SharedState {
     // cache line or instruction fetch makes: its NoC packets and its
     // line records) runs in its stats phase and switches back to the
     // caller's phase after. `calls` is the number of collector calls the
-    // block makes, so the phase's events stay collector calls.
+    // block makes, so the phase's events stay collector calls. Without a
+    // collector nothing is recorded and no block is opened.
     #[inline]
     fn collect(&mut self, phase: Phase, calls: u64, record: impl FnOnce(&mut StatsCollector)) {
+        let Some(collector) = &mut self.collector else {
+            return;
+        };
         let caller = self.clock.switch(phase);
-        record(&mut self.collector);
+        record(collector);
         self.clock.switch(caller);
         self.clock.count(phase, calls);
     }
 
+    /// One word-granular collector event in the caller's phase.
     #[inline]
-    fn record_instruction(&mut self, unit: Unit, kind: AccessKind, word: u64) {
-        self.collector.record_instruction(unit, kind, word);
+    fn record(&mut self, event: impl FnOnce(&mut StatsCollector)) {
+        if let Some(collector) = &mut self.collector {
+            event(collector);
+        }
     }
 
+    /// Read the image of the line at `line_addr` into `line` when a
+    /// collector will record it; the caches and the DRAM log never read
+    /// line contents.
     #[inline]
-    fn record_instruction_units(&mut self, units: &[Unit], kind: AccessKind, word: u64) {
-        self.collector.record_instruction_units(units, kind, word);
+    fn read_line_for_stats(&self, line_addr: u64, line: &mut Vec<u8>) {
+        if self.collector.is_some() {
+            self.memory
+                .read_line_into(line_addr, self.l2_line_bytes as usize, line);
+        }
     }
 
     /// Log one L2 miss (or writeback) bound for the DRAM channel behind
@@ -564,13 +579,10 @@ impl SmEnv<'_> {
     /// as one stats block. Cache and DRAM state never read the collector,
     /// so probing first changes no result.
     fn data_line_load(&mut self, l1_unit: Unit, line_addr: u64) {
-        let line_bytes = self.shared.l2_line_bytes as usize;
         // Reuse the shared line scratch (taken out to satisfy borrows; the
         // swap is allocation-free).
         let mut line = std::mem::take(&mut self.shared.line_buf);
-        self.shared
-            .memory
-            .read_line_into(line_addr, line_bytes, &mut line);
+        self.shared.read_line_for_stats(line_addr, &mut line);
         self.shared.touch(l1_unit, line_addr);
         let l1 = match l1_unit {
             Unit::L1d => &mut self.sm.l1d,
@@ -623,14 +635,11 @@ impl SmEnv<'_> {
     /// Like a load, the caches and the DRAM log go first, then the line's
     /// collector calls as one stats block.
     fn data_line_store(&mut self, line_addr: u64) {
-        let line_bytes = self.shared.l2_line_bytes as usize;
         // The store already updated backing memory, so the line image is
         // the post-write content ("the entire L1 line is invalidated and
         // written into L2").
         let mut line = std::mem::take(&mut self.shared.line_buf);
-        self.shared
-            .memory
-            .read_line_into(line_addr, line_bytes, &mut line);
+        self.shared.read_line_for_stats(line_addr, &mut line);
         // No L1D touch: the L1 is write-no-allocate/write-evict, so a
         // store-only line is never resident and must not count toward the
         // L1D leakage occupancy.
@@ -733,17 +742,16 @@ impl WarpEnv for SmEnv<'_> {
 
     fn on_reg_read(&mut self, reg_lanes: &[u32; 32], active: u32) {
         self.shared
-            .collector
-            .record_register(AccessKind::Read, reg_lanes, active);
+            .record(|c| c.record_register(AccessKind::Read, reg_lanes, active));
     }
 
     fn on_reg_write(&mut self, reg_lanes: &[u32; 32], active: u32, pivot_divergent: bool) {
-        self.shared
-            .collector
-            .record_register(AccessKind::Write, reg_lanes, active);
-        if pivot_divergent {
-            self.shared.collector.record_dummy_mov();
-        }
+        self.shared.record(|c| {
+            c.record_register(AccessKind::Write, reg_lanes, active);
+            if pivot_divergent {
+                c.record_dummy_mov();
+            }
+        });
         // Fig. 11 sampling (full-warp writes only — partial warps would
         // skew the per-lane means with stale data).
         if active == u32::MAX && self.shared.value_profiles {
@@ -768,14 +776,15 @@ impl WarpEnv for SmEnv<'_> {
             // serves the same word — one encode, two units. A hit is a
             // cache probe and a word event, so it stays in the caller's
             // phase, as register events do; only a miss gets `ifetch`.
-            self.shared
-                .record_instruction_units(&[Unit::Ifb, Unit::L1i], AccessKind::Read, word);
+            self.shared.record(|c| {
+                c.record_instruction_units(&[Unit::Ifb, Unit::L1i], AccessKind::Read, word)
+            });
             return;
         }
         let caller = self.shared.clock.switch(Phase::Ifetch);
         self.shared.clock.count(Phase::Ifetch, 1);
         self.shared
-            .record_instruction(Unit::Ifb, AccessKind::Read, word);
+            .record(|c| c.record_instruction(Unit::Ifb, AccessKind::Read, word));
         // Fetch the whole 128B (16-instruction) line from L2, which holds
         // the instruction line too: the L2 probe and DRAM log first, then
         // the line's collector calls as one stats block.
@@ -793,27 +802,29 @@ impl WarpEnv for SmEnv<'_> {
                 },
             );
         }
-        let mut line_words = std::mem::take(&mut self.shared.instr_buf);
-        line_words.clear();
-        line_words.extend_from_slice(self.ifetch_line_words(pc));
-        let mut payload = std::mem::take(&mut self.shared.payload_buf);
-        payload.clear();
-        for w in &line_words {
-            payload.extend_from_slice(&w.to_le_bytes());
+        if self.shared.collector.is_some() {
+            let mut line_words = std::mem::take(&mut self.shared.instr_buf);
+            line_words.clear();
+            line_words.extend_from_slice(self.ifetch_line_words(pc));
+            let mut payload = std::mem::take(&mut self.shared.payload_buf);
+            payload.clear();
+            for w in &line_words {
+                payload.extend_from_slice(&w.to_le_bytes());
+            }
+            let (sm, warp) = (self.sm.id, self.warp_id);
+            let req = header(cmd::IFETCH_REQ, sm, bank, addr, warp);
+            let rep = header(cmd::IFETCH_REPLY, sm, bank, addr, warp);
+            self.shared.collect(Phase::StatsInstr, 4, |c| {
+                c.record_noc_packet(channel_id(sm, bank, Direction::Request), &req, &[], true);
+                c.record_instruction_line(Unit::L2, AccessKind::Read, &line_words);
+                c.record_noc_packet(channel_id(sm, bank, Direction::Reply), &rep, &payload, true);
+                c.record_instruction_line(Unit::L1i, AccessKind::Fill, &line_words);
+            });
+            self.shared.instr_buf = line_words;
+            self.shared.payload_buf = payload;
         }
-        let (sm, warp) = (self.sm.id, self.warp_id);
-        let req = header(cmd::IFETCH_REQ, sm, bank, addr, warp);
-        let rep = header(cmd::IFETCH_REPLY, sm, bank, addr, warp);
-        self.shared.collect(Phase::StatsInstr, 4, |c| {
-            c.record_noc_packet(channel_id(sm, bank, Direction::Request), &req, &[], true);
-            c.record_instruction_line(Unit::L2, AccessKind::Read, &line_words);
-            c.record_noc_packet(channel_id(sm, bank, Direction::Reply), &rep, &payload, true);
-            c.record_instruction_line(Unit::L1i, AccessKind::Fill, &line_words);
-        });
-        self.shared.instr_buf = line_words;
-        self.shared.payload_buf = payload;
         self.shared
-            .record_instruction(Unit::L1i, AccessKind::Read, word);
+            .record(|c| c.record_instruction(Unit::L1i, AccessKind::Read, word));
         self.shared.clock.switch(caller);
     }
 
@@ -976,8 +987,7 @@ impl WarpEnv for SmEnv<'_> {
                 }
             }
             self.shared
-                .collector
-                .record_shared(AccessKind::Write, values, active);
+                .record(|c| c.record_shared(AccessKind::Write, values, active));
         } else {
             if pattern == AddrPattern::Uniform && active == u32::MAX {
                 let i = indices[0] as usize;
@@ -991,8 +1001,7 @@ impl WarpEnv for SmEnv<'_> {
                 }
             }
             self.shared
-                .collector
-                .record_shared(AccessKind::Read, &out, active);
+                .record(|c| c.record_shared(AccessKind::Read, &out, active));
         }
         self.shared.clock.switch(caller);
         out
@@ -1013,13 +1022,12 @@ pub struct Gpu {
 }
 
 impl Gpu {
-    /// Build a GPU with the given configuration and coding views.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `views` is empty.
+    /// Build a GPU with the given configuration and coding views. With no
+    /// views it builds no statistics collector: its launches return every
+    /// view-independent result (cycles, instructions, hit rates,
+    /// utilization, DRAM) and no coding views, and their `stats_instr` and
+    /// `stats_data` phases stay empty.
     pub fn new(config: GpuConfig, views: Vec<CodingView>) -> Self {
-        assert!(!views.is_empty(), "at least one coding view is required");
         Self {
             config,
             arch: Architecture::Pascal,
@@ -1138,10 +1146,14 @@ impl Gpu {
             "register demand grossly exceeds the register file"
         );
 
-        let mut collector = StatsCollector::new(self.views.clone(), cfg.noc_flit_bytes);
-        if self.trace_logging {
-            collector = collector.with_trace_log();
-        }
+        let collector = (!self.views.is_empty()).then(|| {
+            let collector = StatsCollector::new(self.views.clone(), cfg.noc_flit_bytes);
+            if self.trace_logging {
+                collector.with_trace_log()
+            } else {
+                collector
+            }
+        });
         // The prepared memory image. Every SM simulates against its own
         // copy-on-write clone: line images and load values must not
         // observe another SM's stores, or a shard boundary between two SMs
@@ -1252,8 +1264,14 @@ impl Gpu {
             v.sort_unstable();
             v
         });
-        self.last_log = shared.collector.take_log();
-        let views = shared.collector.finish();
+        let (views, last_log) = match shared.collector {
+            Some(mut collector) => {
+                let log = collector.take_log();
+                (collector.finish(), log)
+            }
+            None => (Vec::new(), None),
+        };
+        self.last_log = last_log;
         shared
             .clock
             .count(Phase::DramDrain, shared.dram_log.len() as u64);
@@ -1636,6 +1654,41 @@ mod tests {
             ..full
         };
         assert_eq!(pair, expect);
+    }
+
+    /// No views: no collector. Every view-independent counter equals a
+    /// five-view launch's, and a profiled launch opens no stats block, so
+    /// its `stats_*` slices count no events and no time.
+    #[test]
+    fn a_no_view_launch_counts_no_stats_events() {
+        let lc = LaunchConfig::new(8, 32);
+        let launch = |views| {
+            let mut gpu = vecadd_gpu(views);
+            gpu.set_metrics(MetricsSink::enabled());
+            gpu.enable_trace_log();
+            let summary = gpu.launch(&vecadd_kernel(), lc);
+            (summary, gpu.take_trace_log())
+        };
+        let (full, full_log) = launch(CodingView::standard_set(0x00f0_0f00_ff00_00ff));
+        let (timing, timing_log) = launch(Vec::new());
+        assert!(full_log.is_some() && timing_log.is_none());
+        let stats = |s: &TraceSummary| {
+            [Phase::StatsInstr, Phase::StatsData].map(|p| {
+                let slice = s.profile.slice(p).expect("profiled");
+                (slice.nanos, slice.events)
+            })
+        };
+        assert!(stats(&full).iter().all(|&(_, events)| events > 0));
+        assert_eq!(stats(&timing), [(0, 0); 2]);
+        assert!(timing.profile.slice(Phase::Exec).expect("profiled").events > 0);
+        // Value profiles stay on: they do not need the collector.
+        assert_eq!(
+            timing,
+            TraceSummary {
+                views: Vec::new(),
+                ..full
+            }
+        );
     }
 
     #[test]

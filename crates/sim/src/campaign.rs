@@ -19,6 +19,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use bvf_bits::{BitCounts, NarrowValueProfile};
 use bvf_gpu::{
     merge_shards, CodingView, Gpu, GpuConfig, LaunchShard, Phase, PhaseProfile, TraceSummary,
 };
@@ -95,8 +96,16 @@ impl ShardMode {
 /// Every collection simulates the same launch: cycles, instructions, hit
 /// rates, utilization and DRAM statistics do not depend on it, and neither
 /// does any one coding view's statistics. Collections differ in which
-/// views and profiles they record, so each keeps its own store entries
-/// (see [`ResultStore::energy_key`]).
+/// views and profiles they record.
+///
+/// In the store, Energy keeps entries of its own (see
+/// [`ResultStore::energy_key`]). Timing shares Full's whole-app keys, and
+/// reuse between them goes one way: a Timing campaign takes a Full entry
+/// cut to its timing part, so a store filled by `reproduce` or any direct
+/// campaign answers `bvf-serve`; a Timing entry lacks the views a Full
+/// campaign reads, so it is a Full miss, and the Full campaign overwrites
+/// it. Shard sub-keys, which only resume an interrupted application, fit
+/// a campaign of the same collection only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Collection {
     /// The five standard coding views plus the value profiles of Figs. 8,
@@ -107,6 +116,10 @@ pub enum Collection {
     /// scheduler and capacity studies (Figs. 21 and 22) read, and no value
     /// profiles.
     Energy,
+    /// No coding views and no value profiles: the view-independent results
+    /// alone, which is all a `bvf-serve` response reports. The simulator
+    /// builds no statistics collector for it.
+    Timing,
 }
 
 impl Collection {
@@ -115,7 +128,22 @@ impl Collection {
         match self {
             Collection::Full => CodingView::standard_set(isa_mask),
             Collection::Energy => vec![CodingView::baseline(), CodingView::bvf(isa_mask)],
+            Collection::Timing => Vec::new(),
         }
+    }
+}
+
+/// `summary` cut to its timing part: what a [`Collection::Timing`] run of
+/// the same launch returns. No coding views, and the empty value profiles
+/// that [`Gpu::set_value_profiles`]`(false)` leaves.
+fn timing_part(summary: &TraceSummary) -> TraceSummary {
+    TraceSummary {
+        views: Vec::new(),
+        narrow: NarrowValueProfile::new(),
+        data_bits: BitCounts::default(),
+        lane_profile: [0.0; 32],
+        optimal_lane: 0,
+        ..summary.clone()
     }
 }
 
@@ -204,8 +232,8 @@ pub struct CampaignOptions {
     /// Give concurrent or sequential campaigns sharing one sink distinct
     /// labels, or their span ids collide.
     pub trace_label: String,
-    /// What each application's result records: everything (the default)
-    /// or the energy pair.
+    /// What each application's result records: everything (the default),
+    /// the energy pair, or the timing part alone.
     pub collect: Collection,
 }
 
@@ -343,8 +371,8 @@ fn with_heartbeat<R: Send>(progress: &Progress, body: impl FnOnce() -> R + Send)
 pub struct AppResult {
     /// The application executed.
     pub app: Application,
-    /// Its trace summary (all coding views), shared with an in-memory
-    /// store that holds the same result.
+    /// Its trace summary (the campaign's coding views), shared with an
+    /// in-memory store that holds the same result.
     pub summary: Arc<TraceSummary>,
     /// Wall-clock time this application's work items took on their
     /// workers: the store consult of a hit or the simulation of a miss,
@@ -1115,9 +1143,22 @@ impl<'a> Member<'a> {
     fn key(&self, app: &Application) -> u64 {
         let key = ResultStore::key(self.config, self.opts.arch, self.isa_mask, app.code);
         match self.opts.collect {
-            Collection::Full => key,
+            Collection::Full | Collection::Timing => key,
             Collection::Energy => ResultStore::energy_key(key),
         }
+    }
+
+    /// A stored whole-app summary as this campaign's result, or `None`
+    /// when it does not fit: it must hold this campaign's coding views, in
+    /// order. A Timing campaign also takes a Full summary, cut to its
+    /// timing part.
+    fn accept(&self, summary: Arc<TraceSummary>) -> Option<Arc<TraceSummary>> {
+        let holds = |views: &[CodingView]| summary.views.iter().map(|v| &v.view).eq(views);
+        if holds(&self.views) {
+            return Some(summary);
+        }
+        (self.opts.collect == Collection::Timing && holds(&Collection::Full.views(self.isa_mask)))
+            .then(|| Arc::new(timing_part(&summary)))
     }
 
     /// Simulate shard `s` of `count` of `app`, its launch traced under the
@@ -1251,10 +1292,20 @@ impl<'a> Member<'a> {
         let store = self.opts.store.as_deref();
         let key = self.key(app);
         let mut t_unit = Instant::now();
-        // Unsharded, the whole-app consult was this unit's consult.
-        let consult = store
-            .filter(|_| self.n > 1)
-            .and_then(|store| self.consult(store, key, i, Some(s), trace));
+        // Unsharded, the whole-app consult was this unit's consult. Sharded,
+        // the unit reads its shard sub-key, except from an in-memory store,
+        // which keeps no shards: there the unit is a miss without a load.
+        let sharded = store.filter(|_| self.n > 1);
+        let shard_store = sharded.filter(|store| store.root().is_some());
+        let consult = match shard_store {
+            Some(store) => self.consult(store, key, i, Some(s), trace),
+            None => {
+                if sharded.is_some() {
+                    self.count(MISS);
+                }
+                None
+            }
+        };
         let (shard, cached) = match consult {
             Some(Piece::Shard(shard)) => (shard, true),
             // A missed consult is store I/O, not the unit's work.
@@ -1269,7 +1320,7 @@ impl<'a> Member<'a> {
             .fetch_add(shard.dynamic_instructions, Ordering::Relaxed);
         // A sharded miss streams its shard into the store at once, so an
         // interrupted campaign resumes mid-application.
-        if let (Some(store), false, true) = (store, cached, self.n > 1) {
+        if let (Some(store), false) = (shard_store, cached) {
             let skey = ResultStore::shard_key(key, s, self.n);
             let save = || store.save_shard(skey, app.code, s, self.n, &shard);
             traced(trace, "store:save", "store", save, |_| Vec::new());
@@ -1337,11 +1388,11 @@ impl<'a> Member<'a> {
     /// its shard sub-key: `Some` on a usable entry — re-simulated and
     /// checked bit-identical first when the app is in the verify sample —
     /// `None` on a miss. A decoded summary or shard that does not fit this
-    /// campaign (other coding views, another collection's entry) is a
-    /// miss like any corrupt entry. The counters see one outcome per
-    /// piece the campaign would otherwise simulate: every hit, every shard
-    /// miss, and a whole-app miss only when unsharded (sharded, the units'
-    /// own consults count).
+    /// campaign (other coding views, another collection's entry; see
+    /// [`Member::accept`]) is a miss like any corrupt entry. The counters
+    /// see one outcome per piece the campaign would otherwise simulate:
+    /// every hit, every shard miss, and a whole-app miss only when
+    /// unsharded (sharded, the units' own consults count).
     fn consult(
         &self,
         store: &ResultStore,
@@ -1354,7 +1405,7 @@ impl<'a> Member<'a> {
         let load = || match shard {
             None => store
                 .load_shared(key, app.code)
-                .filter(|summary| summary.views.iter().map(|v| &v.view).eq(&self.views))
+                .and_then(|summary| self.accept(summary))
                 .map(Piece::Whole),
             Some(s) => store
                 .load_shard(ResultStore::shard_key(key, s, self.n), app.code, s, self.n)
@@ -2151,11 +2202,7 @@ mod tests {
     fn energy_part(full: &TraceSummary) -> TraceSummary {
         TraceSummary {
             views: vec![full.view("baseline").clone(), full.view("bvf").clone()],
-            narrow: bvf_bits::NarrowValueProfile::new(),
-            data_bits: bvf_bits::BitCounts::default(),
-            lane_profile: [0.0; 32],
-            optimal_lane: 0,
-            ..full.clone()
+            ..timing_part(full)
         }
     }
 
@@ -2244,6 +2291,95 @@ mod tests {
         assert_eq!((energy.cache_hits, energy.cache_misses), (0, 6));
         for (e, f) in energy.results.iter().zip(&full.results) {
             assert_eq!(*e.summary, energy_part(&f.summary));
+        }
+    }
+
+    /// The configurations the Timing tests run: the baseline, K80, and a
+    /// 1-SM configuration like a `bvf-serve` request's.
+    fn timing_configs() -> [GpuConfig; 3] {
+        let mut serve = GpuConfig::baseline();
+        serve.sms = 1;
+        [GpuConfig::baseline(), GpuConfig::tesla_k80(), serve]
+    }
+
+    fn timing_apps() -> Vec<Application> {
+        ["VAD", "BFS", "SGE"]
+            .iter()
+            .map(|c| Application::by_code(c).expect("app"))
+            .collect()
+    }
+
+    #[test]
+    fn a_timing_run_equals_the_timing_part_of_a_full_run() {
+        let apps = timing_apps();
+        for config in timing_configs() {
+            let full =
+                Campaign::run_with_options(config.clone(), &apps, &CampaignOptions::default());
+            for n in [1, 4] {
+                let timing = Campaign::run_with_options(
+                    config.clone(),
+                    &apps,
+                    &CampaignOptions {
+                        par: Parallelism::Fixed(2),
+                        shards: ShardMode::Fixed(n),
+                        collect: Collection::Timing,
+                        ..CampaignOptions::default()
+                    },
+                );
+                assert_eq!(timing.shards, n.min(config.sms));
+                assert_eq!(timing.results.len(), apps.len());
+                for (t, f) in timing.results.iter().zip(&full.results) {
+                    assert!(t.summary.views.is_empty());
+                    assert_eq!(
+                        *t.summary,
+                        timing_part(&f.summary),
+                        "{} on {} ({} SMs) at {n} shards",
+                        t.app.code,
+                        config.name,
+                        config.sms
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn timing_reads_full_entries_and_full_never_reads_timing_ones() {
+        let apps = timing_apps();
+        for config in timing_configs() {
+            let direct =
+                Campaign::run_with_options(config.clone(), &apps, &CampaignOptions::default());
+            for n in [1, 4] {
+                let run = |store: &Arc<ResultStore>, collect| {
+                    let opts = CampaignOptions {
+                        shards: ShardMode::Fixed(n),
+                        collect,
+                        ..store_opts(store)
+                    };
+                    Campaign::run_with_options(config.clone(), &apps, &opts)
+                };
+                let what = format!("{} ({} SMs) at {n} shards", config.name, config.sms);
+                // A store a Full campaign filled answers a Timing campaign.
+                let dir = TempDir::new("full_then_timing");
+                let store = Arc::new(ResultStore::open(&dir).expect("open store"));
+                run(&store, Collection::Full);
+                let timing = run(&store, Collection::Timing);
+                assert_eq!((timing.cache_hits, timing.cache_misses), (3, 0), "{what}");
+                for (t, d) in timing.results.iter().zip(&direct.results) {
+                    assert_eq!(*t.summary, timing_part(&d.summary), "{what}");
+                }
+                // A store a Timing campaign filled, shard sub-keys included,
+                // misses every app of a Full campaign, which overwrites it.
+                let dir = TempDir::new("timing_then_full");
+                let store = Arc::new(ResultStore::open(&dir).expect("open store"));
+                run(&store, Collection::Timing);
+                let full = run(&store, Collection::Full);
+                let misses = 3 * full.shards as usize;
+                assert_eq!((full.cache_hits, full.cache_misses), (0, misses), "{what}");
+                assert_eq!(full.results, direct.results, "{what}");
+                let warm = run(&store, Collection::Full);
+                assert_eq!((warm.cache_hits, warm.cache_misses), (3, 0), "{what}");
+            }
         }
     }
 
@@ -2701,6 +2837,35 @@ mod tests {
                 items.len()
             );
         }
+    }
+
+    /// An in-memory store keeps no shards, so a sharded unit neither
+    /// loads nor saves one: the only store span under a `shard:` item is
+    /// the whole-app save of the unit that merged its app. Each unit's
+    /// miss still counts.
+    #[test]
+    fn an_in_memory_store_records_no_shard_store_spans() {
+        let tracer = TraceSink::enabled();
+        let cold = Campaign::smoke(&CampaignOptions {
+            par: Parallelism::Sequential,
+            shards: ShardMode::Fixed(2),
+            store: Some(Arc::new(ResultStore::in_memory())),
+            tracer: tracer.clone(),
+            ..CampaignOptions::default()
+        });
+        let apps = cold.results.len();
+        assert_eq!((cold.cache_hits, cold.cache_misses), (0, 2 * apps));
+        let store_spans: Vec<String> = tracer
+            .events()
+            .into_iter()
+            .filter(|e| e.cat == "store" && e.path.contains("/shard:"))
+            .map(|e| e.path)
+            .collect();
+        assert_eq!(store_spans.len(), apps, "{store_spans:?}");
+        assert!(
+            store_spans.iter().all(|p| p.ends_with("/store:save")),
+            "{store_spans:?}"
+        );
     }
 
     #[test]

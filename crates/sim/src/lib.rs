@@ -2,8 +2,9 @@
 //!
 //! The entry point is a [`Campaign`]: one full pass over the 58 applications
 //! on a given GPU configuration, producing a [`bvf_gpu::TraceSummary`] per
-//! application (five coding views each, or only the baseline/BVF energy
-//! pair under [`Collection::Energy`]). From a campaign (or several, for
+//! application (five coding views each, only the baseline/BVF energy
+//! pair under [`Collection::Energy`], or none under the `bvf-serve`
+//! [`Collection::Timing`]). From a campaign (or several, for
 //! the scheduler/capacity sensitivities), the functions in [`figures`]
 //! compute exactly the series each paper figure plots and render them as
 //! fixed-width text tables.

@@ -15,6 +15,14 @@
 //! exactly as for `reproduce`. Serve itself is only admission: HTTP, the
 //! single-flight map, the bounded priority queue and the drain.
 //!
+//! **Timing collection.** A response reports only each app's cycles,
+//! instructions, L1D/L2 hit rates and DRAM requests, so every job runs
+//! under [`Collection::Timing`]: no coding views and no value profiles.
+//! Those fields do not depend on the collection, so a served body equals
+//! a direct Full campaign's byte for byte. Its entries go under the Full
+//! whole-app keys; a store filled by `reproduce` or a direct campaign
+//! answers serve, and an entry serve wrote is a Full miss.
+//!
 //! **Single-flight.** Each application's work is keyed by its
 //! [`ResultStore`] content address — [`ResultStore::key`] over the
 //! resolved config, ISA generation, derived ISA mask, and app code, i.e.
@@ -53,7 +61,7 @@ use bvf_isa::Architecture;
 use bvf_obs::{CounterId, HistogramId, MetricsSink, TimerId};
 use bvf_workloads::Application;
 
-use crate::campaign::{Campaign, CampaignOptions, Parallelism};
+use crate::campaign::{Campaign, CampaignOptions, Collection, Parallelism};
 use crate::store::ResultStore;
 
 use self::http::{ChunkedWriter, Request, RequestError};
@@ -325,8 +333,8 @@ impl Shared {
         }
     }
 
-    /// Run one job as a one-app campaign under its request's ISA mask,
-    /// then count it in the sink, publish the outcome and retire the
+    /// Run one job as a one-app timing campaign under its request's ISA
+    /// mask, then count it in the sink, publish the outcome and retire the
     /// flight. Counting first means a client that reads the counters after
     /// its response (`/metrics`, or the sink in tests) sees this job
     /// counted. Publishing before retiring means a handler that attaches
@@ -343,6 +351,7 @@ impl Shared {
             sink: self.sink.clone(),
             store: self.store.clone(),
             fault: (!job.registered).then(|| job.app.code.to_string()),
+            collect: Collection::Timing,
             ..CampaignOptions::default()
         };
         let mut campaign = Campaign::run_with_mask(
