@@ -418,9 +418,9 @@ fn main() {
     // ---- Scheduler and capacity sensitivity (Figs. 21 and 22) -------------
     // The six campaigns run as one set, app by app, so a worker prepares
     // each app's inputs once for all of them. Figs. 21 and 22 read only
-    // the baseline and BVF views; GTO and GTX-480 still collect everything
-    // because they repeat the main campaign's keys, so their results are
-    // store hits on its full entries.
+    // the baseline and BVF views, so every member collects that pair;
+    // GTO and GTX-480 repeat the main campaign's keys, and its full
+    // entries answer them.
     eprintln!("running scheduler and capacity campaigns...");
     let sensitivity_apps: Vec<Application> = if args.quick {
         ["VAD", "BFS", "BLA"]
@@ -444,31 +444,19 @@ fn main() {
         })
     };
     let members = [
-        ("sched-gto", scheduler(SchedulerKind::Gto), Collection::Full),
-        (
-            "sched-lrr",
-            scheduler(SchedulerKind::Lrr),
-            Collection::Energy,
-        ),
-        (
-            "sched-two-level",
-            scheduler(SchedulerKind::TwoLevel),
-            Collection::Energy,
-        ),
-        ("cap-gtx480", sized(GpuConfig::gtx480()), Collection::Full),
-        (
-            "cap-p100",
-            sized(GpuConfig::tesla_p100()),
-            Collection::Energy,
-        ),
-        ("cap-k80", sized(GpuConfig::tesla_k80()), Collection::Energy),
+        ("sched-gto", scheduler(SchedulerKind::Gto)),
+        ("sched-lrr", scheduler(SchedulerKind::Lrr)),
+        ("sched-two-level", scheduler(SchedulerKind::TwoLevel)),
+        ("cap-gtx480", sized(GpuConfig::gtx480())),
+        ("cap-p100", sized(GpuConfig::tesla_p100())),
+        ("cap-k80", sized(GpuConfig::tesla_k80())),
     ];
-    let labels = members.each_ref().map(|(label, ..)| *label);
+    let labels = members.each_ref().map(|(label, _)| *label);
     let set: Vec<(GpuConfig, CampaignOptions)> = members
         .into_iter()
-        .map(|(label, config, collect)| {
+        .map(|(label, config)| {
             let opts = CampaignOptions {
-                collect,
+                collect: Collection::Energy,
                 ..opts_for(label)
             };
             (config, opts)

@@ -98,14 +98,14 @@ impl ShardMode {
 /// does any one coding view's statistics. Collections differ in which
 /// views and profiles they record.
 ///
-/// In the store, Energy keeps entries of its own (see
-/// [`ResultStore::energy_key`]). Timing shares Full's whole-app keys, and
-/// reuse between them goes one way: a Timing campaign takes a Full entry
-/// cut to its timing part, so a store filled by `reproduce` or any direct
-/// campaign answers `bvf-serve`; a Timing entry lacks the views a Full
-/// campaign reads, so it is a Full miss, and the Full campaign overwrites
-/// it. Shard sub-keys, which only resume an interrupted application, fit
-/// a campaign of the same collection only.
+/// In the store, every collection's whole-app entry lives under the one
+/// key [`ResultStore::key`], and one rule decides reuse: a stored summary
+/// answers a campaign when it holds every coding view the campaign
+/// records, cut to those views when it holds more. Only Full keeps value
+/// profiles, so it reads Full entries alone; Energy reads Full and Energy
+/// entries, and Timing reads any. A miss simulates and overwrites the
+/// entry. Shard sub-keys, which only resume an interrupted application,
+/// fit a campaign of the same collection only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Collection {
     /// The five standard coding views plus the value profiles of Figs. 8,
@@ -133,18 +133,23 @@ impl Collection {
     }
 }
 
-/// `summary` cut to its timing part: what a [`Collection::Timing`] run of
-/// the same launch returns. No coding views, and the empty value profiles
-/// that [`Gpu::set_value_profiles`]`(false)` leaves.
-fn timing_part(summary: &TraceSummary) -> TraceSummary {
-    TraceSummary {
-        views: Vec::new(),
+/// `summary` cut to `views`, in their order, with the empty value profiles
+/// that [`Gpu::set_value_profiles`]`(false)` leaves: what a launch
+/// recording `views` and no value profiles returns. `None` when `summary`
+/// lacks one of `views`.
+fn cut(summary: &TraceSummary, views: &[CodingView]) -> Option<TraceSummary> {
+    let views = views
+        .iter()
+        .map(|view| summary.views.iter().find(|v| v.view == *view).cloned())
+        .collect::<Option<_>>()?;
+    Some(TraceSummary {
+        views,
         narrow: NarrowValueProfile::new(),
         data_bits: BitCounts::default(),
         lane_profile: [0.0; 32],
         optimal_lane: 0,
         ..summary.clone()
-    }
+    })
 }
 
 /// Apply `f` to every item of `items` on a pool of scoped worker threads,
@@ -1138,27 +1143,23 @@ impl<'a> Member<'a> {
         self.opts.sink.add(*counter, 1);
     }
 
-    /// The store key of `app`'s whole-app entry under this campaign's
+    /// The store key of `app`'s whole-app entry, the same under every
     /// collection.
     fn key(&self, app: &Application) -> u64 {
-        let key = ResultStore::key(self.config, self.opts.arch, self.isa_mask, app.code);
-        match self.opts.collect {
-            Collection::Full | Collection::Timing => key,
-            Collection::Energy => ResultStore::energy_key(key),
-        }
+        ResultStore::key(self.config, self.opts.arch, self.isa_mask, app.code)
     }
 
     /// A stored whole-app summary as this campaign's result, or `None`
-    /// when it does not fit: it must hold this campaign's coding views, in
-    /// order. A Timing campaign also takes a Full summary, cut to its
-    /// timing part.
+    /// when it does not answer this campaign: it must hold every coding
+    /// view the campaign records. The summary is taken as is when it holds
+    /// exactly those views, in order, and else [`cut`] to them. Only a
+    /// Full summary holds all five views a Full campaign records, so Full,
+    /// the one collection with value profiles, never takes a cut.
     fn accept(&self, summary: Arc<TraceSummary>) -> Option<Arc<TraceSummary>> {
-        let holds = |views: &[CodingView]| summary.views.iter().map(|v| &v.view).eq(views);
-        if holds(&self.views) {
+        if summary.views.iter().map(|v| &v.view).eq(&self.views) {
             return Some(summary);
         }
-        (self.opts.collect == Collection::Timing && holds(&Collection::Full.views(self.isa_mask)))
-            .then(|| Arc::new(timing_part(&summary)))
+        cut(&summary, &self.views).map(Arc::new)
     }
 
     /// Simulate shard `s` of `count` of `app`, its launch traced under the
@@ -1387,9 +1388,9 @@ impl<'a> Member<'a> {
     /// Consult the store for app `i`'s whole-app entry (`shard` `None`) or
     /// its shard sub-key: `Some` on a usable entry — re-simulated and
     /// checked bit-identical first when the app is in the verify sample —
-    /// `None` on a miss. A decoded summary or shard that does not fit this
-    /// campaign (other coding views, another collection's entry; see
-    /// [`Member::accept`]) is a miss like any corrupt entry. The counters
+    /// `None` on a miss. A decoded summary that lacks one of this
+    /// campaign's views (see [`Member::accept`]) or a shard of another
+    /// collection is a miss like any corrupt entry. The counters
     /// see one outcome per piece the campaign would otherwise simulate:
     /// every hit, every shard miss, and a whole-app miss only when
     /// unsharded (sharded, the units' own consults count).
@@ -2196,191 +2197,140 @@ mod tests {
         assert_eq!(warm, cold);
     }
 
-    /// What an energy run must return for an app the full run returned
-    /// `full` for: its `baseline` and `bvf` views, every view-independent
-    /// counter, and empty value profiles.
-    fn energy_part(full: &TraceSummary) -> TraceSummary {
-        TraceSummary {
-            views: vec![full.view("baseline").clone(), full.view("bvf").clone()],
-            ..timing_part(full)
-        }
-    }
-
-    #[test]
-    fn an_energy_run_equals_the_energy_part_of_a_full_run() {
+    /// Check that a run under `collect` equals the Full run cut to
+    /// `collect`'s views by [`cut`], unsharded and at 4 shards, on LRR,
+    /// P100, the baseline, K80 and one SM.
+    fn assert_runs_equal_the_full_run_cut(collect: Collection) {
         let apps: Vec<Application> = ["VAD", "BFS", "SGE"]
             .iter()
             .map(|c| Application::by_code(c).expect("app"))
             .collect();
         let mut lrr = GpuConfig::baseline();
         lrr.scheduler = bvf_gpu::SchedulerKind::Lrr;
-        for config in [lrr, GpuConfig::tesla_p100()] {
+        // One SM, like a `bvf-serve` request's configuration.
+        let mut one_sm = GpuConfig::baseline();
+        one_sm.sms = 1;
+        let configs = [
+            lrr,
+            GpuConfig::tesla_p100(),
+            GpuConfig::baseline(),
+            GpuConfig::tesla_k80(),
+            one_sm,
+        ];
+        for config in configs {
             let full =
                 Campaign::run_with_options(config.clone(), &apps, &CampaignOptions::default());
             for n in [1, 4] {
-                let energy = Campaign::run_with_options(
+                let run = Campaign::run_with_options(
                     config.clone(),
                     &apps,
                     &CampaignOptions {
                         par: Parallelism::Fixed(2),
                         shards: ShardMode::Fixed(n),
-                        collect: Collection::Energy,
+                        collect,
                         ..CampaignOptions::default()
                     },
                 );
-                assert_eq!(energy.shards, n);
-                for (e, f) in energy.results.iter().zip(&full.results) {
-                    assert_eq!(
-                        *e.summary,
-                        energy_part(&f.summary),
-                        "{} on {} at {n} shards",
-                        e.app.code,
-                        config.name
-                    );
+                let what = format!("{collect:?} on {} ({} SMs)", config.name, config.sms);
+                assert_eq!(run.shards, n.min(config.sms), "{what}");
+                assert_eq!(run.results.len(), apps.len(), "{what}");
+                let views = collect.views(full.isa_mask);
+                for (r, f) in run.results.iter().zip(&full.results) {
+                    let expected = cut(&f.summary, &views).expect("full holds every view");
+                    assert_eq!(*r.summary, expected, "{} {what} at {n} shards", r.app.code);
                 }
             }
         }
     }
 
     #[test]
-    fn energy_and_full_entries_never_serve_each_other() {
-        let config = GpuConfig::baseline();
-        let key = ResultStore::key(&config, Architecture::Pascal, 0x00ff, "VAD");
-        let energy_key = ResultStore::energy_key(key);
-        assert_ne!(energy_key, key);
-        for n in 1..=8 {
-            for s in 0..n {
-                let shard = ResultStore::shard_key(key, s, n);
-                assert_ne!(energy_key, shard, "shard {s}/{n}");
-                assert_ne!(ResultStore::shard_key(energy_key, s, n), shard);
-            }
-        }
-
-        let dir = TempDir::new("collections");
-        let disk = Arc::new(ResultStore::open(&dir).expect("open store"));
-        for (store, n) in [(Arc::new(ResultStore::in_memory()), 1), (disk, 2)] {
-            let opts = |collect| CampaignOptions {
-                shards: ShardMode::Fixed(n),
-                collect,
-                ..store_opts(&store)
-            };
-            let misses = 6 * n as usize;
-            let full = Campaign::smoke(&opts(Collection::Full));
-            let energy = Campaign::smoke(&opts(Collection::Energy));
-            assert_eq!((energy.cache_hits, energy.cache_misses), (0, misses));
-            let warm = Campaign::smoke(&opts(Collection::Energy));
-            assert_eq!((warm.cache_hits, warm.cache_misses), (6, 0));
-            assert_eq!(warm, energy);
-            let full_again = Campaign::smoke(&opts(Collection::Full));
-            assert_eq!((full_again.cache_hits, full_again.cache_misses), (6, 0));
-            assert_eq!(full_again, full);
-        }
-
-        // A full summary planted under an energy key does not fit an energy
-        // campaign's views, so it is a miss like a corrupt entry.
-        let store = Arc::new(ResultStore::in_memory());
-        let full = Campaign::smoke(&store_opts(&store));
-        for r in &full.results {
-            let key = ResultStore::key(&full.config, full.arch, full.isa_mask, r.app.code);
-            store.save(ResultStore::energy_key(key), r.app.code, &r.summary);
-        }
-        let energy = Campaign::smoke(&CampaignOptions {
-            collect: Collection::Energy,
-            ..store_opts(&store)
-        });
-        assert_eq!((energy.cache_hits, energy.cache_misses), (0, 6));
-        for (e, f) in energy.results.iter().zip(&full.results) {
-            assert_eq!(*e.summary, energy_part(&f.summary));
-        }
-    }
-
-    /// The configurations the Timing tests run: the baseline, K80, and a
-    /// 1-SM configuration like a `bvf-serve` request's.
-    fn timing_configs() -> [GpuConfig; 3] {
-        let mut serve = GpuConfig::baseline();
-        serve.sms = 1;
-        [GpuConfig::baseline(), GpuConfig::tesla_k80(), serve]
-    }
-
-    fn timing_apps() -> Vec<Application> {
-        ["VAD", "BFS", "SGE"]
-            .iter()
-            .map(|c| Application::by_code(c).expect("app"))
-            .collect()
+    fn an_energy_run_equals_the_energy_part_of_a_full_run() {
+        assert_runs_equal_the_full_run_cut(Collection::Energy);
     }
 
     #[test]
     fn a_timing_run_equals_the_timing_part_of_a_full_run() {
-        let apps = timing_apps();
-        for config in timing_configs() {
-            let full =
-                Campaign::run_with_options(config.clone(), &apps, &CampaignOptions::default());
-            for n in [1, 4] {
-                let timing = Campaign::run_with_options(
-                    config.clone(),
-                    &apps,
-                    &CampaignOptions {
-                        par: Parallelism::Fixed(2),
+        assert_runs_equal_the_full_run_cut(Collection::Timing);
+    }
+
+    const COLLECTIONS: [Collection; 3] = [Collection::Full, Collection::Energy, Collection::Timing];
+
+    /// Check each `(writer, reader)` pair of collections on an in-memory
+    /// store and a 2-shard disk store: the reader hits exactly when the
+    /// writer's views include its own, a miss overwrites the entry so the
+    /// next read hits, and every result equals a fresh run.
+    fn assert_stored_entries_answer(pairs: impl IntoIterator<Item = (Collection, Collection)>) {
+        let fresh = COLLECTIONS.map(|collect| {
+            Campaign::smoke(&CampaignOptions {
+                collect,
+                ..CampaignOptions::default()
+            })
+        });
+        let fresh_of = |collect| {
+            let i = COLLECTIONS.iter().position(|c| *c == collect);
+            &fresh[i.expect("a listed collection")]
+        };
+        let isa_mask = fresh[0].isa_mask;
+        let holds = |writer: Collection, reader: Collection| {
+            let written = writer.views(isa_mask);
+            reader.views(isa_mask).iter().all(|v| written.contains(v))
+        };
+        let pairs: Vec<_> = pairs.into_iter().collect();
+        for (disk, n) in [(false, 1), (true, 2)] {
+            for &(writer, reader) in &pairs {
+                let what = format!("{writer:?} then {reader:?}, disk {disk}");
+                let dir = TempDir::new("collections");
+                let store = Arc::new(if disk {
+                    ResultStore::open(&dir).expect("open store")
+                } else {
+                    ResultStore::in_memory()
+                });
+                let run = |collect| {
+                    Campaign::smoke(&CampaignOptions {
                         shards: ShardMode::Fixed(n),
-                        collect: Collection::Timing,
-                        ..CampaignOptions::default()
-                    },
-                );
-                assert_eq!(timing.shards, n.min(config.sms));
-                assert_eq!(timing.results.len(), apps.len());
-                for (t, f) in timing.results.iter().zip(&full.results) {
-                    assert!(t.summary.views.is_empty());
-                    assert_eq!(
-                        *t.summary,
-                        timing_part(&f.summary),
-                        "{} on {} ({} SMs) at {n} shards",
-                        t.app.code,
-                        config.name,
-                        config.sms
-                    );
+                        collect,
+                        ..store_opts(&store)
+                    })
+                };
+                let written = run(writer);
+                assert_eq!(written, *fresh_of(writer), "{what}");
+                let read = run(reader);
+                let expected = if holds(writer, reader) {
+                    (6, 0)
+                } else {
+                    (0, 6 * n as usize)
+                };
+                assert_eq!((read.cache_hits, read.cache_misses), expected, "{what}");
+                assert_eq!(read, *fresh_of(reader), "{what}");
+                // An exact match is the stored summary itself.
+                if !disk && writer == reader {
+                    for (a, b) in written.results.iter().zip(&read.results) {
+                        assert!(Arc::ptr_eq(&a.summary, &b.summary), "{what}");
+                    }
                 }
+                // A miss overwrote the entry, so the reader now hits.
+                let warm = run(reader);
+                assert_eq!((warm.cache_hits, warm.cache_misses), (6, 0), "{what}");
+                assert_eq!(warm, *fresh_of(reader), "{what}");
             }
         }
     }
 
     #[test]
+    fn a_stored_entry_answers_every_collection_whose_views_it_holds() {
+        assert_stored_entries_answer(
+            COLLECTIONS
+                .into_iter()
+                .flat_map(|w| COLLECTIONS.into_iter().map(move |r| (w, r))),
+        );
+    }
+
+    #[test]
     fn timing_reads_full_entries_and_full_never_reads_timing_ones() {
-        let apps = timing_apps();
-        for config in timing_configs() {
-            let direct =
-                Campaign::run_with_options(config.clone(), &apps, &CampaignOptions::default());
-            for n in [1, 4] {
-                let run = |store: &Arc<ResultStore>, collect| {
-                    let opts = CampaignOptions {
-                        shards: ShardMode::Fixed(n),
-                        collect,
-                        ..store_opts(store)
-                    };
-                    Campaign::run_with_options(config.clone(), &apps, &opts)
-                };
-                let what = format!("{} ({} SMs) at {n} shards", config.name, config.sms);
-                // A store a Full campaign filled answers a Timing campaign.
-                let dir = TempDir::new("full_then_timing");
-                let store = Arc::new(ResultStore::open(&dir).expect("open store"));
-                run(&store, Collection::Full);
-                let timing = run(&store, Collection::Timing);
-                assert_eq!((timing.cache_hits, timing.cache_misses), (3, 0), "{what}");
-                for (t, d) in timing.results.iter().zip(&direct.results) {
-                    assert_eq!(*t.summary, timing_part(&d.summary), "{what}");
-                }
-                // A store a Timing campaign filled, shard sub-keys included,
-                // misses every app of a Full campaign, which overwrites it.
-                let dir = TempDir::new("timing_then_full");
-                let store = Arc::new(ResultStore::open(&dir).expect("open store"));
-                run(&store, Collection::Timing);
-                let full = run(&store, Collection::Full);
-                let misses = 3 * full.shards as usize;
-                assert_eq!((full.cache_hits, full.cache_misses), (0, misses), "{what}");
-                assert_eq!(full.results, direct.results, "{what}");
-                let warm = run(&store, Collection::Full);
-                assert_eq!((warm.cache_hits, warm.cache_misses), (3, 0), "{what}");
-            }
-        }
+        assert_stored_entries_answer([
+            (Collection::Full, Collection::Timing),
+            (Collection::Timing, Collection::Full),
+        ]);
     }
 
     #[test]

@@ -87,7 +87,7 @@ pub fn read_request<R: Read>(stream: R) -> Result<Request, RequestError> {
         _ => return Err(RequestError::Malformed("not an HTTP/1.x request")),
     }
 
-    let mut content_length = 0usize;
+    let mut content_length = None;
     loop {
         let header = read_line(&mut reader)?;
         if header.is_empty() {
@@ -97,10 +97,18 @@ pub fn read_request<R: Read>(stream: R) -> Result<Request, RequestError> {
             return Err(RequestError::Malformed("header line has no colon"));
         };
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = value
-                .trim()
+            // RFC 9112 §6.3: a repeated or non-decimal length makes the
+            // body's framing ambiguous, so the request is rejected.
+            if content_length.is_some() {
+                return Err(RequestError::Malformed("repeated Content-Length"));
+            }
+            let value = value.trim();
+            let length = value
                 .parse()
-                .map_err(|_| RequestError::Malformed("unparseable Content-Length"))?;
+                .ok()
+                .filter(|_| value.bytes().all(|b| b.is_ascii_digit()));
+            content_length =
+                Some(length.ok_or(RequestError::Malformed("unparseable Content-Length"))?);
         } else if name.eq_ignore_ascii_case("transfer-encoding") {
             // Accepting chunked *requests* would mean trusting the peer's
             // framing for an unbounded body; nothing this server serves
@@ -110,6 +118,7 @@ pub fn read_request<R: Read>(stream: R) -> Result<Request, RequestError> {
             ));
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return Err(RequestError::TooLarge);
     }

@@ -19,9 +19,10 @@
 //! instructions, L1D/L2 hit rates and DRAM requests, so every job runs
 //! under [`Collection::Timing`]: no coding views and no value profiles.
 //! Those fields do not depend on the collection, so a served body equals
-//! a direct Full campaign's byte for byte. Its entries go under the Full
-//! whole-app keys; a store filled by `reproduce` or a direct campaign
-//! answers serve, and an entry serve wrote is a Full miss.
+//! a direct Full campaign's byte for byte. Every collection shares the
+//! whole-app keys, and a stored entry answers any campaign whose views it
+//! holds: an entry `reproduce` or a direct campaign wrote answers serve,
+//! and an entry serve wrote, holding no views, is a Full or Energy miss.
 //!
 //! **Single-flight.** Each application's work is keyed by its
 //! [`ResultStore`] content address — [`ResultStore::key`] over the
@@ -744,6 +745,33 @@ mod tests {
         assert_eq!((r.method.as_str(), r.path.as_str()), ("POST", "/run"));
         parse_request(&r.body).expect("valid body");
         parse_request(VALID_JSON).expect("valid body");
+    }
+
+    #[test]
+    fn content_length_must_be_one_decimal_number() {
+        let request = |headers: &str| {
+            let head = format!("POST /run HTTP/1.1\r\nHost: localhost\r\n{headers}\r\n");
+            read_request(format!("{head}hello").as_bytes())
+        };
+        let body = |headers| request(headers).expect("valid request").body;
+        assert_eq!(body("Content-Length: 5\r\n"), "hello");
+        assert_eq!(body("content-length:\t3 \r\n"), "hel");
+        assert_eq!(body(""), "", "no Content-Length, no body");
+        for headers in [
+            "Content-Length: +5\r\n",
+            "Content-Length: -5\r\n",
+            "Content-Length: 0x5\r\n",
+            "Content-Length: 5 5\r\n",
+            "Content-Length: \r\n",
+            "Content-Length: 99999999999999999999999\r\n",
+            "Content-Length: 5\r\nContent-Length: 5\r\n",
+            "Content-Length: 3\r\ncontent-length: 5\r\n",
+        ] {
+            assert!(
+                matches!(request(headers), Err(RequestError::Malformed(_))),
+                "{headers:?}"
+            );
+        }
     }
 
     #[test]

@@ -109,11 +109,6 @@ impl ResultStore {
         self
     }
 
-    /// How many apps per campaign have their hits re-simulated.
-    pub fn verify_sample(&self) -> usize {
-        self.verify_sample
-    }
-
     /// The directory entries live under; `None` for an in-memory store.
     pub fn root(&self) -> Option<&Path> {
         match &self.backend {
@@ -208,16 +203,6 @@ impl ResultStore {
         subkey(app_key, u64::from(index), u64::from(count))
     }
 
-    /// The content address of the energy-collection entry
-    /// ([`crate::Collection::Energy`]) for the app whose full-collection
-    /// key is `app_key`. Derived with [`bvf_store::subkey`] under the
-    /// coordinates (0, 0), which no shard has (shard counts start at 1),
-    /// so it never aliases a full-collection key or a shard sub-key; an
-    /// energy campaign's shard sub-keys derive from it in turn.
-    pub fn energy_key(app_key: u64) -> u64 {
-        subkey(app_key, 0, 0)
-    }
-
     /// Load a cached launch shard, or `None` on any miss. The echo check
     /// covers the app code *and* the shard coordinates, so a hand-moved or
     /// colliding entry can never be served as the wrong shard. An
@@ -265,10 +250,10 @@ impl ResultStore {
     }
 
     /// Which of `apps` application indices this campaign should re-verify
-    /// on a hit: a deterministic pseudo-random-by-index sample of
-    /// [`Self::verify_sample`] indices (rank every index by the FNV-1a
-    /// hash of its bytes and take the smallest — no RNG state, identical
-    /// across runs and worker counts).
+    /// on a hit: a deterministic pseudo-random-by-index sample of as many
+    /// indices as [`Self::with_verify_sample`] set (rank every index by
+    /// the FNV-1a hash of its bytes and take the smallest — no RNG state,
+    /// identical across runs and worker counts).
     pub fn verify_selection(&self, apps: usize) -> Vec<bool> {
         let mut selected = vec![false; apps];
         if self.verify_sample == 0 || apps == 0 {

@@ -340,28 +340,38 @@ fn warm_cache_run_is_byte_identical_and_fully_cached() {
 
     // Campaign telemetry: the warm run simulated nothing (its misses are
     // all zero) and the scrubbed streams are byte-identical.
-    let campaign_traffic = |p: &PathBuf| -> (f64, f64) {
-        let mut hits = 0.0;
-        let mut misses = 0.0;
+    let campaign_traffic = |p: &PathBuf| -> Vec<(String, (f64, f64))> {
+        let mut traffic = Vec::new();
         for line in std::fs::read_to_string(p).expect("metrics").lines() {
             let v = json::parse(line).expect("valid JSON");
             if v.get("record").and_then(Value::as_str) != Some("campaign") {
                 continue;
             }
+            let label = v.get("campaign").and_then(Value::as_str).expect("label");
             let t = v.get("timing").expect("timing");
-            hits += t.get("cache_hits").and_then(Value::as_f64).expect("hits");
-            misses += t
-                .get("cache_misses")
-                .and_then(Value::as_f64)
-                .expect("misses");
+            let count = |k: &str| t.get(k).and_then(Value::as_f64).expect(k);
+            let counts = (count("cache_hits"), count("cache_misses"));
+            traffic.push((label.to_string(), counts));
         }
-        (hits, misses)
+        traffic
     };
-    let (cold_hits, cold_misses) = campaign_traffic(&met_a);
-    let (warm_hits, warm_misses) = campaign_traffic(&met_b);
+    let total = |traffic: &[(String, (f64, f64))]| {
+        traffic
+            .iter()
+            .fold((0.0, 0.0), |(h, m), (_, c)| (h + c.0, m + c.1))
+    };
+    let cold_traffic = campaign_traffic(&met_a);
+    let (cold_hits, cold_misses) = total(&cold_traffic);
+    let (warm_hits, warm_misses) = total(&campaign_traffic(&met_b));
     assert!(cold_misses > 0.0, "cold run must simulate");
     assert_eq!(warm_misses, 0.0, "warm run must skip every simulation");
     assert_eq!(warm_hits, cold_hits + cold_misses);
+    // GTO and GTX-480 repeat the main campaign's keys, and its full
+    // entries answer their energy collection already in the cold run.
+    for label in ["sched-gto", "cap-gtx480"] {
+        let counts = cold_traffic.iter().find(|(l, _)| l == label);
+        assert_eq!(counts.map(|(_, c)| *c), Some((3.0, 0.0)), "{label}");
+    }
     let scrubbed = |p: &PathBuf| -> Vec<String> {
         std::fs::read_to_string(p)
             .expect("metrics")

@@ -94,12 +94,6 @@ impl Writer {
         self.usize(v.len());
         self.buf.extend_from_slice(v.as_bytes());
     }
-
-    /// Append raw bytes with a length prefix.
-    pub fn bytes_field(&mut self, v: &[u8]) {
-        self.usize(v.len());
-        self.buf.extend_from_slice(v);
-    }
 }
 
 /// Cursor over an encoded byte string, mirroring [`Writer`].
@@ -112,11 +106,6 @@ impl<'a> Reader<'a> {
     /// Read from `buf`, starting at its first byte.
     pub fn new(buf: &'a [u8]) -> Self {
         Self { buf }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len()
     }
 
     /// Succeeds only if every byte was consumed — trailing garbage is
@@ -184,17 +173,6 @@ impl<'a> Reader<'a> {
         let n = self.usize()?;
         let bytes = self.take(n)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::Invalid("string not UTF-8"))
-    }
-
-    /// Read a length-prefixed byte string.
-    pub fn bytes_field(&mut self) -> Result<Vec<u8>, CodecError> {
-        let n = self.usize()?;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    /// Consume and return every remaining byte (an unprefixed tail field).
-    pub fn rest(&mut self) -> &'a [u8] {
-        std::mem::take(&mut self.buf)
     }
 }
 
