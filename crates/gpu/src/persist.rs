@@ -15,9 +15,8 @@ use std::collections::BTreeMap;
 
 use bvf_store::{CodecError, Persist, Reader, Writer};
 
-use crate::dram::DramRequest;
 use crate::phase::PhaseProfile;
-use crate::sim::{LaunchShard, TraceSummary};
+use crate::sim::TraceSummary;
 use crate::stats::{CodingView, UnitStats, ViewStats};
 use crate::DramStats;
 
@@ -130,81 +129,6 @@ impl Persist for TraceSummary {
     }
 }
 
-impl Persist for LaunchShard {
-    fn persist(&self, w: &mut Writer) {
-        self.views.persist(w);
-        w.u64(self.max_core_cycles);
-        w.u64(self.dynamic_instructions);
-        w.u64(self.l1d_hits);
-        w.u64(self.l1d_accesses);
-        w.u64(self.l2_hits);
-        w.u64(self.l2_accesses);
-        self.narrow.persist(w);
-        self.data_bits.persist(w);
-        self.lane_sums.persist(w);
-        w.u64(self.lane_samples);
-        for lines in &self.touched_lines {
-            lines.persist(w);
-        }
-        w.u64(self.smem_conflict_cycles);
-        w.usize(self.dram_log.len());
-        for &(ch, req) in &self.dram_log {
-            w.u32(ch);
-            w.u64(req.addr);
-            w.bool(req.is_write);
-        }
-        w.f64(self.reg_utilization);
-        w.f64(self.sme_utilization);
-    }
-    fn restore(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let views = Vec::restore(r)?;
-        let max_core_cycles = r.u64()?;
-        let dynamic_instructions = r.u64()?;
-        let l1d_hits = r.u64()?;
-        let l1d_accesses = r.u64()?;
-        let l2_hits = r.u64()?;
-        let l2_accesses = r.u64()?;
-        let narrow = Persist::restore(r)?;
-        let data_bits = Persist::restore(r)?;
-        let lane_sums = Persist::restore(r)?;
-        let lane_samples = r.u64()?;
-        let mut touched_lines: [Vec<u64>; 9] = Default::default();
-        for lines in &mut touched_lines {
-            *lines = Vec::restore(r)?;
-        }
-        let smem_conflict_cycles = r.u64()?;
-        // No pre-reservation from the untrusted length: a corrupt header
-        // hits end-of-payload after a few entries instead of allocating.
-        let n = r.usize()?;
-        let mut dram_log = Vec::new();
-        for _ in 0..n {
-            let ch = r.u32()?;
-            let addr = r.u64()?;
-            let is_write = r.bool()?;
-            dram_log.push((ch, DramRequest { addr, is_write }));
-        }
-        Ok(Self {
-            views,
-            max_core_cycles,
-            dynamic_instructions,
-            l1d_hits,
-            l1d_accesses,
-            l2_hits,
-            l2_accesses,
-            narrow,
-            data_bits,
-            lane_sums,
-            lane_samples,
-            touched_lines,
-            smem_conflict_cycles,
-            dram_log,
-            reg_utilization: r.f64()?,
-            sme_utilization: r.f64()?,
-            profile: PhaseProfile::default(),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,39 +193,6 @@ mod tests {
         assert_eq!(w2.into_bytes(), bytes);
     }
 
-    /// Shard 0 of 2 of a copy kernel on two SMs.
-    fn tiny_shard() -> LaunchShard {
-        let mut k = Kernel::new("persist_shard", 4);
-        k.body.push(Stmt::op3(
-            Op::Mov,
-            0,
-            Operand::Special(Special::GlobalTid),
-            Operand::Imm(0),
-        ));
-        k.body.push(Stmt::op3(
-            Op::LdGlobal(BufferId(0)),
-            1,
-            Operand::Reg(0),
-            Operand::Imm(0),
-        ));
-        k.body.push(Stmt::op4(
-            Op::StGlobal(BufferId(1)),
-            0,
-            Operand::Reg(0),
-            Operand::Imm(0),
-            Operand::Reg(1),
-        ));
-        let mut config = GpuConfig::baseline();
-        config.sms = 2;
-        let mut gpu = Gpu::new(config, CodingView::standard_set(0x00ff_00ff));
-        let n = 256u32;
-        gpu.memory_mut()
-            .add_buffer(BufferId(0), (0..n).map(|i| i ^ 0xa5).collect());
-        gpu.memory_mut()
-            .add_buffer(BufferId(1), vec![0; n as usize]);
-        gpu.launch_shard(&k, LaunchConfig::new(8, 32), 0, 2)
-    }
-
     fn encode(value: &impl Persist) -> Vec<u8> {
         let mut w = Writer::new();
         value.persist(&mut w);
@@ -312,24 +203,6 @@ mod tests {
     /// calling test.
     fn decode_never_panics(bytes: &[u8]) {
         let _ = TraceSummary::restore(&mut Reader::new(bytes));
-        let _ = LaunchShard::restore(&mut Reader::new(bytes));
-    }
-
-    #[test]
-    fn launch_shard_round_trips_bit_identically() {
-        let shard = tiny_shard();
-        let mut w = Writer::new();
-        shard.persist(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        let back = LaunchShard::restore(&mut r).expect("decode");
-        r.finish().expect("fully consumed");
-        // LaunchShard's PartialEq covers every merged counter (only the
-        // phase profile, which is not persisted, is excluded).
-        assert_eq!(back, shard);
-        let mut w2 = Writer::new();
-        back.persist(&mut w2);
-        assert_eq!(w2.into_bytes(), bytes);
     }
 
     #[test]
@@ -348,21 +221,19 @@ mod tests {
 
     #[test]
     fn every_truncation_decodes_or_errs() {
-        for bytes in [encode(&tiny_summary()), encode(&tiny_shard())] {
-            for cut in 0..bytes.len() {
-                decode_never_panics(&bytes[..cut]);
-            }
+        let bytes = encode(&tiny_summary());
+        for cut in 0..bytes.len() {
+            decode_never_panics(&bytes[..cut]);
         }
     }
 
     #[test]
     fn every_single_bit_flip_decodes_or_errs() {
-        for mut bytes in [encode(&tiny_summary()), encode(&tiny_shard())] {
-            for bit in 0..bytes.len() * 8 {
-                bytes[bit / 8] ^= 1 << (bit % 8);
-                decode_never_panics(&bytes);
-                bytes[bit / 8] ^= 1 << (bit % 8);
-            }
+        let mut bytes = encode(&tiny_summary());
+        for bit in 0..bytes.len() * 8 {
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            decode_never_panics(&bytes);
+            bytes[bit / 8] ^= 1 << (bit % 8);
         }
     }
 

@@ -41,7 +41,7 @@ pub enum Phase {
     DramDrain,
     /// Launch setup and teardown: acquiring the collector, then per SM
     /// resetting the caches and sharing the prepared memory image, then
-    /// replaying the store log, sorting touched lines and finishing the
+    /// replaying the store log, collecting touched lines and finishing the
     /// collector. Events count the SMs set up, a total every shard split
     /// of a launch agrees on.
     Setup,

@@ -147,9 +147,9 @@ pub struct LaunchShard {
     pub lane_sums: [u64; 32],
     /// Number of sampled register writes behind `lane_sums`.
     pub lane_samples: u64,
-    /// Distinct lines touched per unit, indexed by `unit as usize` and
-    /// sorted so the persisted encoding is deterministic. Merged by set
-    /// union (an I-line fetched by several SMs counts once).
+    /// Distinct lines touched per unit, indexed by `unit as usize`, in no
+    /// particular order: [`merge_shards`] reads only their count and their
+    /// set union (an I-line fetched by several SMs counts once).
     pub touched_lines: [Vec<u64>; 9],
     /// Shared-memory bank-conflict cycles summed over the shard's SMs.
     pub smem_conflict_cycles: u64,
@@ -168,43 +168,6 @@ pub struct LaunchShard {
     pub sme_utilization: f64,
     /// Simulator self-time of this shard (merged, never compared).
     pub profile: PhaseProfile,
-}
-
-/// Equality ignores the phase profile, exactly like [`TraceSummary`]'s:
-/// a cached shard restored from disk must compare bit-identical to a
-/// freshly simulated one.
-impl PartialEq for LaunchShard {
-    fn eq(&self, other: &Self) -> bool {
-        self.views == other.views
-            && self.max_core_cycles == other.max_core_cycles
-            && self.dynamic_instructions == other.dynamic_instructions
-            && self.l1d_hits == other.l1d_hits
-            && self.l1d_accesses == other.l1d_accesses
-            && self.l2_hits == other.l2_hits
-            && self.l2_accesses == other.l2_accesses
-            && self.narrow == other.narrow
-            && self.data_bits == other.data_bits
-            && self.lane_sums == other.lane_sums
-            && self.lane_samples == other.lane_samples
-            && self.touched_lines == other.touched_lines
-            && self.smem_conflict_cycles == other.smem_conflict_cycles
-            && self.dram_log == other.dram_log
-            && self.reg_utilization == other.reg_utilization
-            && self.sme_utilization == other.sme_utilization
-    }
-}
-
-impl LaunchShard {
-    /// Whether this shard can be merged into a launch on `config` under
-    /// `views`: the same coding views in the same order, and every logged
-    /// DRAM request on one of the config's channels. A shard restored from
-    /// disk that fails this is a foreign or damaged entry, and
-    /// [`merge_shards`] would panic on it.
-    pub fn fits(&self, config: &GpuConfig, views: &[CodingView]) -> bool {
-        self.views.len() == views.len()
-            && self.views.iter().zip(views).all(|(s, v)| s.view == *v)
-            && self.dram_log.iter().all(|&(ch, _)| ch < config.l2_banks)
-    }
 }
 
 /// The contiguous SM range `start..end` covered by shard `index` of
@@ -1259,11 +1222,8 @@ impl Gpu {
             (u64::from(concurrent_ctas) * u64::from(prog.shared_words) * 4) as f64
                 / f64::from(cfg.smem_bytes_per_sm),
         );
-        let touched_lines: [Vec<u64>; 9] = core::array::from_fn(|u| {
-            let mut v: Vec<u64> = shared.touched[u].iter().copied().collect();
-            v.sort_unstable();
-            v
-        });
+        let touched_lines: [Vec<u64>; 9] =
+            core::array::from_fn(|u| shared.touched[u].iter().copied().collect());
         let (views, last_log) = match shared.collector {
             Some(mut collector) => {
                 let log = collector.take_log();

@@ -104,8 +104,7 @@ impl ShardMode {
 /// records, cut to those views when it holds more. Only Full keeps value
 /// profiles, so it reads Full entries alone; Energy reads Full and Energy
 /// entries, and Timing reads any. A miss simulates and overwrites the
-/// entry. Shard sub-keys, which only resume an interrupted application,
-/// fit a campaign of the same collection only.
+/// entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Collection {
     /// The five standard coding views plus the value profiles of Figs. 8,
@@ -216,9 +215,9 @@ pub struct CampaignOptions {
     pub sink: MetricsSink,
     /// Result store, on disk or in memory. When set, the campaign consults
     /// every app's whole-app entry before scheduling its units (a hit
-    /// skips the simulation entirely), sharded units read their shard
-    /// sub-keys, and fresh results are written back. `None` — the default
-    /// — simulates everything.
+    /// skips the simulation entirely), and the unit that merges a missed
+    /// app writes its whole-app summary back, at any shard count. `None`
+    /// — the default — simulates everything.
     pub store: Option<Arc<ResultStore>>,
     /// Fault-injection drill: a worker about to simulate this application
     /// code panics instead. The panic must surface as an [`AppFailure`] on
@@ -386,7 +385,7 @@ pub struct AppResult {
     /// Simulator throughput: dynamic instructions per wall-clock second.
     pub instructions_per_second: f64,
     /// Whether the summary came from the result store instead of a fresh
-    /// simulation (under sharding: every shard came from the store).
+    /// simulation.
     pub cached: bool,
     /// How many launch shards produced this summary (1 = unsharded). With
     /// sharding, `wall` is the *sum* of the unit walls, so per-app walls
@@ -931,14 +930,6 @@ pub(crate) fn simulate_shard(
     (shard, generated)
 }
 
-/// What a store hit gives: a unit its launch shard, an app's whole-app
-/// consult the merged summary.
-#[allow(clippy::large_enum_variant)] // one per consult, moved once
-enum Piece {
-    Shard(LaunchShard),
-    Whole(Arc<TraceSummary>),
-}
-
 /// One application's slot table. A failed unit never fills its slot, so
 /// nobody merges a failed application.
 #[derive(Default)]
@@ -947,8 +938,6 @@ struct AppSlot {
     shards: Vec<(u32, LaunchShard)>,
     /// Summed wall time of the units delivered so far.
     wall: Duration,
-    /// Some delivered unit simulated instead of hitting the store.
-    fresh: bool,
     /// The result, set by a whole-app hit or by the unit that filled the
     /// last slot.
     result: Option<AppResult>,
@@ -1238,9 +1227,7 @@ impl<'a> Member<'a> {
             i,
             |trace| {
                 let t = Instant::now();
-                let Some(Piece::Whole(summary)) = self.consult(store, key, i, None, trace) else {
-                    return None;
-                };
+                let summary = self.consult(store, key, i, trace)?;
                 let wall = t.elapsed();
                 self.publish(i, summary, wall, true);
                 Some(wall)
@@ -1276,12 +1263,11 @@ impl<'a> Member<'a> {
         outcome
     }
 
-    /// Read the unit's shard sub-key (sharded; the resume of an
-    /// interrupted app) or simulate, deliver the shard into the app's slot
-    /// table, and — if this unit filled the last slot — merge and save the
-    /// whole-app summary. Returns the unit's wall time: the consult of a
-    /// hit or the simulation of a miss, plus the merge when this unit
-    /// performed it (store writes excluded).
+    /// Simulate the unit's shard, deliver it into the app's slot table,
+    /// and — if this unit filled the last slot — merge the app and save
+    /// its whole-app summary. Returns the unit's wall time: the
+    /// simulation, plus the merge when this unit performed it (store
+    /// writes excluded).
     fn unit_body(
         &self,
         i: usize,
@@ -1290,51 +1276,20 @@ impl<'a> Member<'a> {
         progress: &Progress,
     ) -> Duration {
         let app = &self.apps[i];
-        let store = self.opts.store.as_deref();
-        let key = self.key(app);
-        let mut t_unit = Instant::now();
-        // Unsharded, the whole-app consult was this unit's consult. Sharded,
-        // the unit reads its shard sub-key, except from an in-memory store,
-        // which keeps no shards: there the unit is a miss without a load.
-        let sharded = store.filter(|_| self.n > 1);
-        let shard_store = sharded.filter(|store| store.root().is_some());
-        let consult = match shard_store {
-            Some(store) => self.consult(store, key, i, Some(s), trace),
-            None => {
-                if sharded.is_some() {
-                    self.count(MISS);
-                }
-                None
-            }
-        };
-        let (shard, cached) = match consult {
-            Some(Piece::Shard(shard)) => (shard, true),
-            // A missed consult is store I/O, not the unit's work.
-            _ => {
-                t_unit = Instant::now();
-                (self.simulate(app, (s, self.n), trace, ""), false)
-            }
-        };
+        let t_unit = Instant::now();
+        let shard = self.simulate(app, (s, self.n), trace, "");
         let mut wall = t_unit.elapsed();
         progress
             .instructions
             .fetch_add(shard.dynamic_instructions, Ordering::Relaxed);
-        // A sharded miss streams its shard into the store at once, so an
-        // interrupted campaign resumes mid-application.
-        if let (Some(store), false) = (shard_store, cached) {
-            let skey = ResultStore::shard_key(key, s, self.n);
-            let save = || store.save_shard(skey, app.code, s, self.n, &shard);
-            traced(trace, "store:save", "store", save, |_| Vec::new());
-        }
         let full = {
             let mut slot = self.slots[i].lock().expect("no unit panics holding a slot");
             slot.shards.push((s, shard));
             slot.wall += wall;
-            slot.fresh |= !cached;
             (slot.shards.len() == self.n as usize)
-                .then(|| (std::mem::take(&mut slot.shards), slot.wall, slot.fresh))
+                .then(|| (std::mem::take(&mut slot.shards), slot.wall))
         };
-        let Some((mut shards, app_wall, fresh)) = full else {
+        let Some((mut shards, app_wall)) = full else {
             return wall;
         };
         shards.sort_unstable_by_key(|&(s, _)| s);
@@ -1346,15 +1301,13 @@ impl<'a> Member<'a> {
         });
         let merge_wall = t_merge.elapsed();
         wall += merge_wall;
-        if fresh {
-            self.add_phase_timers(&summary.profile);
-        }
+        self.add_phase_timers(&summary.profile);
         // The whole-app entry, for later campaigns at any shard count.
-        if let (Some(store), true) = (store, fresh) {
-            let save = || store.save_shared(key, app.code, Arc::clone(&summary));
+        if let Some(store) = self.opts.store.as_deref() {
+            let save = || store.save_shared(self.key(app), app.code, Arc::clone(&summary));
             traced(trace, "store:save", "store", save, |_| Vec::new());
         }
-        self.publish(i, summary, app_wall + merge_wall, !fresh);
+        self.publish(i, summary, app_wall + merge_wall, false);
         wall
     }
 
@@ -1385,64 +1338,43 @@ impl<'a> Member<'a> {
             .result = Some(result);
     }
 
-    /// Consult the store for app `i`'s whole-app entry (`shard` `None`) or
-    /// its shard sub-key: `Some` on a usable entry — re-simulated and
-    /// checked bit-identical first when the app is in the verify sample —
-    /// `None` on a miss. A decoded summary that lacks one of this
-    /// campaign's views (see [`Member::accept`]) or a shard of another
-    /// collection is a miss like any corrupt entry. The counters
-    /// see one outcome per piece the campaign would otherwise simulate:
-    /// every hit, every shard miss, and a whole-app miss only when
-    /// unsharded (sharded, the units' own consults count).
+    /// Consult the store for app `i`'s whole-app entry: `Some` on a usable
+    /// entry — re-simulated and checked bit-identical first when the app
+    /// is in the verify sample — `None` on a miss. A decoded summary that
+    /// lacks one of this campaign's views (see [`Member::accept`]) is a
+    /// miss like any corrupt entry. The counters see one outcome per app
+    /// at every shard count.
     fn consult(
         &self,
         store: &ResultStore,
         key: u64,
         i: usize,
-        shard: Option<u32>,
         trace: &mut Option<ItemTrace>,
-    ) -> Option<Piece> {
+    ) -> Option<Arc<TraceSummary>> {
         let app = &self.apps[i];
-        let load = || match shard {
-            None => store
+        let load = || {
+            store
                 .load_shared(key, app.code)
                 .and_then(|summary| self.accept(summary))
-                .map(Piece::Whole),
-            Some(s) => store
-                .load_shard(ResultStore::shard_key(key, s, self.n), app.code, s, self.n)
-                .filter(|shard| shard.fits(self.config, &self.views))
-                .map(Piece::Shard),
         };
-        let hit = |piece: &Option<Piece>| vec![("hit", u64::from(piece.is_some()))];
-        let Some(piece) = traced(trace, "store:load", "store", load, hit) else {
-            if shard.is_some() || self.n == 1 {
-                self.count(MISS);
-            }
+        let hit = |summary: &Option<_>| vec![("hit", u64::from(summary.is_some()))];
+        let Some(stored) = traced(trace, "store:load", "store", load, hit) else {
+            self.count(MISS);
             return None;
         };
         self.count(HIT);
         if self.verify[i] {
-            let same = match &piece {
-                Piece::Shard(stored) => {
-                    let s = shard.expect("a shard hit has coordinates");
-                    self.simulate(app, (s, self.n), trace, "/verify") == *stored
-                }
-                Piece::Whole(stored) => {
-                    let fresh = self.simulate(app, (0, 1), trace, "/verify");
-                    merge_shards(self.config, &[fresh]) == **stored
-                }
-            };
-            let what = shard.map_or(String::new(), |s| format!(" shard {s}/{}", self.n));
+            let fresh = self.simulate(app, (0, 1), trace, "/verify");
             assert!(
-                same,
-                "cache verification failed for {}{what}: the stored entry is not \
+                merge_shards(self.config, &[fresh]) == *stored,
+                "cache verification failed for {}: the stored entry is not \
                  bit-identical to a fresh simulation — the simulator changed without a \
                  STORE_FORMAT_VERSION bump",
                 app.code
             );
             self.count(VERIFY);
         }
-        Some(piece)
+        Some(stored)
     }
 }
 
@@ -1850,22 +1782,36 @@ mod tests {
 
     #[test]
     fn cached_campaign_is_bit_identical_to_fresh() {
-        let dir = TempDir::new("roundtrip");
-        let store = Arc::new(ResultStore::open(&dir).expect("open store"));
-        let cold = Campaign::smoke(&store_opts(&store));
-        assert_eq!((cold.cache_hits, cold.cache_misses), (0, 6));
-        assert!(cold.results.iter().all(|r| !r.cached));
-        let warm = Campaign::smoke(&store_opts(&store));
-        assert_eq!((warm.cache_hits, warm.cache_misses), (6, 0));
-        assert!(warm.results.iter().all(|r| r.cached));
-        // The warm campaign equals both the cold one and a store-less run:
-        // PartialEq compares every counter in every TraceSummary, so this
-        // is the bit-identical guarantee of the persisted round trip.
-        assert_eq!(cold, warm);
-        assert_eq!(Campaign::smoke(&CampaignOptions::default()), warm);
-        let report = warm.run_report();
-        assert_eq!((report.cache_hits, report.cache_misses), (6, 0));
-        assert!(format!("{report}").contains("cache: 6 hits, 0 misses"));
+        // Unsharded and at 2 shards (the smoke GPU's SM count): the store
+        // sees one outcome per app either way.
+        for n in [1, 2] {
+            let dir = TempDir::new("roundtrip");
+            let store = Arc::new(ResultStore::open(&dir).expect("open store"));
+            let opts = CampaignOptions {
+                shards: ShardMode::Fixed(n),
+                ..store_opts(&store)
+            };
+            let cold = Campaign::smoke(&opts);
+            assert_eq!((cold.cache_hits, cold.cache_misses), (0, 6), "{n} shards");
+            assert!(cold.results.iter().all(|r| !r.cached));
+            let warm = Campaign::smoke(&opts);
+            let cold_outcomes = cold.cache_hits + cold.cache_misses;
+            assert_eq!(
+                (warm.cache_hits, warm.cache_misses),
+                (cold_outcomes, 0),
+                "{n} shards"
+            );
+            assert!(warm.results.iter().all(|r| r.cached));
+            // The warm campaign equals both the cold one and a store-less
+            // run: PartialEq compares every counter in every TraceSummary,
+            // so this is the bit-identical guarantee of the persisted round
+            // trip.
+            assert_eq!(cold, warm);
+            assert_eq!(Campaign::smoke(&CampaignOptions::default()), warm);
+            let report = warm.run_report();
+            assert_eq!((report.cache_hits, report.cache_misses), (6, 0));
+            assert!(format!("{report}").contains("cache: 6 hits, 0 misses"));
+        }
     }
 
     /// Cached and fresh campaigns agree at every worker count — the store
@@ -1997,120 +1943,45 @@ mod tests {
     }
 
     #[test]
-    fn sharded_campaign_streams_shards_into_the_store_and_resumes_mid_app() {
-        let dir = TempDir::new("shard_resume");
-        let store = Arc::new(ResultStore::open(&dir).expect("open store"));
-        let opts = |store| CampaignOptions {
-            par: Parallelism::Fixed(2),
-            shards: ShardMode::Fixed(2),
-            store,
-            ..CampaignOptions::default()
-        };
-        let cold = Campaign::smoke(&opts(Some(Arc::clone(&store))));
-        assert_eq!(
-            (cold.cache_hits, cold.cache_misses),
-            (0, 12),
-            "6 apps x 2 shards"
-        );
-        assert!(cold.results.iter().all(|r| !r.cached));
-        // Each app left its 2 shard sub-keys plus the one whole-app record
-        // its last unit saved after merging, all in the handle's segment.
-        let [segment] = &crate::store::testing::segments(&dir)[..] else {
-            panic!("one writing handle, one segment")
-        };
-        let bytes = std::fs::read(segment).expect("read segment");
-        let records = crate::store::testing::records(&bytes);
-        assert_eq!(records.len(), 6 * (2 + 1));
-
-        // Simulate an interrupted campaign: cut the segment at a record
-        // boundary before any app was merged — the last such boundary
-        // that leaves some app with one of its two shards. The re-run
-        // must complete warm from the surviving sub-keys, re-simulating
-        // only what is missing.
-        let app_keys: Vec<u64> = cold
-            .results
-            .iter()
-            .map(|r| ResultStore::key(&cold.config, cold.arch, cold.isa_mask, r.app.code))
-            .collect();
-        let app_of_shard = |key| {
-            app_keys
-                .iter()
-                .position(|&app| (0..2).any(|s| ResultStore::shard_key(app, s, 2) == key))
-        };
-        let mut kept = vec![0; app_keys.len()];
-        let mut cut = None;
-        for (key, range) in &records {
-            let Some(app) = app_of_shard(*key) else {
-                break; // the first whole-app record
-            };
-            kept[app] += 1;
-            if kept.contains(&1) {
-                cut = Some((range.end, kept.clone()));
-            }
-        }
-        let (cut, kept) = cut.expect("the first record is a shard");
-        std::fs::write(segment, &bytes[..cut]).expect("cut segment");
-        let survivors: usize = kept.iter().sum();
-        let store = Arc::new(ResultStore::open(&dir).expect("reopen store"));
-        let resumed = Campaign::smoke(&opts(Some(Arc::clone(&store))));
-        assert_eq!(
-            (resumed.cache_hits, resumed.cache_misses),
-            (survivors, 12 - survivors),
-            "surviving shards hit; the cut ones re-simulate"
-        );
-        assert_eq!(cold, resumed, "resume must be bit-identical");
-        // An app with a fresh shard is not `cached`, one whose shards all
-        // survived is; a fully-warm re-run reads only the whole-app
-        // records the resume merged.
-        for (r, kept) in resumed.results.iter().zip(kept) {
-            assert_eq!(r.cached, kept == 2, "{}", r.app.code);
-        }
-        let warm = Campaign::smoke(&opts(Some(store)));
-        assert_eq!((warm.cache_hits, warm.cache_misses), (6, 0));
-        assert!(warm.results.iter().all(|r| r.cached));
-        assert_eq!(cold, warm);
-    }
-
-    #[test]
-    fn a_planted_shard_that_does_not_fit_is_a_miss() {
-        let dir = TempDir::new("shard_misfit");
-        let store = Arc::new(ResultStore::open(&dir).expect("open store"));
+    fn an_interrupted_sharded_campaign_resumes_per_app() {
         let opts = |store| CampaignOptions {
             par: Parallelism::Fixed(2),
             shards: ShardMode::Fixed(2),
             store: Some(store),
             ..CampaignOptions::default()
         };
-        let cold = Campaign::smoke(&opts(Arc::clone(&store)));
-        // Validly encoded shards that do not fit the campaign: VAD's shard
-        // 0 logs a DRAM request on a channel the GPU does not have, BLA's
-        // shard 1 carries one coding view too few. Merging either panics.
-        let plant = |code: &str, s: u32, damage: fn(&mut LaunchShard, u32)| {
-            let app_key = ResultStore::key(&cold.config, cold.arch, cold.isa_mask, code);
-            let key = ResultStore::shard_key(app_key, s, 2);
-            let mut shard = store
-                .load_shard(key, code, s, 2)
-                .expect("cold run saved it");
-            damage(&mut shard, cold.config.l2_banks);
-            assert!(!shard.fits(&cold.config, &CodingView::standard_set(cold.isa_mask)));
-            store.save_shard(key, code, s, 2, &shard);
+        let dir = TempDir::new("shard_resume");
+        let cold = Campaign::smoke(&opts(Arc::new(ResultStore::open(&dir).expect("open"))));
+        assert_eq!((cold.cache_hits, cold.cache_misses), (0, 6));
+        // Each app left one record, its merged whole-app summary, and no
+        // shard of its own.
+        let [segment] = &crate::store::testing::segments(&dir)[..] else {
+            panic!("one writing handle, one segment")
         };
-        plant("VAD", 0, |shard, banks| shard.dram_log[0].0 = banks);
-        plant("BLA", 1, |shard, _| drop(shard.views.pop()));
-        // With their whole-app records corrupt, every app reads its shards.
-        let app_keys: Vec<u64> = cold
-            .results
-            .iter()
-            .map(|r| ResultStore::key(&cold.config, cold.arch, cold.isa_mask, r.app.code))
-            .collect();
-        let corrupted = crate::store::testing::corrupt_records(&dir, |key| app_keys.contains(&key));
-        assert_eq!(corrupted, 6);
-        let store = Arc::new(ResultStore::open(&dir).expect("reopen store"));
-        let warm = Campaign::smoke(&opts(store));
-        assert!(warm.failures.is_empty(), "{:?}", warm.failures);
-        assert_eq!((warm.cache_hits, warm.cache_misses), (10, 2));
-        assert_eq!(warm, cold);
-        assert_eq!(warm, Campaign::smoke(&CampaignOptions::default()));
+        let bytes = std::fs::read(segment).expect("read segment");
+        let records = crate::store::testing::records(&bytes);
+        assert_eq!(records.len(), 6);
+        let key = |code| ResultStore::key(&cold.config, cold.arch, cold.isa_mask, code);
+
+        // An interrupted campaign: the segment cut after k records. The
+        // re-run reads the k saved apps and re-simulates the rest.
+        for k in 1..6 {
+            let dir = TempDir::new("shard_resume_cut");
+            std::fs::create_dir_all(&dir).expect("mkdir");
+            std::fs::write(dir.join("cut.bvfl"), &bytes[..records[k - 1].1.end]).expect("cut");
+            let saved: Vec<u64> = records[..k].iter().map(|&(key, _)| key).collect();
+            let store = Arc::new(ResultStore::open(&dir).expect("reopen store"));
+            let resumed = Campaign::smoke(&opts(Arc::clone(&store)));
+            assert_eq!((resumed.cache_hits, resumed.cache_misses), (k, 6 - k));
+            assert_eq!(cold, resumed, "resume must be bit-identical");
+            for r in &resumed.results {
+                assert_eq!(r.cached, saved.contains(&key(r.app.code)), "{}", r.app.code);
+            }
+            let warm = Campaign::smoke(&opts(store));
+            assert_eq!((warm.cache_hits, warm.cache_misses), (6, 0));
+            assert!(warm.results.iter().all(|r| r.cached));
+            assert_eq!(cold, warm);
+        }
     }
 
     #[test]
@@ -2148,14 +2019,14 @@ mod tests {
             Campaign::run_with_options(config.clone(), &apps, &opts)
         };
         let two = run(2);
-        assert_eq!((two.cache_hits, two.cache_misses), (0, 6));
+        assert_eq!((two.cache_hits, two.cache_misses), (0, 3));
         let before = store.stats();
         let four = run(4);
         assert_eq!(four.shards, 4);
         assert_eq!((four.cache_hits, four.cache_misses), (3, 0));
         assert!(four.results.iter().all(|r| r.cached), "nothing simulated");
         let after = store.stats();
-        // One whole-app load per app; no n = 4 sub-key is ever read.
+        // One whole-app load per app and nothing else.
         assert_eq!(
             (after.hits - before.hits, after.misses - before.misses),
             (3, 0)
@@ -2183,14 +2054,14 @@ mod tests {
         };
         assert!(!Campaign::smoke(&profiled).merged_profile().is_enabled());
 
-        // A sharded run leaves one merged entry per app and no sub-keys.
+        // A sharded run leaves one merged entry per app.
         let store = Arc::new(ResultStore::in_memory());
         let sharded = CampaignOptions {
             shards: ShardMode::Fixed(2),
             ..store_opts(&store)
         };
         let cold = Campaign::smoke(&sharded);
-        assert_eq!((cold.cache_hits, cold.cache_misses), (0, 12));
+        assert_eq!((cold.cache_hits, cold.cache_misses), (0, 6));
         assert_eq!(store.stats().writes, 6, "whole-app summaries only");
         let warm = Campaign::smoke(&sharded);
         assert_eq!((warm.cache_hits, warm.cache_misses), (6, 0));
@@ -2298,7 +2169,7 @@ mod tests {
                 let expected = if holds(writer, reader) {
                     (6, 0)
                 } else {
-                    (0, 6 * n as usize)
+                    (0, 6)
                 };
                 assert_eq!((read.cache_hits, read.cache_misses), expected, "{what}");
                 assert_eq!(read, *fresh_of(reader), "{what}");
@@ -2734,9 +2605,9 @@ mod tests {
 
     /// A deterministic stand-in for the tracing-overhead timing gate: a
     /// traced campaign records a fixed handful of spans per work item —
-    /// the item itself, its launch and the launch's phases, at most three
-    /// store operations (the last unit of a cold sharded app loads and
-    /// saves its shard, then saves the whole app) and the merge — plus one
+    /// the item itself, its launch and the launch's phases, at most one
+    /// store operation (a consult's load, or the whole-app save of the
+    /// unit that merged its app) and the merge — plus one
     /// span per app and per campaign at assembly (an app's phase spans fit
     /// in its items' slack). Every span takes the sink's lock once, so the
     /// lock is taken a number of times bounded by work items, never by
@@ -2744,7 +2615,7 @@ mod tests {
     /// the bound.
     #[test]
     fn trace_volume_is_bounded_by_work_items() {
-        const PER_ITEM: usize = 1 + 1 + Phase::ALL.len() + 3 + 1;
+        const PER_ITEM: usize = 1 + 1 + Phase::ALL.len() + 1 + 1;
         for shards in [1u32, 2] {
             let store = Arc::new(ResultStore::in_memory());
             let tracer = TraceSink::enabled();
@@ -2789,33 +2660,49 @@ mod tests {
         }
     }
 
-    /// An in-memory store keeps no shards, so a sharded unit neither
-    /// loads nor saves one: the only store span under a `shard:` item is
-    /// the whole-app save of the unit that merged its app. Each unit's
-    /// miss still counts.
+    /// A sharded unit reads nothing from the store, on either backend: the
+    /// only store span under a `shard:` item is the whole-app save of the
+    /// unit that merged its app.
     #[test]
-    fn an_in_memory_store_records_no_shard_store_spans() {
-        let tracer = TraceSink::enabled();
-        let cold = Campaign::smoke(&CampaignOptions {
-            par: Parallelism::Sequential,
-            shards: ShardMode::Fixed(2),
-            store: Some(Arc::new(ResultStore::in_memory())),
-            tracer: tracer.clone(),
-            ..CampaignOptions::default()
-        });
-        let apps = cold.results.len();
-        assert_eq!((cold.cache_hits, cold.cache_misses), (0, 2 * apps));
-        let store_spans: Vec<String> = tracer
-            .events()
-            .into_iter()
-            .filter(|e| e.cat == "store" && e.path.contains("/shard:"))
-            .map(|e| e.path)
-            .collect();
-        assert_eq!(store_spans.len(), apps, "{store_spans:?}");
-        assert!(
-            store_spans.iter().all(|p| p.ends_with("/store:save")),
-            "{store_spans:?}"
-        );
+    fn a_sharded_unit_saves_only_its_merged_app_on_either_backend() {
+        let dir = TempDir::new("shard_spans");
+        let stores = [
+            ResultStore::in_memory(),
+            ResultStore::open(&dir).expect("open store"),
+        ];
+        for store in stores {
+            let on_disk = store.root().is_some();
+            let tracer = TraceSink::enabled();
+            let cold = Campaign::smoke(&CampaignOptions {
+                par: Parallelism::Fixed(2),
+                shards: ShardMode::Fixed(2),
+                store: Some(Arc::new(store)),
+                tracer: tracer.clone(),
+                ..CampaignOptions::default()
+            });
+            let apps = cold.results.len();
+            assert_eq!((cold.cache_hits, cold.cache_misses), (0, apps));
+            let store_spans: Vec<String> = tracer
+                .events()
+                .into_iter()
+                .filter(|e| e.cat == "store" && e.path.contains("/shard:"))
+                .map(|e| e.path)
+                .collect();
+            assert_eq!(
+                store_spans.len(),
+                apps,
+                "on disk: {on_disk}, {store_spans:?}"
+            );
+            assert!(
+                store_spans.iter().all(|p| p.ends_with("/store:save")),
+                "{store_spans:?}"
+            );
+            let saved: std::collections::BTreeSet<&str> = store_spans
+                .iter()
+                .filter_map(|p| crate::trace_report::TraceReport::app_of(p))
+                .collect();
+            assert_eq!(saved.len(), apps, "one save per app: {store_spans:?}");
+        }
     }
 
     #[test]

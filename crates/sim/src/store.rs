@@ -26,19 +26,21 @@
 //! encoding. Corrupt or stale entries fall back to simulation — the store
 //! can make a run faster, never wrong or failed.
 //!
-//! A store lives on disk ([`ResultStore::open`]: whole-app entries and
-//! shard sub-keys, kept across runs) or in memory
-//! ([`ResultStore::in_memory`]: this process's merged whole-app summaries
-//! only, each `Arc`-shared with the campaign result that holds it, so
-//! reuse within one run costs no copy).
+//! The store holds merged whole-app summaries only, one entry per key at
+//! every shard count: a sharded campaign merges an application's shards
+//! before saving it, so an interrupted run resumes per application. A
+//! store lives on disk ([`ResultStore::open`], kept across runs) or in
+//! memory ([`ResultStore::in_memory`], this process's summaries, each
+//! `Arc`-shared with the campaign result that holds it, so reuse within
+//! one run costs no copy).
 
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-use bvf_gpu::{GpuConfig, LaunchShard, TraceSummary};
+use bvf_gpu::{GpuConfig, TraceSummary};
 use bvf_isa::Architecture;
-use bvf_store::{fnv1a, subkey, DiskStore, Persist, Reader, StoreStats, Writer};
+use bvf_store::{fnv1a, DiskStore, Persist, Reader, StoreStats, Writer};
 
 /// Version of the key/payload format. Bump on ANY change to the simulated
 /// counters, the key preimage, or a persisted type's layout: old entries
@@ -48,7 +50,9 @@ use bvf_store::{fnv1a, subkey, DiskStore, Persist, Reader, StoreStats, Writer};
 /// memory image, and sampling phase per SM), per-(SM, bank) NoC reply
 /// channels, and the launch-global DRAM drain moving into `merge_shards`
 /// (shards log their off-chip traffic; the merge replays it) changed
-/// several simulated counters; shard sub-keys were added alongside.
+/// several simulated counters. v2 also added per-shard entries under
+/// sub-keys, since retired: a store written before their retirement may
+/// still hold shard records, which no key reaches.
 ///
 /// v3: the key preimage no longer carries `GpuConfig::name` (a display
 /// label no simulated counter reads), and `NarrowValueProfile` dropped its
@@ -90,10 +94,8 @@ impl ResultStore {
         })
     }
 
-    /// An empty store in this process's memory. It keeps merged whole-app
-    /// summaries only — shard sub-keys load as misses and save nowhere —
-    /// so it dedupes repeated (config, ISA, app) keys within one run
-    /// without growing by the shard count.
+    /// An empty store in this process's memory. It dedupes repeated
+    /// (config, ISA, app) keys within one run.
     pub fn in_memory() -> Self {
         Self {
             backend: Backend::Memory(Mutex::default()),
@@ -193,60 +195,6 @@ impl ResultStore {
                 m.entries.insert(key, (app_code.into(), summary));
             }
         }
-    }
-
-    /// The content address for shard `index` of `count` of the app whose
-    /// whole-result key is `app_key`. Derived with [`bvf_store::subkey`],
-    /// so sub-keyspaces for different shard counts are disjoint and never
-    /// alias a whole-app key.
-    pub fn shard_key(app_key: u64, index: u32, count: u32) -> u64 {
-        subkey(app_key, u64::from(index), u64::from(count))
-    }
-
-    /// Load a cached launch shard, or `None` on any miss. The echo check
-    /// covers the app code *and* the shard coordinates, so a hand-moved or
-    /// colliding entry can never be served as the wrong shard. An
-    /// in-memory store keeps no shards: always `None`, counted nowhere.
-    pub fn load_shard(
-        &self,
-        key: u64,
-        app_code: &str,
-        index: u32,
-        count: u32,
-    ) -> Option<LaunchShard> {
-        let Backend::Disk(disk) = &self.backend else {
-            return None;
-        };
-        let payload = disk.load(key)?;
-        let mut r = Reader::new(&payload);
-        let echo = r.str().ok()?;
-        if echo != app_code || r.u32().ok()? != index || r.u32().ok()? != count {
-            return None;
-        }
-        let shard = LaunchShard::restore(&mut r).ok()?;
-        r.finish().ok()?;
-        Some(shard)
-    }
-
-    /// Store one launch shard under `key`. Write failures are swallowed,
-    /// like [`ResultStore::save`]; an in-memory store drops the shard.
-    pub fn save_shard(
-        &self,
-        key: u64,
-        app_code: &str,
-        index: u32,
-        count: u32,
-        shard: &LaunchShard,
-    ) {
-        let Backend::Disk(disk) = &self.backend else {
-            return;
-        };
-        let mut w = Writer::new();
-        w.str(app_code);
-        w.u32(index);
-        w.u32(count);
-        shard.persist(&mut w);
-        let _ = disk.save(key, w.bytes());
     }
 
     /// Which of `apps` application indices this campaign should re-verify
@@ -461,87 +409,53 @@ mod tests {
         assert_eq!(none.verify_selection(5), vec![false; 5]);
     }
 
-    #[test]
-    fn shard_entries_round_trip_and_guard_their_coordinates() {
-        let dir = TempDir::new("shard");
-        let store = ResultStore::open(&dir).expect("open");
-        let app = bvf_workloads::Application::by_code("VAD").expect("app");
-        let mut config = GpuConfig::baseline();
-        config.sms = 2;
-        let mut gpu = bvf_gpu::Gpu::new(config.clone(), vec![bvf_gpu::CodingView::baseline()]);
-        let shard = app.run_shard(&mut gpu, 1, 2);
-        let app_key = ResultStore::key(&config, Architecture::Pascal, 0, "VAD");
-        let key = ResultStore::shard_key(app_key, 1, 2);
-        assert_ne!(key, app_key);
-        assert_ne!(key, ResultStore::shard_key(app_key, 0, 2));
-        assert_ne!(key, ResultStore::shard_key(app_key, 1, 4));
-        store.save_shard(key, "VAD", 1, 2, &shard);
-        assert_eq!(store.load_shard(key, "VAD", 1, 2), Some(shard));
-        // Wrong coordinates or app code: the echo check rejects the entry.
-        assert!(store.load_shard(key, "VAD", 0, 2).is_none());
-        assert!(store.load_shard(key, "VAD", 1, 4).is_none());
-        assert!(store.load_shard(key, "BFS", 1, 2).is_none());
-    }
-
-    /// Keys and on-disk records of one valid whole-app entry and one valid
-    /// shard entry (VAD on a 2-SM GPU), made once per test binary.
-    fn valid_entries() -> &'static [(u64, Vec<u8>); 2] {
-        static ENTRIES: std::sync::OnceLock<[(u64, Vec<u8>); 2]> = std::sync::OnceLock::new();
-        ENTRIES.get_or_init(|| {
-            let dir = TempDir::new("valid_entries");
+    /// The key and on-disk record of one valid whole-app entry (VAD on a
+    /// 2-SM GPU), made once per test binary.
+    fn valid_entry() -> &'static (u64, Vec<u8>) {
+        static ENTRY: std::sync::OnceLock<(u64, Vec<u8>)> = std::sync::OnceLock::new();
+        ENTRY.get_or_init(|| {
+            let dir = TempDir::new("valid_entry");
             let store = ResultStore::open(&dir).expect("open");
             let app = bvf_workloads::Application::by_code("VAD").expect("app");
             let mut config = GpuConfig::baseline();
             config.sms = 2;
             let views = vec![bvf_gpu::CodingView::baseline()];
-            let summary = app.run(&mut bvf_gpu::Gpu::new(config.clone(), views.clone()));
-            let shard = app.run_shard(&mut bvf_gpu::Gpu::new(config.clone(), views), 1, 2);
+            let summary = app.run(&mut bvf_gpu::Gpu::new(config.clone(), views));
             let key = ResultStore::key(&config, Architecture::Pascal, 0, "VAD");
-            let skey = ResultStore::shard_key(key, 1, 2);
             store.save(key, "VAD", &summary);
-            store.save_shard(skey, "VAD", 1, 2, &shard);
             assert!(store.load(key, "VAD").is_some());
-            assert!(store.load_shard(skey, "VAD", 1, 2).is_some());
             let [segment] = &testing::segments(&dir)[..] else {
                 panic!("one handle writes one segment")
             };
             let bytes = std::fs::read(segment).expect("segment");
-            let records = testing::records(&bytes);
-            assert_eq!(records.iter().map(|r| r.0).collect::<Vec<_>>(), [key, skey]);
-            [0, 1].map(|i| (records[i].0, bytes[records[i].1.clone()].to_vec()))
+            let [(stored, range)] = &testing::records(&bytes)[..] else {
+                panic!("one save writes one record")
+            };
+            assert_eq!(*stored, key);
+            (key, bytes[range.clone()].to_vec())
         })
     }
 
     /// Plant `bytes` as the only segment of a fresh store under `tag` and
-    /// load entry `which` of [`valid_entries`] (0 = whole app, 1 = shard)
-    /// back through the matching method.
-    fn load_planted(tag: &str, which: usize, bytes: &[u8]) -> bool {
+    /// load [`valid_entry`]'s key back.
+    fn load_planted(tag: &str, bytes: &[u8]) -> bool {
         let dir = TempDir::new(tag);
         std::fs::create_dir_all(&dir).expect("mkdir");
         std::fs::write(dir.join("planted.bvfl"), bytes).expect("plant segment");
         let store = ResultStore::open(&dir).expect("open");
-        let key = valid_entries()[which].0;
-        if which == 0 {
-            store.load(key, "VAD").is_some()
-        } else {
-            store.load_shard(key, "VAD", 1, 2).is_some()
-        }
+        store.load(valid_entry().0, "VAD").is_some()
     }
 
     #[test]
     fn every_truncated_entry_loads_as_a_miss() {
-        for (which, (_, bytes)) in valid_entries().iter().enumerate() {
+        let bytes = &valid_entry().1;
+        assert!(load_planted("truncated", bytes), "the intact entry loads");
+        for len in 0..bytes.len() {
             assert!(
-                load_planted("truncated", which, bytes),
-                "the intact entry loads"
+                !load_planted("truncated", &bytes[..len]),
+                "entry truncated to {len} of {} bytes loaded",
+                bytes.len()
             );
-            for len in 0..bytes.len() {
-                assert!(
-                    !load_planted("truncated", which, &bytes[..len]),
-                    "entry {which} truncated to {len} of {} bytes loaded",
-                    bytes.len()
-                );
-            }
         }
     }
 
@@ -549,11 +463,11 @@ mod tests {
         /// A single flipped bit anywhere in a valid entry — header, key,
         /// checksum or payload — is a miss, never a panic or a wrong hit.
         #[test]
-        fn a_single_bit_flip_loads_as_a_miss(which in 0usize..2, bit in proptest::prelude::any::<u64>()) {
-            let mut bytes = valid_entries()[which].1.clone();
+        fn a_single_bit_flip_loads_as_a_miss(bit in proptest::prelude::any::<u64>()) {
+            let mut bytes = valid_entry().1.clone();
             let bit = (bit % (bytes.len() as u64 * 8)) as usize;
             bytes[bit / 8] ^= 1 << (bit % 8);
-            proptest::prop_assert!(!load_planted("bit_flip", which, &bytes), "bit {} of entry {} flipped", bit, which);
+            proptest::prop_assert!(!load_planted("bit_flip", &bytes), "bit {} flipped", bit);
         }
     }
 
@@ -565,7 +479,7 @@ mod tests {
         let mut config = GpuConfig::baseline();
         config.sms = 2;
         let views = vec![bvf_gpu::CodingView::baseline()];
-        let summary = Arc::new(app.run(&mut bvf_gpu::Gpu::new(config.clone(), views.clone())));
+        let summary = Arc::new(app.run(&mut bvf_gpu::Gpu::new(config.clone(), views)));
         let key = ResultStore::key(&config, Architecture::Pascal, 0, "VAD");
         assert!(store.load_shared(key, "VAD").is_none());
         store.save_shared(key, "VAD", Arc::clone(&summary));
@@ -574,11 +488,6 @@ mod tests {
         assert_eq!(store.load(key, "VAD").as_ref(), Some(&*summary));
         // The echo guards a colliding key here too.
         assert!(store.load_shared(key, "BFS").is_none());
-        // Shards are neither kept nor counted.
-        let shard = app.run_shard(&mut bvf_gpu::Gpu::new(config, views), 1, 2);
-        let skey = ResultStore::shard_key(key, 1, 2);
-        store.save_shard(skey, "VAD", 1, 2, &shard);
-        assert!(store.load_shard(skey, "VAD", 1, 2).is_none());
         let s = store.stats();
         assert_eq!((s.hits, s.misses, s.writes), (2, 2, 1));
     }

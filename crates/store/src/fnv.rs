@@ -48,20 +48,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-/// Derive a sub-key from a parent key, e.g. the store entry for shard
-/// `index` of `count` of an app whose whole-result key is `parent`.
-///
-/// Folding all three values through the hash (rather than XOR-ing offsets
-/// into `parent`) keeps sub-keyspaces for different `count`s disjoint, so
-/// shard 0-of-2 and shard 0-of-4 of the same app never alias.
-pub fn subkey(parent: u64, index: u64, count: u64) -> u64 {
-    let mut h = Fnv64::new();
-    h.update(&parent.to_le_bytes());
-    h.update(&index.to_le_bytes());
-    h.update(&count.to_le_bytes());
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,19 +71,5 @@ mod tests {
     #[test]
     fn distinct_inputs_distinct_hashes() {
         assert_ne!(fnv1a(b"campaign-a"), fnv1a(b"campaign-b"));
-    }
-
-    #[test]
-    fn subkeys_are_disjoint_across_index_count_and_parent() {
-        let parent = fnv1a(b"app");
-        let mut seen = std::collections::HashSet::new();
-        for count in 1..=8u64 {
-            for index in 0..count {
-                assert!(seen.insert(subkey(parent, index, count)));
-            }
-        }
-        // Sub-keys never collide with the parent or another parent's keys.
-        assert!(!seen.contains(&parent));
-        assert!(!seen.contains(&subkey(fnv1a(b"other"), 0, 2)));
     }
 }

@@ -33,4 +33,4 @@ pub mod fnv;
 
 pub use codec::{CodecError, Persist, Reader, Writer};
 pub use disk::{DiskStore, StoreStats};
-pub use fnv::{fnv1a, subkey, Fnv64};
+pub use fnv::{fnv1a, Fnv64};
